@@ -3,6 +3,7 @@
 //! baseline R*-tree substrate for reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use page_store::PageFile;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rstar_base::RectRStarTree;
@@ -40,9 +41,9 @@ fn bench_insert(c: &mut Criterion) {
     });
     g.bench_function("rstar_baseline_4k", |b| {
         b.iter(|| {
-            let mut t = RectRStarTree::<2>::new();
+            let mut t = RectRStarTree::<2>::try_new_on(PageFile::new()).unwrap();
             for o in objs.iter().take(1_000) {
-                t.insert(o.mbr(), o.id);
+                t.try_insert(o.mbr(), o.id).unwrap();
             }
             black_box(t.len())
         })
@@ -141,13 +142,13 @@ fn bench_rstar_query_baseline(c: &mut Criterion) {
     // Conventional range search on precise data (Sec 2.2) — context for
     // how much the probabilistic machinery costs on top.
     let objs = dataset();
-    let mut t = RectRStarTree::<2>::new();
+    let mut t = RectRStarTree::<2>::try_new_on(PageFile::new()).unwrap();
     for o in &objs {
-        t.insert(o.mbr(), o.id);
+        t.try_insert(o.mbr(), o.id).unwrap();
     }
     let region = Rect::cube(&objs[7].mbr().center(), 1_500.0);
     c.bench_function("rstar_precise_range_baseline", |b| {
-        b.iter(|| black_box(t.range(&region).len()))
+        b.iter(|| black_box(t.try_range(&region).unwrap().len()))
     });
 }
 

@@ -23,8 +23,7 @@
 use crate::catalog::UCatalog;
 use crate::query::{ProbRangeQuery, QueryCtx, QueryStats, RefineMode};
 use crate::seqscan::SeqScan;
-use crate::tree::{InsertStats, QueryOptions, UTree};
-use crate::upcr::UPcrTree;
+use crate::tree::{FilterPayload, InsertStats, ProbTree, QueryOptions};
 use rstar_base::TreeConfig;
 use std::borrow::Borrow;
 use std::fmt;
@@ -625,8 +624,8 @@ pub(crate) fn outcome_from_ctx(ctx: &mut QueryCtx) -> QueryOutcome {
 // ---------------------------------------------------------------------------
 
 /// Anything that can maintain uncertain objects and answer probabilistic
-/// range queries — the contract shared by [`UTree`], [`UPcrTree`] and
-/// [`SeqScan`].
+/// range queries — the contract shared by [`crate::UTree`],
+/// [`crate::UPcrTree`] and [`SeqScan`].
 ///
 /// Object-safe (except [`ProbIndex::bulk_load`]), so heterogeneous
 /// backends can sit behind `dyn ProbIndex<D>`.
@@ -791,35 +790,25 @@ pub trait IndexBackend<const D: usize>: ProbIndex<D> + Sized + sealed::Sealed {
     fn from_parts(catalog: UCatalog, cfg: TreeConfig) -> Self;
 }
 
-mod sealed {
+pub(crate) mod sealed {
+    use super::{FilterPayload, ProbTree, SeqScan};
+
     pub trait Sealed {}
-    impl<const D: usize, S: page_store::PageStore> Sealed for super::UTree<D, S> {}
-    impl<const D: usize, S: page_store::PageStore> Sealed for super::UPcrTree<D, S> {}
-    impl<const D: usize> Sealed for super::SeqScan<D> {}
+    impl<const D: usize, P: FilterPayload<D>, S: page_store::PageStore> Sealed for ProbTree<D, P, S> {}
+    impl<const D: usize> Sealed for SeqScan<D> {}
+    impl Sealed for crate::tree::Cfbs {}
+    impl Sealed for crate::upcr::Pcrs {}
 }
 
-impl<const D: usize> IndexBackend<D> for UTree<D> {
-    const NAME: &'static str = "u-tree";
+impl<const D: usize, P: FilterPayload<D>> IndexBackend<D> for ProbTree<D, P> {
+    const NAME: &'static str = P::NAME;
 
     fn default_catalog() -> UCatalog {
-        UCatalog::paper_utree_default()
+        P::default_catalog()
     }
 
     fn from_parts(catalog: UCatalog, cfg: TreeConfig) -> Self {
-        UTree::with_config(catalog, cfg)
-    }
-}
-
-impl<const D: usize> IndexBackend<D> for UPcrTree<D> {
-    const NAME: &'static str = "u-pcr";
-
-    fn default_catalog() -> UCatalog {
-        // Sec 6.2 tuning: m = 9 in 2D, m = 10 in 3D.
-        UCatalog::uniform(if D >= 3 { 10 } else { 9 })
-    }
-
-    fn from_parts(catalog: UCatalog, cfg: TreeConfig) -> Self {
-        UPcrTree::with_config(catalog, cfg)
+        ProbTree::with_config(catalog, cfg)
     }
 }
 
@@ -938,6 +927,7 @@ impl<const D: usize, B: IndexBackend<D>> IndexBuilder<D, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{UPcrTree, UTree};
     use uncertain_geom::Point;
     use uncertain_pdf::ObjectPdf;
 

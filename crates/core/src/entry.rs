@@ -42,16 +42,21 @@ impl<const D: usize> ULeafEntry<D> {
         id: u64,
         catalog: &UCatalog,
     ) -> Self {
-        let key = UKey {
-            lo: cfbs.outer.eval(catalog.first()),
-            hi: cfbs.outer.eval(catalog.last()),
-        };
         Self {
+            key: Self::key_of(&cfbs, catalog),
             cfbs,
             mbr,
             addr,
             id,
-            key,
+        }
+    }
+
+    /// The bounding key an entry holding `cfbs` contributes to its node:
+    /// `cfb_out` evaluated at `p₁` and `p_m`.
+    pub fn key_of(cfbs: &CfbPair<D>, catalog: &UCatalog) -> UKey<D> {
+        UKey {
+            lo: cfbs.outer.eval(catalog.first()),
+            hi: cfbs.outer.eval(catalog.last()),
         }
     }
 }

@@ -11,19 +11,22 @@
 //!
 //! 1. [`PcrSet`] pre-computes *probabilistically constrained regions*
 //!    at the catalog values ([`UCatalog`]);
-//! 2. [`cfb::fit_cfb_pair`] compresses them into two linear
-//!    *conservative functional boxes* by Simplex LP (8d floats per object);
-//! 3. [`UTree`] indexes the CFBs in an R*-tree derivative whose
-//!    intermediate entries prune whole subtrees (Observation 4), and whose
-//!    leaf entries prune/validate objects without integration
-//!    (Observation 3);
+//! 2. a [`FilterPayload`] decides what an index entry keeps of them:
+//!    [`Cfbs`] compresses them into two linear *conservative functional
+//!    boxes* by Simplex LP ([`cfb::fit_cfb_pair`], 8d floats per object),
+//!    [`Pcrs`] stores them verbatim;
+//! 3. [`ProbTree`] — one type for both of the paper's trees, [`UTree`] =
+//!    `ProbTree<D, Cfbs>` and the comparison structure [`UPcrTree`] =
+//!    `ProbTree<D, Pcrs>` — indexes the payload in an R*-tree derivative
+//!    whose intermediate entries prune whole subtrees (Observation 4), and
+//!    whose leaf entries prune/validate objects without integration
+//!    (Observation 3; Observation 2 over exact PCRs);
 //! 4. only the surviving candidates reach the Monte-Carlo refinement
 //!    ([`query::refine_candidates`]).
 //!
-//! [`UPcrTree`] (PCRs stored verbatim) and [`SeqScan`] (no index) are the
-//! paper's comparison points. All three implement the backend-agnostic
-//! [`ProbIndex`] trait and are built/queried through the fluent [`api`]
-//! surface.
+//! [`SeqScan`] (no index) is the paper's other comparison point. All
+//! three implement the backend-agnostic [`ProbIndex`] trait and are
+//! built/queried through the fluent [`api`] surface.
 //!
 //! Besides threshold queries, the same machinery answers **probabilistic
 //! top-k ranking** (`Query::range(..).top(k)` /
@@ -74,7 +77,6 @@ pub mod key;
 pub mod object_codec;
 pub mod pcr;
 mod persist;
-pub mod quadratic;
 pub mod query;
 mod rank;
 pub mod seqscan;
@@ -98,15 +100,14 @@ pub use filter::{
 };
 pub use key::{PcrKey, PcrMetrics, UKey, UMetrics};
 pub use pcr::PcrSet;
-pub use quadratic::{fit_quad_cfb_pair, QuadCfb, QuadCfbPair, QuadCfbView};
 pub use query::{
     refine_candidates, refine_candidates_scored, ProbRangeQuery, QueryCtx, QueryStats, RefineMode,
 };
 pub use seqscan::SeqScan;
 pub use service::{QueryService, ServiceReply, ServiceReport, ServiceRequest};
 pub use shard::{canonicalize, shard_of, ShardedIndex};
-pub use tree::{InsertStats, QueryOptions, UTree};
-pub use upcr::UPcrTree;
+pub use tree::{Cfbs, FilterPayload, InsertStats, ProbTree, QueryOptions, UTree};
+pub use upcr::{Pcrs, UPcrTree};
 
 /// The page store of a disk-backed tree: an LRU buffer pool over a
 /// journaling [`page_store::WalStore`] over the snapshot file. Commits go
@@ -114,9 +115,9 @@ pub use upcr::UPcrTree;
 pub type DiskStore = page_store::BufferPool<page_store::WalStore<page_store::DiskPageFile>>;
 
 /// A [`UTree`] reopened from disk through a crash-safe write path — what
-/// [`UTree::open`] returns.
+/// [`ProbTree::open`] returns for the [`Cfbs`] payload.
 pub type DiskUTree<const D: usize> = UTree<D, DiskStore>;
 
 /// A [`UPcrTree`] reopened from disk through a crash-safe write path —
-/// what [`UPcrTree::open`] returns.
+/// what [`ProbTree::open`] returns for the [`Pcrs`] payload.
 pub type DiskUPcrTree<const D: usize> = UPcrTree<D, DiskStore>;

@@ -109,7 +109,7 @@ pub(crate) struct RankedHit {
 
 /// The leaf-entry surface the ranking driver needs, shared by the U-tree
 /// and U-PCR entry types.
-pub(crate) trait RankLeaf<const D: usize> {
+pub trait RankLeaf<const D: usize> {
     /// MBR of the object's uncertainty region.
     fn mbr(&self) -> &Rect<D>;
     /// Heap address of the pdf record.

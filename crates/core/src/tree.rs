@@ -1,21 +1,29 @@
-//! The U-tree (paper Sec 5): a fully dynamic, disk-based index for
-//! multi-dimensional uncertain data with arbitrary pdfs.
+//! The probabilistic R*-tree of the paper, once: [`ProbTree`] is the
+//! U-tree (Sec 5) when its entries carry conservative functional boxes
+//! ([`Cfbs`]) and U-PCR (Sec 6) when they carry the PCRs verbatim
+//! ([`crate::upcr::Pcrs`]). A [`FilterPayload`] names everything that
+//! differs between the two; every method of the tree is written against it.
 
 use crate::api::{
-    outcome_from_ctx, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome, RankOutcome,
-    RankQuery,
+    outcome_from_ctx, sealed, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome,
+    RankOutcome, RankQuery,
 };
 use crate::catalog::UCatalog;
-use crate::cfb::{fit_cfb_pair, CfbView};
+use crate::cfb::{fit_cfb_pair, CfbPair, CfbView};
 use crate::entry::{UCodec, ULeafEntry};
-use crate::filter::FilterOutcome;
+use crate::filter::{FilterOutcome, PcrAccess};
 use crate::key::{UKey, UMetrics};
 use crate::object_codec::encode_object;
 use crate::pcr::PcrSet;
 use crate::persist;
 use crate::query::{refine_ctx, QueryCtx};
-use page_store::{f32_round_down, f32_round_up, CommitReceipt, ObjectHeap, PageFile, PageStore};
-use rstar_base::{str_order_by, LeafRecord, NodeCodec, RStarTreeBase, TreeConfig, TreeStats};
+use crate::rank::RankLeaf;
+use page_store::{
+    f32_round_down, f32_round_up, CommitReceipt, ObjectHeap, PageFile, PageStore, RecordAddr,
+};
+use rstar_base::{
+    str_order_by, KeyMetrics, LeafRecord, NodeCodec, RStarTreeBase, TreeConfig, TreeStats,
+};
 use std::borrow::Borrow;
 use std::io;
 use std::ops::AddAssign;
@@ -30,8 +38,8 @@ use uncertain_pdf::{ObjectPdf, UncertainObject};
 ///
 /// Disabling a component never changes the *result set* (everything not
 /// decided by a filter goes through exact refinement) — only the cost.
-/// The U-tree honours every switch; U-PCR and the sequential scan have no
-/// Observation-4 descent and ignore the options.
+/// Both tree payloads honour every switch; the sequential scan has no
+/// descent and ignores the options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
     /// Apply Observation 4 at intermediate entries (off = plain R-tree
@@ -79,20 +87,132 @@ impl AddAssign<&InsertStats> for InsertStats {
     }
 }
 
-/// The U-tree: an R*-tree derivative over conservative functional boxes,
-/// plus the object-detail heap file its leaf entries point into.
+/// The bounding key of a payload's intermediate entries.
+pub type KeyOf<const D: usize, P> = <<P as FilterPayload<D>>::Metrics as KeyMetrics<D>>::Key;
+
+/// What a [`ProbTree`] entry stores about an object's PCRs — the one axis
+/// along which the paper's two structures differ. Sealed: [`Cfbs`] (the
+/// U-tree) and [`crate::upcr::Pcrs`] (U-PCR) are the only payloads.
+pub trait FilterPayload<const D: usize>: sealed::Sealed {
+    /// Summed R* metrics over the payload's bounding key.
+    type Metrics: KeyMetrics<D> + Clone;
+    /// The leaf entry.
+    type Leaf: LeafRecord<KeyOf<D, Self>> + RankLeaf<D>;
+    /// The on-page node codec.
+    type Codec: NodeCodec<KeyOf<D, Self>, Self::Leaf> + Clone;
+    /// The per-object filter data a leaf entry carries.
+    type Data;
+
+    /// The structure tag in a saved index's metadata.
+    const KIND: u8;
+    /// Human-readable backend name (see [`crate::IndexBackend::NAME`]).
+    const NAME: &'static str;
+
+    /// The paper's Sec 6.2 default catalog for this structure.
+    fn default_catalog() -> UCatalog;
+    /// Metrics bound to a catalog.
+    fn metrics(catalog: Arc<UCatalog>) -> Self::Metrics;
+    /// Codec bound to a catalog.
+    fn codec(catalog: Arc<UCatalog>) -> Self::Codec;
+    /// Computes an object's filter data, already rounded to its on-page
+    /// values, plus the nanoseconds spent on PCRs and on CFB fitting.
+    fn compute(pdf: &ObjectPdf<D>, catalog: &UCatalog) -> (Self::Data, u128, u128);
+    /// Assembles a leaf entry.
+    fn leaf(
+        data: Self::Data,
+        mbr: Rect<D>,
+        addr: RecordAddr,
+        id: u64,
+        catalog: &UCatalog,
+    ) -> Self::Leaf;
+    /// The key a leaf entry built from `data` contributes to its node
+    /// (locates the entry at delete time).
+    fn probe_key(data: &Self::Data, catalog: &UCatalog) -> KeyOf<D, Self>;
+    /// `e.MBR(p_j)` of an intermediate key; `frac` is the catalog's
+    /// interpolation fraction of `p_j` (Eq. 15).
+    fn key_rect(key: &KeyOf<D, Self>, j: usize, frac: f64) -> Rect<D>;
+    /// The leaf entry's conservative view of the object's PCRs.
+    fn access<'a>(leaf: &'a Self::Leaf, catalog: &'a UCatalog) -> impl PcrAccess<D> + 'a;
+}
+
+/// The U-tree payload (Sec 4.3–4.4): two conservative functional boxes per
+/// object, `(MBR⊥, MBR̄)` pairs in intermediate entries.
+#[derive(Debug, Clone, Copy)]
+pub enum Cfbs {}
+
+impl<const D: usize> FilterPayload<D> for Cfbs {
+    type Metrics = UMetrics<D>;
+    type Leaf = ULeafEntry<D>;
+    type Codec = UCodec<D>;
+    type Data = CfbPair<D>;
+
+    const KIND: u8 = persist::KIND_UTREE;
+    const NAME: &'static str = "u-tree";
+
+    fn default_catalog() -> UCatalog {
+        UCatalog::paper_utree_default()
+    }
+
+    fn metrics(catalog: Arc<UCatalog>) -> UMetrics<D> {
+        UMetrics::new(catalog)
+    }
+
+    fn codec(catalog: Arc<UCatalog>) -> UCodec<D> {
+        UCodec::new(catalog)
+    }
+
+    fn compute(pdf: &ObjectPdf<D>, catalog: &UCatalog) -> (CfbPair<D>, u128, u128) {
+        let t0 = Instant::now();
+        let pcrs = PcrSet::compute(pdf, catalog);
+        let pcr_nanos = t0.elapsed().as_nanos();
+        let t1 = Instant::now();
+        let cfbs = fit_cfb_pair(&pcrs, catalog);
+        (cfbs, pcr_nanos, t1.elapsed().as_nanos())
+    }
+
+    fn leaf(
+        cfbs: CfbPair<D>,
+        mbr: Rect<D>,
+        addr: RecordAddr,
+        id: u64,
+        catalog: &UCatalog,
+    ) -> ULeafEntry<D> {
+        ULeafEntry::new(cfbs, mbr, addr, id, catalog)
+    }
+
+    fn probe_key(cfbs: &CfbPair<D>, catalog: &UCatalog) -> UKey<D> {
+        ULeafEntry::key_of(cfbs, catalog)
+    }
+
+    fn key_rect(key: &UKey<D>, _j: usize, frac: f64) -> Rect<D> {
+        key.interp(frac)
+    }
+
+    fn access<'a>(leaf: &'a ULeafEntry<D>, catalog: &'a UCatalog) -> impl PcrAccess<D> + 'a {
+        CfbView {
+            pair: &leaf.cfbs,
+            catalog,
+        }
+    }
+}
+
+/// The paper's index, generic over what its entries store
+/// ([`FilterPayload`]) and where its pages live ([`PageStore`]): an
+/// R*-tree derivative over the payload's bounding keys, plus the
+/// object-detail heap file its leaf entries point into. [`UTree`] and
+/// [`crate::UPcrTree`] are its two instantiations.
 ///
-/// Construction goes through [`UTree::builder`] (shared with the other
+/// Construction goes through [`ProbTree::builder`] (shared with the other
 /// backends); queries through the fluent [`Query`] API. Both are available
 /// generically via the [`ProbIndex`] trait.
 ///
-/// The tree is generic over its [`PageStore`] `S`: the default is the
-/// in-memory [`PageFile`]; [`UTree::open`] yields a disk-backed tree
-/// (alias `DiskUTree`) reading a [`UTree::save`]d index cold from disk
-/// through a bounded LRU cache over a crash-safe write-ahead log —
-/// updates become durable via [`UTree::commit`]/`flush`, and reopening
-/// after a crash recovers a committed prefix. Query results are
-/// byte-identical across backends — only the I/O cost model changes.
+/// The default store is the in-memory [`PageFile`]; [`ProbTree::open`]
+/// yields a disk-backed tree (aliases `DiskUTree` / `DiskUPcrTree`)
+/// reading a [`ProbTree::save`]d index cold from disk through a bounded
+/// LRU cache over a crash-safe write-ahead log — updates become durable
+/// via [`ProbTree::commit`]/`flush`, and reopening after a crash recovers
+/// a committed prefix. Query results are byte-identical across backends —
+/// only the I/O cost model changes.
 ///
 /// ```
 /// use utree::{ProbIndex, Provenance, Query, Refine, UTree};
@@ -115,43 +235,41 @@ impl AddAssign<&InsertStats> for InsertStats {
 /// assert_eq!(outcome.stats.prob_computations, 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub struct UTree<const D: usize, S: PageStore = PageFile> {
-    tree: RStarTreeBase<D, UMetrics<D>, ULeafEntry<D>, UCodec<D>, S>,
+pub struct ProbTree<const D: usize, P: FilterPayload<D>, S: PageStore = PageFile> {
+    tree: RStarTreeBase<D, P::Metrics, P::Leaf, P::Codec, S>,
     heap: ObjectHeap<S>,
     catalog: Arc<UCatalog>,
 }
 
-impl<const D: usize> UTree<D> {
+/// The U-tree (paper Sec 5): a fully dynamic, disk-based index for
+/// multi-dimensional uncertain data with arbitrary pdfs — the
+/// [`ProbTree`] over conservative functional boxes.
+pub type UTree<const D: usize, S = PageFile> = ProbTree<D, Cfbs, S>;
+
+impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P> {
     /// Fluent fallible construction (see [`IndexBuilder`]).
     pub fn builder() -> IndexBuilder<D, Self> {
         IndexBuilder::new()
     }
 
-    /// An empty in-memory U-tree over the given catalog.
+    /// An empty in-memory tree over the given catalog.
     pub fn new(catalog: UCatalog) -> Self {
         Self::with_config(catalog, TreeConfig::default())
     }
 
-    /// An empty in-memory U-tree with explicit R* tuning.
+    /// An empty in-memory tree with explicit R* tuning.
     pub fn with_config(catalog: UCatalog, cfg: TreeConfig) -> Self {
-        let catalog = Arc::new(catalog);
-        let metrics = UMetrics::new(catalog.clone());
-        let codec = UCodec::new(catalog.clone());
-        Self {
-            tree: RStarTreeBase::new(metrics, codec, cfg),
-            heap: ObjectHeap::new(),
-            catalog,
-        }
+        Self::with_stores(catalog, cfg, PageFile::new(), PageFile::new())
     }
 }
 
-impl<const D: usize, S: PageStore> UTree<D, S> {
-    /// An empty U-tree over caller-supplied node and heap stores (the
-    /// epoch layer builds its copy-on-write trees through this).
+impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
+    /// An empty tree over caller-supplied node and heap stores (the epoch
+    /// layer builds its copy-on-write trees through this).
     pub fn with_stores(catalog: UCatalog, cfg: TreeConfig, node_store: S, heap_store: S) -> Self {
         let catalog = Arc::new(catalog);
-        let metrics = UMetrics::new(catalog.clone());
-        let codec = UCodec::new(catalog.clone());
+        let metrics = P::metrics(catalog.clone());
+        let codec = P::codec(catalog.clone());
         Self {
             tree: RStarTreeBase::with_store(node_store, metrics, codec, cfg)
                 // xlint: allow(panic-freedom) -- invariant: node store failed while formatting an empty tree
@@ -162,7 +280,7 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
     }
 }
 
-impl<const D: usize, S: PageStore + Clone> Clone for UTree<D, S> {
+impl<const D: usize, P: FilterPayload<D>, S: PageStore + Clone> Clone for ProbTree<D, P, S> {
     /// Clones the tree *structure and pages*; on a copy-on-write store
     /// (`ShadowPageFile`) this is the cheap epoch fork — shared pages,
     /// private superstructure. I/O counters of the clone's stores follow
@@ -176,10 +294,11 @@ impl<const D: usize, S: PageStore + Clone> Clone for UTree<D, S> {
     }
 }
 
-impl<const D: usize> UTree<D, persist::DiskStore> {
-    /// Opens a [`UTree::save`]d index directory, reading node and heap
+impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
+    /// Opens a [`ProbTree::save`]d index directory, reading node and heap
     /// pages from disk through two LRU buffer pools of `buffer_pages`
-    /// frames each.
+    /// frames each. The directory must hold this payload's structure at
+    /// this dimensionality.
     ///
     /// The returned tree answers queries byte-identically to the one that
     /// was saved; its logical I/O counters behave exactly like the
@@ -187,31 +306,30 @@ impl<const D: usize> UTree<D, persist::DiskStore> {
     /// physical reads that actually hit the disk files.
     ///
     /// Pool latching is automatic (small pools exact-LRU, large pools
-    /// striped for concurrent readers); [`UTree::open_with_shards`] pins
-    /// it.
-    pub fn open<P: AsRef<Path>>(dir: P, buffer_pages: usize) -> io::Result<Self> {
+    /// striped for concurrent readers); [`ProbTree::open_with_shards`]
+    /// pins it.
+    pub fn open<Q: AsRef<Path>>(dir: Q, buffer_pages: usize) -> io::Result<Self> {
         Self::open_parts(dir, buffer_pages, None)
     }
 
-    /// [`UTree::open`] with an explicit buffer-pool shard count: `1` gives
-    /// the exact global-LRU pool (the stack-algorithm baseline the paper's
-    /// buffer experiments assume), larger values trade LRU exactness for
-    /// reader parallelism.
-    pub fn open_with_shards<P: AsRef<Path>>(
-        dir: P,
+    /// [`ProbTree::open`] with an explicit buffer-pool shard count: `1`
+    /// gives the exact global-LRU pool (the stack-algorithm baseline the
+    /// paper's buffer experiments assume), larger values trade LRU
+    /// exactness for reader parallelism.
+    pub fn open_with_shards<Q: AsRef<Path>>(
+        dir: Q,
         buffer_pages: usize,
         shards: usize,
     ) -> io::Result<Self> {
         Self::open_parts(dir, buffer_pages, Some(shards))
     }
 
-    fn open_parts<P: AsRef<Path>>(
-        dir: P,
+    fn open_parts<Q: AsRef<Path>>(
+        dir: Q,
         buffer_pages: usize,
         shards: Option<usize>,
     ) -> io::Result<Self> {
-        let parts =
-            persist::open_parts(dir.as_ref(), persist::KIND_UTREE, D, buffer_pages, shards)?;
+        let parts = persist::open_parts(dir.as_ref(), P::KIND, D, buffer_pages, shards)?;
         Ok(Self::from_opened_parts(parts))
     }
 
@@ -219,8 +337,8 @@ impl<const D: usize> UTree<D, persist::DiskStore> {
     /// tail of `open`, shared with the multi-index catalog (which recovers
     /// many segments against one log before assembling any tree).
     pub(crate) fn from_opened_parts(parts: persist::OpenedParts) -> Self {
-        let metrics = UMetrics::new(parts.catalog.clone());
-        let codec = UCodec::new(parts.catalog.clone());
+        let metrics = P::metrics(parts.catalog.clone());
+        let codec = P::codec(parts.catalog.clone());
         Self {
             tree: RStarTreeBase::from_raw_parts(
                 parts.index,
@@ -362,15 +480,24 @@ impl<const D: usize> UTree<D, persist::DiskStore> {
     }
 }
 
-impl<const D: usize, S: PageStore> UTree<D, S> {
-    /// Saves the index as a directory (`index.pg`, `heap.pg`, `meta.bin`)
-    /// that [`UTree::open`] can reopen cold. Node and heap pages are
-    /// copied verbatim — they are already in on-page codec format — and
-    /// the superstructure (catalog, R* tuning, root/height/len) goes into
-    /// the metadata file.
+/// An object's MBR as stored in its leaf entry: f32-exact, rounded
+/// outward.
+fn storable_mbr<const D: usize>(pdf: &ObjectPdf<D>) -> Rect<D> {
+    let raw = pdf.mbr();
+    let mut mbr = raw;
+    for i in 0..D {
+        mbr.min[i] = f32_round_down(raw.min[i]);
+        mbr.max[i] = f32_round_up(raw.max[i]);
+    }
+    mbr
+}
+
+impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
+    /// The superstructure record that `meta.bin` and every WAL commit
+    /// carry.
     pub(crate) fn saved_meta(&self) -> persist::SavedMeta {
         persist::SavedMeta {
-            kind: persist::KIND_UTREE,
+            kind: P::KIND,
             dims: D as u8,
             catalog: self.catalog.values().to_vec(),
             cfg: self.tree.config(),
@@ -381,9 +508,12 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
         }
     }
 
-    /// Snapshots the index (tree pages, heap, catalog, metadata) into
-    /// `dir` so [`UTree::open`] can rebuild it cold.
-    pub fn save<P: AsRef<Path>>(&self, dir: P) -> io::Result<()> {
+    /// Saves the index as a directory (`index.pg`, `heap.pg`, `meta.bin`)
+    /// that [`ProbTree::open`] can reopen cold. Node and heap pages are
+    /// copied verbatim — they are already in on-page codec format — and
+    /// the superstructure (structure tag, catalog, R* tuning,
+    /// root/height/len) goes into the metadata file.
+    pub fn save<Q: AsRef<Path>>(&self, dir: Q) -> io::Result<()> {
         // A disk-backed tree must not snapshot over its own live directory
         // (the snapshot would disagree with the WAL next to it); that's
         // what `checkpoint()` is for.
@@ -433,38 +563,17 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
         self.tree.check_invariants()
     }
 
-    /// Prepares the filter payload for an object: PCRs → CFB pair →
-    /// conservatively rounded entry pieces.
-    fn build_filter_payload(
-        &self,
-        pdf: &ObjectPdf<D>,
-    ) -> (crate::cfb::CfbPair<D>, Rect<D>, u128, u128) {
-        let t0 = Instant::now();
-        let pcrs = PcrSet::compute(pdf, &self.catalog);
-        let pcr_nanos = t0.elapsed().as_nanos();
-        let t1 = Instant::now();
-        let cfbs = fit_cfb_pair(&pcrs, &self.catalog);
-        let lp_nanos = t1.elapsed().as_nanos();
-        let raw = pdf.mbr();
-        let mut mbr = raw;
-        for i in 0..D {
-            mbr.min[i] = f32_round_down(raw.min[i]);
-            mbr.max[i] = f32_round_up(raw.max[i]);
-        }
-        (cfbs, mbr, pcr_nanos, lp_nanos)
-    }
-
-    /// Inserts an object: computes its PCRs and CFBs, stores the pdf record
-    /// in the heap, and inserts the leaf entry (R* insertion with summed
-    /// metrics). Object ids must be unique.
+    /// Inserts an object: computes its filter payload, stores the pdf
+    /// record in the heap, and inserts the leaf entry (R* insertion with
+    /// summed metrics). Object ids must be unique.
     pub fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
-        let (cfbs, mbr, pcr_nanos, lp_nanos) = self.build_filter_payload(&obj.pdf);
+        let (data, pcr_nanos, lp_nanos) = P::compute(&obj.pdf, &self.catalog);
         let addr = self
             .heap
             .insert(&encode_object(obj))
             // xlint: allow(panic-freedom) -- invariant: heap store failed during insert
             .expect("heap store failed during insert");
-        let entry = ULeafEntry::new(cfbs, mbr, addr, obj.id, &self.catalog);
+        let entry = P::leaf(data, storable_mbr(&obj.pdf), addr, obj.id, &self.catalog);
         let reads0 = self.tree.io_stats().reads();
         let writes0 = self.tree.io_stats().writes();
         self.tree
@@ -483,11 +592,8 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
     /// inserted; its filter payload is recomputed deterministically to
     /// locate the entry). Returns `true` when found.
     pub fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
-        let (cfbs, _, _, _) = self.build_filter_payload(&obj.pdf);
-        let probe = UKey {
-            lo: cfbs.outer.eval(self.catalog.first()),
-            hi: cfbs.outer.eval(self.catalog.last()),
-        };
+        let (data, _, _) = P::compute(&obj.pdf, &self.catalog);
+        let probe = P::probe_key(&data, &self.catalog);
         match self
             .tree
             .delete(&probe, obj.id)
@@ -496,7 +602,7 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
         {
             Some(entry) => {
                 self.heap
-                    .remove(entry.addr)
+                    .remove(entry.addr())
                     // xlint: allow(panic-freedom) -- invariant: heap store failed during delete
                     .expect("heap store failed during delete");
                 true
@@ -506,12 +612,12 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
     }
 
     /// Bulk-loads an empty tree with **Sort-Tile-Recursive packing**: one
-    /// pass computes every object's filter payload (PCRs → CFB pair), the
-    /// objects are STR-ordered by MBR centre, heap records are appended in
-    /// exactly that order (leaf-adjacent objects share heap pages), and
-    /// the index is built bottom-up with leaves at full fan-out — no
-    /// R*-splits, no re-insertions, and a level-contiguous page layout
-    /// that [`UTree::save`]/[`UTree::open`] serve read-optimised.
+    /// pass computes every object's filter payload, the objects are
+    /// STR-ordered by MBR centre, heap records are appended in exactly
+    /// that order (leaf-adjacent objects share heap pages), and the index
+    /// is built bottom-up with leaves at full fan-out — no R*-splits, no
+    /// re-insertions, and a level-contiguous page layout that
+    /// [`ProbTree::save`]/[`ProbTree::open`] serve read-optimised.
     ///
     /// On a non-empty tree this falls back to the plain insert loop (the
     /// packed build assumes it owns the page file). Either way the
@@ -531,17 +637,17 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
             }
             return acc;
         }
-        // Payload phase: PCRs and CFBs for every object, phase clocks
-        // summed across the build.
+        // Payload phase: filter data for every object, phase clocks summed
+        // across the build.
         let mut pcr_nanos = 0u128;
         let mut lp_nanos = 0u128;
-        let mut staged: Vec<(crate::cfb::CfbPair<D>, Rect<D>, Vec<u8>, u64)> = Vec::new();
+        let mut staged: Vec<(P::Data, Rect<D>, Vec<u8>, u64)> = Vec::new();
         for obj in objs {
             let obj = obj.borrow();
-            let (cfbs, mbr, p, l) = self.build_filter_payload(&obj.pdf);
+            let (data, p, l) = P::compute(&obj.pdf, &self.catalog);
             pcr_nanos += p;
             lp_nanos += l;
-            staged.push((cfbs, mbr, encode_object(obj), obj.id));
+            staged.push((data, storable_mbr(&obj.pdf), encode_object(obj), obj.id));
         }
         if staged.is_empty() {
             return InsertStats {
@@ -552,22 +658,22 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
         }
         let leaf_cap = self.tree.codec().leaf_capacity();
         str_order_by(&mut staged, leaf_cap, &|t: &(
-            crate::cfb::CfbPair<D>,
+            P::Data,
             Rect<D>,
             Vec<u8>,
             u64,
         )| t.1.center().coords);
         let reads0 = self.tree.io_stats().reads();
         let writes0 = self.tree.io_stats().writes();
-        let records: Vec<ULeafEntry<D>> = staged
+        let records: Vec<P::Leaf> = staged
             .into_iter()
-            .map(|(cfbs, mbr, bytes, id)| {
+            .map(|(data, mbr, bytes, id)| {
                 let addr = self
                     .heap
                     .insert(&bytes)
                     // xlint: allow(panic-freedom) -- invariant: heap store failed during bulk load
                     .expect("heap store failed during bulk load");
-                ULeafEntry::new(cfbs, mbr, addr, id, &self.catalog)
+                P::leaf(data, mbr, addr, id, &self.catalog)
             })
             .collect();
         self.tree
@@ -584,26 +690,27 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
 
     /// Executes a prob-range query, returning matches with provenance.
     ///
-    /// Convenience over [`UTree::execute_with`] with a throwaway context.
-    /// Panics if the storage medium fails; see [`UTree::try_execute_with`].
+    /// Convenience over [`ProbTree::execute_with`] with a throwaway
+    /// context. Panics if the storage medium fails; see
+    /// [`ProbTree::try_execute_with`].
     pub fn execute(&self, query: &Query<D>) -> QueryOutcome {
-        self.execute_with(query, &mut QueryCtx::new())
+        ProbIndex::execute(self, query)
     }
 
-    /// [`UTree::try_execute_with`], panicking on storage failure.
+    /// [`ProbTree::try_execute_with`], panicking on storage failure.
     pub fn execute_with(&self, query: &Query<D>, ctx: &mut QueryCtx) -> QueryOutcome {
-        self.try_execute_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
+        ProbIndex::execute_with(self, query, ctx)
     }
 
     /// Executes a prob-range query with caller-owned scratch state.
     ///
     /// Filter step: subtrees are pruned with Observation 4
-    /// (`r_q ∩ e.MBR(p_j) = ∅` for the largest catalog value `p_j <= p_q`);
-    /// leaf entries are pruned/validated with Observation 3. Refinement:
-    /// the remaining candidates' appearance probabilities are evaluated,
-    /// one heap I/O per page (Sec 5.2).
+    /// (`r_q ∩ e.MBR(p_j) = ∅` for the largest catalog value `p_j <= p_q`
+    /// — interpolated from the U-tree's key, stored verbatim in U-PCR's);
+    /// leaf entries are pruned/validated with Observation 3 over the
+    /// payload's PCR view (Observation 2 when the PCRs are exact).
+    /// Refinement: the remaining candidates' appearance probabilities are
+    /// evaluated, one heap I/O per page (Sec 5.2).
     ///
     /// Execution is read-only on the tree (`&self` end-to-end); all
     /// per-query mutable state lives in `ctx`, so a shared tree serves
@@ -650,15 +757,12 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
             } = &mut *ctx;
             self.tree.visit_with(
                 stack,
-                |key, _| rq.intersects(&key.interp(frac)),
+                |key, _| rq.intersects(&P::key_rect(key, j, frac)),
                 |rec| {
-                    let view = CfbView {
-                        pair: &rec.cfbs,
-                        catalog: &self.catalog,
-                    };
                     let outcome = if opts.leaf_filter {
-                        crate::filter::filter_object_planned(&view, &rec.mbr, &plan)
-                    } else if rec.mbr.intersects(rq) {
+                        let view = P::access(rec, &self.catalog);
+                        crate::filter::filter_object_planned(&view, rec.mbr(), &plan)
+                    } else if rec.mbr().intersects(rq) {
                         FilterOutcome::Candidate
                     } else {
                         FilterOutcome::Pruned
@@ -672,9 +776,9 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
                         FilterOutcome::Pruned => stats.pruned += 1,
                         FilterOutcome::Validated => {
                             stats.validated += 1;
-                            validated.push(rec.id);
+                            validated.push(rec.oid());
                         }
-                        FilterOutcome::Candidate => candidates.push((rec.addr, rec.id)),
+                        FilterOutcome::Candidate => candidates.push((rec.addr(), rec.oid())),
                     }
                 },
             )?
@@ -690,64 +794,14 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
         Ok(outcome_from_ctx(ctx))
     }
 
-    /// Executes a probabilistic top-k ranking query with caller-owned
-    /// scratch state (see [`ProbIndex::rank_topk`]).
-    ///
-    /// Best-first descent: intermediate entries are ordered by the graded
-    /// Observation-4 bound — the smallest catalog value `p_j` whose
-    /// interpolated `e.MBR(p_j)` misses `r_q` caps every subtree object's
-    /// appearance probability at `p_j` — and leaf entries by their
-    /// CFB-derived [`crate::filter::prob_bounds`]. A candidate is only
-    /// refined while its upper bound still beats the current k-th lower
-    /// bound, so most probability computations are skipped.
-    pub fn try_rank_topk_with(
-        &self,
-        query: &RankQuery<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
-        let rq = *query.region();
-        let levels: Vec<(f64, f64)> = (0..self.catalog.len())
-            .map(|j| (self.catalog.value(j), self.catalog.fraction(j)))
-            .collect();
-        let plan = crate::filter::PreparedQuery::ranking(&self.catalog, &rq);
-        Ok(crate::rank::rank_best_first(
-            &self.tree,
-            &self.heap,
-            query,
-            ctx,
-            |key: &UKey<D>| {
-                let mut bound = 1.0f64;
-                for &(pj, frac) in &levels {
-                    if !rq.intersects(&key.interp(frac)) {
-                        bound = bound.min(pj);
-                    }
-                }
-                bound
-            },
-            |rec: &ULeafEntry<D>| {
-                let view = CfbView {
-                    pair: &rec.cfbs,
-                    catalog: &self.catalog,
-                };
-                crate::filter::prob_bounds_planned(&view, &rec.mbr, &plan)
-            },
-        )?)
-    }
-
-    /// [`UTree::try_rank_topk_with`], panicking on storage failure.
-    pub fn rank_topk_with(&self, query: &RankQuery<D>, ctx: &mut QueryCtx) -> RankOutcome {
-        self.try_rank_topk_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`UTree::rank_topk_with`] with a throwaway context.
+    /// [`ProbIndex::try_rank_topk_with`] with a throwaway context,
+    /// panicking on storage failure.
     pub fn rank_topk(&self, query: &RankQuery<D>) -> RankOutcome {
-        self.rank_topk_with(query, &mut QueryCtx::new())
+        ProbIndex::rank_topk(self, query)
     }
 
     /// Visits every leaf entry (diagnostics / baselines).
-    pub fn for_each_entry<F: FnMut(&ULeafEntry<D>)>(&self, f: F) {
+    pub fn for_each_entry<F: FnMut(&P::Leaf)>(&self, f: F) {
         self.tree
             .for_each_record(f)
             // xlint: allow(panic-freedom) -- invariant: index store failed during scan
@@ -778,33 +832,33 @@ impl<const D: usize, S: PageStore> UTree<D, S> {
     }
 }
 
-impl<const D: usize, S: PageStore> ProbIndex<D> for UTree<D, S> {
+impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbIndex<D> for ProbTree<D, P, S> {
     fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
-        UTree::insert(self, obj)
+        ProbTree::insert(self, obj)
     }
 
     fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
-        UTree::delete(self, obj)
+        ProbTree::delete(self, obj)
     }
 
     fn len(&self) -> usize {
-        UTree::len(self)
+        ProbTree::len(self)
     }
 
     fn index_size_bytes(&self) -> u64 {
-        UTree::index_size_bytes(self)
+        ProbTree::index_size_bytes(self)
     }
 
     fn heap_size_bytes(&self) -> u64 {
-        UTree::heap_size_bytes(self)
+        ProbTree::heap_size_bytes(self)
     }
 
     fn io_counters(&self) -> u64 {
-        UTree::io_counters(self)
+        ProbTree::io_counters(self)
     }
 
     fn reset_io(&self) {
-        UTree::reset_io(self)
+        ProbTree::reset_io(self)
     }
 
     fn try_execute_with(
@@ -812,15 +866,46 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for UTree<D, S> {
         query: &Query<D>,
         ctx: &mut QueryCtx,
     ) -> Result<QueryOutcome, QueryError> {
-        UTree::try_execute_with(self, query, ctx)
+        ProbTree::try_execute_with(self, query, ctx)
     }
 
+    /// Best-first descent: intermediate entries are ordered by the graded
+    /// Observation-4 bound — the smallest catalog value `p_j` whose
+    /// `e.MBR(p_j)` misses `r_q` caps every subtree object's appearance
+    /// probability at `p_j` — and leaf entries by the
+    /// [`crate::filter::prob_bounds`] of the payload's PCR view. A
+    /// candidate is only refined while its upper bound still beats the
+    /// current k-th lower bound, so most probability computations are
+    /// skipped.
     fn try_rank_topk_with(
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
     ) -> Result<RankOutcome, QueryError> {
-        UTree::try_rank_topk_with(self, query, ctx)
+        let rq = *query.region();
+        let levels: Vec<(f64, f64)> = (0..self.catalog.len())
+            .map(|j| (self.catalog.value(j), self.catalog.fraction(j)))
+            .collect();
+        let plan = crate::filter::PreparedQuery::ranking(&self.catalog, &rq);
+        Ok(crate::rank::rank_best_first(
+            &self.tree,
+            &self.heap,
+            query,
+            ctx,
+            |key: &KeyOf<D, P>| {
+                let mut bound = 1.0f64;
+                for (j, &(pj, frac)) in levels.iter().enumerate() {
+                    if !rq.intersects(&P::key_rect(key, j, frac)) {
+                        bound = bound.min(pj);
+                    }
+                }
+                bound
+            },
+            |rec: &P::Leaf| {
+                let view = P::access(rec, &self.catalog);
+                crate::filter::prob_bounds_planned(&view, rec.mbr(), &plan)
+            },
+        )?)
     }
 
     fn bulk_load<It>(&mut self, objs: It) -> InsertStats
@@ -828,18 +913,9 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for UTree<D, S> {
         It: IntoIterator,
         It::Item: Borrow<UncertainObject<D>>,
     {
-        UTree::bulk_load(self, objs)
+        ProbTree::bulk_load(self, objs)
     }
 }
-
-// `LeafRecord` is implemented in entry.rs; re-assert the link here so the
-// compiler surfaces any drift in one obvious place.
-const _: () = {
-    fn _assert_leaf_record<const D: usize>() {
-        fn takes<L: LeafRecord<UKey<2>>>() {}
-        let _ = takes::<ULeafEntry<2>>;
-    }
-};
 
 #[cfg(test)]
 mod tests {
@@ -850,8 +926,8 @@ mod tests {
     use uncertain_geom::Point;
 
     /// Legacy-tuple shim over the new API so the tests exercise `execute`.
-    fn run<const D: usize>(
-        tree: &UTree<D>,
+    fn run<const D: usize, P: FilterPayload<D>>(
+        tree: &ProbTree<D, P>,
         q: ProbRangeQuery<D>,
         mode: RefineMode,
     ) -> (Vec<u64>, QueryStats) {
@@ -859,8 +935,8 @@ mod tests {
         (out.ids(), out.stats)
     }
 
-    fn run_opts<const D: usize>(
-        tree: &UTree<D>,
+    fn run_opts<const D: usize, P: FilterPayload<D>>(
+        tree: &ProbTree<D, P>,
         q: ProbRangeQuery<D>,
         mode: RefineMode,
         opts: QueryOptions,
@@ -880,8 +956,15 @@ mod tests {
     }
 
     fn build_random(n: usize, seed: u64) -> (UTree<2>, Vec<UncertainObject<2>>) {
+        build_random_in(n, seed)
+    }
+
+    fn build_random_in<P: FilterPayload<2>>(
+        n: usize,
+        seed: u64,
+    ) -> (ProbTree<2, P>, Vec<UncertainObject<2>>) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut tree = UTree::new(UCatalog::uniform(8));
+        let mut tree = ProbTree::new(UCatalog::uniform(8));
         let mut objs = Vec::new();
         for id in 0..n as u64 {
             let o = ball(
@@ -1109,7 +1192,15 @@ mod tests {
 
     #[test]
     fn ablated_queries_return_identical_results() {
-        let (tree, _) = build_random(500, 77);
+        let utree = ablated_ids::<Cfbs>();
+        assert!(!utree.is_empty());
+        assert_eq!(utree, ablated_ids::<crate::upcr::Pcrs>());
+    }
+
+    /// The full-filter answer of one payload, after asserting that every
+    /// ablation of it answers the same.
+    fn ablated_ids<P: FilterPayload<2>>() -> Vec<u64> {
+        let (tree, _) = build_random_in::<P>(500, 77);
         let q = ProbRangeQuery::new(Rect::new([2500.0, 2500.0], [5000.0, 5500.0]), 0.55);
         let mode = RefineMode::Reference { tol: 1e-8 };
         let (mut full, s_full) = run(&tree, q, mode);
@@ -1137,6 +1228,7 @@ mod tests {
                 assert!(s.prob_computations >= s_full.prob_computations);
             }
         }
+        full
     }
 
     #[test]

@@ -1,252 +1,72 @@
-//! U-PCR: the comparison structure of Sec 6 — identical machinery to the
-//! U-tree but with all m PCRs stored verbatim in every (leaf and
-//! intermediate) entry instead of CFBs.
+//! U-PCR: the comparison structure of Sec 6 — the same tree as the U-tree
+//! ([`crate::tree::ProbTree`]) with all m PCRs stored verbatim in every
+//! (leaf and intermediate) entry instead of CFBs. This module is that
+//! payload.
 //!
 //! Filtering is *stronger* per entry (exact PCRs, Observation 2) but the
 //! fat entries shrink fanout, so the structure reads more pages — the
 //! trade-off the paper's experiments quantify.
 
-use crate::api::{
-    outcome_from_ctx, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome, RankOutcome,
-    RankQuery,
-};
 use crate::catalog::UCatalog;
 use crate::entry::{UPcrCodec, UPcrLeafEntry};
-use crate::filter::FilterOutcome;
+use crate::filter::PcrAccess;
 use crate::key::{PcrKey, PcrMetrics};
-use crate::object_codec::encode_object;
 use crate::pcr::PcrSet;
 use crate::persist;
-use crate::query::{refine_ctx, QueryCtx};
-use page_store::{CommitReceipt, ObjectHeap, PageFile, PageStore};
-use rstar_base::{str_order_by, LeafRecord, NodeCodec, RStarTreeBase, TreeConfig, TreeStats};
-use std::borrow::Borrow;
-use std::io;
-use std::path::Path;
+use crate::tree::{FilterPayload, ProbTree};
+use page_store::{PageFile, RecordAddr};
 use std::sync::Arc;
 use std::time::Instant;
 use uncertain_geom::Rect;
-use uncertain_pdf::{ObjectPdf, UncertainObject};
+use uncertain_pdf::ObjectPdf;
 
-use crate::tree::InsertStats;
+/// The U-PCR payload: the object's PCR at every catalog value, one
+/// bounding rectangle per catalog value in intermediate entries.
+#[derive(Debug, Clone, Copy)]
+pub enum Pcrs {}
 
-/// The U-PCR index, generic over its [`PageStore`] like
-/// [`crate::UTree`].
-pub struct UPcrTree<const D: usize, S: PageStore = PageFile> {
-    tree: RStarTreeBase<D, PcrMetrics<D>, UPcrLeafEntry<D>, UPcrCodec<D>, S>,
-    heap: ObjectHeap<S>,
-    catalog: Arc<UCatalog>,
-}
+/// The U-PCR index — the [`ProbTree`] over verbatim PCRs (the paper tunes
+/// m = 9 for 2D and m = 10 for 3D; Sec 6.2).
+pub type UPcrTree<const D: usize, S = PageFile> = ProbTree<D, Pcrs, S>;
 
-impl<const D: usize> UPcrTree<D> {
-    /// Fluent fallible construction (see [`IndexBuilder`]).
-    pub fn builder() -> IndexBuilder<D, Self> {
-        IndexBuilder::new()
+impl<const D: usize> PcrAccess<D> for &PcrSet<D> {
+    fn outer(&self, j: usize) -> Rect<D> {
+        *self.rect(j)
     }
 
-    /// An empty U-PCR over the given catalog (the paper tunes m = 9 for 2D
-    /// and m = 10 for 3D; Sec 6.2).
-    pub fn new(catalog: UCatalog) -> Self {
-        Self::with_config(catalog, TreeConfig::default())
-    }
-
-    /// With explicit R* tuning.
-    pub fn with_config(catalog: UCatalog, cfg: TreeConfig) -> Self {
-        let catalog = Arc::new(catalog);
-        let metrics = PcrMetrics::new(catalog.clone());
-        let codec = UPcrCodec::new(catalog.clone());
-        Self {
-            tree: RStarTreeBase::new(metrics, codec, cfg),
-            heap: ObjectHeap::new(),
-            catalog,
-        }
+    fn inner(&self, j: usize) -> Rect<D> {
+        *self.rect(j)
     }
 }
 
-impl<const D: usize> UPcrTree<D, persist::DiskStore> {
-    /// Opens a [`UPcrTree::save`]d index directory through LRU buffer
-    /// pools of `buffer_pages` frames (see [`crate::UTree::open`]).
-    pub fn open<P: AsRef<Path>>(dir: P, buffer_pages: usize) -> io::Result<Self> {
-        Self::open_parts(dir, buffer_pages, None)
+impl<const D: usize> FilterPayload<D> for Pcrs {
+    type Metrics = PcrMetrics<D>;
+    type Leaf = UPcrLeafEntry<D>;
+    type Codec = UPcrCodec<D>;
+    type Data = PcrSet<D>;
+
+    const KIND: u8 = persist::KIND_UPCR;
+    const NAME: &'static str = "u-pcr";
+
+    fn default_catalog() -> UCatalog {
+        // Sec 6.2 tuning: m = 9 in 2D, m = 10 in 3D.
+        UCatalog::uniform(if D >= 3 { 10 } else { 9 })
     }
 
-    /// [`UPcrTree::open`] with an explicit buffer-pool shard count (see
-    /// [`crate::UTree::open_with_shards`]).
-    pub fn open_with_shards<P: AsRef<Path>>(
-        dir: P,
-        buffer_pages: usize,
-        shards: usize,
-    ) -> io::Result<Self> {
-        Self::open_parts(dir, buffer_pages, Some(shards))
+    fn metrics(catalog: Arc<UCatalog>) -> PcrMetrics<D> {
+        PcrMetrics::new(catalog)
     }
 
-    fn open_parts<P: AsRef<Path>>(
-        dir: P,
-        buffer_pages: usize,
-        shards: Option<usize>,
-    ) -> io::Result<Self> {
-        let parts = persist::open_parts(dir.as_ref(), persist::KIND_UPCR, D, buffer_pages, shards)?;
-        let metrics = PcrMetrics::new(parts.catalog.clone());
-        let codec = UPcrCodec::new(parts.catalog.clone());
-        Ok(Self {
-            tree: RStarTreeBase::from_raw_parts(
-                parts.index,
-                parts.meta.root,
-                parts.meta.height,
-                parts.meta.len,
-                metrics,
-                codec,
-                parts.meta.cfg,
-            ),
-            heap: parts.heap,
-            catalog: parts.catalog,
-        })
-    }
-
-    /// Commits every update since the last commit as one atomic WAL batch
-    /// (see [`crate::UTree::commit`]).
-    pub fn commit(&mut self) -> io::Result<CommitReceipt> {
-        self.commit_inner(false)
-    }
-
-    /// [`Self::commit`] with a forced fsync (see [`crate::UTree::flush`]).
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.commit_inner(true).map(|_| ())
-    }
-
-    fn commit_inner(&mut self, force_sync: bool) -> io::Result<CommitReceipt> {
-        let meta = persist::encode_meta(&self.saved_meta());
-        self.tree.store_mut().write_back()?;
-        self.heap.file_mut().write_back()?;
-        let wal = self.tree.store_mut().backend_mut().wal_handle();
-        let (receipt, durable) = {
-            let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-            self.tree.store_mut().backend_mut().stage(&mut w);
-            self.heap.file_mut().backend_mut().stage(&mut w);
-            w.append_meta(&meta);
-            let receipt = w.commit()?;
-            if force_sync && !receipt.durable {
-                w.sync()?;
-            }
-            (receipt, w.durable_lsn())
-        };
-        let index = self.tree.store_mut().backend_mut();
-        index.note_commit(receipt.lsn);
-        index.apply_through(durable)?;
-        let heap = self.heap.file_mut().backend_mut();
-        heap.note_commit(receipt.lsn);
-        heap.apply_through(durable)?;
-        Ok(CommitReceipt {
-            lsn: receipt.lsn,
-            durable: durable >= receipt.lsn,
-        })
-    }
-
-    /// Durably commits, rewrites the snapshot of this tree's own
-    /// directory, and truncates the log (see [`crate::UTree::checkpoint`]).
-    pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.flush()?;
-        // Write-ahead audit (see [`crate::UTree::checkpoint`]): the
-        // snapshot rename must never overtake a deferred group commit.
-        if self.tree.store_mut().backend_mut().has_deferred_commits()
-            || self.heap.file_mut().backend_mut().has_deferred_commits()
-        {
-            return Err(io::Error::other(
-                "checkpoint: deferred group commits survived the forced sync",
-            ));
-        }
-        let dir = self
-            .tree
-            .store()
-            .backing_path()
-            .and_then(|p| p.parent().map(|d| d.to_path_buf()))
-            .ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidInput, "tree has no backing directory")
-            })?;
-        persist::save_index(
-            &dir,
-            &self.saved_meta(),
-            self.tree.store(),
-            self.heap.file(),
-        )?;
-        let wal = self.tree.store_mut().backend_mut().wal_handle();
-        let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-        w.truncate()
-    }
-}
-
-impl<const D: usize, S: PageStore> UPcrTree<D, S> {
-    /// Saves the index as a directory [`UPcrTree::open`] can reopen cold
-    /// (same format as [`crate::UTree::save`], tagged as U-PCR).
-    fn saved_meta(&self) -> persist::SavedMeta {
-        persist::SavedMeta {
-            kind: persist::KIND_UPCR,
-            dims: D as u8,
-            catalog: self.catalog.values().to_vec(),
-            cfg: self.tree.config(),
-            root: self.tree.root_page(),
-            height: self.tree.height(),
-            len: self.tree.len(),
-            heap_open_page: self.heap.open_page(),
-        }
-    }
-
-    /// Snapshots the index (tree pages, heap, catalog, metadata) into
-    /// `dir` so it can be reopened cold.
-    pub fn save<P: AsRef<Path>>(&self, dir: P) -> io::Result<()> {
-        // Self-saves over the live directory go through `checkpoint()`
-        // (see [`crate::UTree::save`]).
-        persist::reject_live_dir(self.tree.store(), dir.as_ref())?;
-        persist::save_index(
-            dir.as_ref(),
-            &self.saved_meta(),
-            self.tree.store(),
-            self.heap.file(),
-        )
-    }
-
-    /// The shared catalog.
-    pub fn catalog(&self) -> &UCatalog {
-        &self.catalog
-    }
-
-    /// Number of indexed objects.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// True when no objects are stored.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Index size in bytes (Table 1's metric).
-    pub fn index_size_bytes(&self) -> u64 {
-        self.tree.size_bytes()
-    }
-
-    /// Heap (object detail) size in bytes.
-    pub fn heap_size_bytes(&self) -> u64 {
-        self.heap.size_bytes()
-    }
-
-    /// Structure statistics. Fallible: walking the node pages goes
-    /// through the store, whose errors surface typed instead of
-    /// panicking.
-    pub fn tree_stats(&self) -> io::Result<TreeStats> {
-        self.tree.stats()
-    }
-
-    /// R-tree invariant check (tests).
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.tree.check_invariants()
+    fn codec(catalog: Arc<UCatalog>) -> UPcrCodec<D> {
+        UPcrCodec::new(catalog)
     }
 
     /// PCRs rounded to their on-page f32 values so that probe keys built at
-    /// delete time match stored entries byte-for-byte.
-    fn storable_pcrs(&self, pdf: &ObjectPdf<D>) -> (PcrSet<D>, u128) {
+    /// delete time match stored entries byte-for-byte. U-PCR skips the CFB
+    /// fitting entirely.
+    fn compute(pdf: &ObjectPdf<D>, catalog: &UCatalog) -> (PcrSet<D>, u128, u128) {
         let t0 = Instant::now();
-        let pcrs = PcrSet::compute(pdf, &self.catalog);
+        let pcrs = PcrSet::compute(pdf, catalog);
         let nanos = t0.elapsed().as_nanos();
         let rounded = PcrSet::from_rects(
             pcrs.rects()
@@ -265,368 +85,48 @@ impl<const D: usize, S: PageStore> UPcrTree<D, S> {
                 })
                 .collect(),
         );
-        (rounded, nanos)
+        (rounded, nanos, 0)
     }
 
-    fn storable_mbr(&self, pdf: &ObjectPdf<D>) -> Rect<D> {
-        let raw = pdf.mbr();
-        let mut mbr = raw;
-        for i in 0..D {
-            mbr.min[i] = page_store::f32_round_down(raw.min[i]);
-            mbr.max[i] = page_store::f32_round_up(raw.max[i]);
-        }
-        mbr
-    }
-
-    /// Inserts an object.
-    pub fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
-        let (pcrs, pcr_nanos) = self.storable_pcrs(&obj.pdf);
-        let mbr = self.storable_mbr(&obj.pdf);
-        let addr = self
-            .heap
-            .insert(&encode_object(obj))
-            // xlint: allow(panic-freedom) -- invariant: heap store failed during insert
-            .expect("heap store failed during insert");
-        let entry = UPcrLeafEntry {
+    fn leaf(
+        pcrs: PcrSet<D>,
+        mbr: Rect<D>,
+        addr: RecordAddr,
+        id: u64,
+        _catalog: &UCatalog,
+    ) -> UPcrLeafEntry<D> {
+        UPcrLeafEntry {
             pcrs,
             mbr,
             addr,
-            id: obj.id,
-        };
-        let reads0 = self.tree.io_stats().reads();
-        let writes0 = self.tree.io_stats().writes();
-        self.tree
-            .insert(entry)
-            // xlint: allow(panic-freedom) -- invariant: index store failed during insert
-            .expect("index store failed during insert");
-        InsertStats {
-            pcr_nanos,
-            lp_nanos: 0, // U-PCR skips the CFB fitting entirely
-            io_reads: self.tree.io_stats().reads() - reads0,
-            io_writes: self.tree.io_stats().writes() - writes0,
+            id,
         }
     }
 
-    /// Deletes an object (payload recomputed deterministically).
-    pub fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
-        let (pcrs, _) = self.storable_pcrs(&obj.pdf);
-        let probe = PcrKey {
+    fn probe_key(pcrs: &PcrSet<D>, _catalog: &UCatalog) -> PcrKey<D> {
+        PcrKey {
             rects: pcrs.rects().to_vec(),
-        };
-        match self
-            .tree
-            .delete(&probe, obj.id)
-            // xlint: allow(panic-freedom) -- invariant: index store failed during delete
-            .expect("index store failed during delete")
-        {
-            Some(entry) => {
-                self.heap
-                    .remove(entry.addr)
-                    // xlint: allow(panic-freedom) -- invariant: heap store failed during delete
-                    .expect("heap store failed during delete");
-                true
-            }
-            None => false,
         }
     }
 
-    /// Bulk-loads an empty tree with STR packing — the exact-PCR analogue
-    /// of [`crate::UTree::bulk_load`]: payloads in one timed pass, STR
-    /// order by MBR centre, heap records appended in leaf order, bottom-up
-    /// packed build. Falls back to the insert loop on a non-empty tree.
-    pub fn bulk_load<It>(&mut self, objs: It) -> InsertStats
-    where
-        It: IntoIterator,
-        It::Item: Borrow<UncertainObject<D>>,
-    {
-        if !self.is_empty() {
-            let mut acc = InsertStats::default();
-            for obj in objs {
-                acc += &self.insert(obj.borrow());
-            }
-            return acc;
-        }
-        let mut pcr_nanos = 0u128;
-        let mut staged: Vec<(PcrSet<D>, Rect<D>, Vec<u8>, u64)> = Vec::new();
-        for obj in objs {
-            let obj = obj.borrow();
-            let (pcrs, nanos) = self.storable_pcrs(&obj.pdf);
-            pcr_nanos += nanos;
-            staged.push((
-                pcrs,
-                self.storable_mbr(&obj.pdf),
-                encode_object(obj),
-                obj.id,
-            ));
-        }
-        if staged.is_empty() {
-            return InsertStats {
-                pcr_nanos,
-                ..InsertStats::default()
-            };
-        }
-        let leaf_cap = self.tree.codec().leaf_capacity();
-        str_order_by(&mut staged, leaf_cap, &|t: &(
-            PcrSet<D>,
-            Rect<D>,
-            Vec<u8>,
-            u64,
-        )| t.1.center().coords);
-        let reads0 = self.tree.io_stats().reads();
-        let writes0 = self.tree.io_stats().writes();
-        let records: Vec<UPcrLeafEntry<D>> = staged
-            .into_iter()
-            .map(|(pcrs, mbr, bytes, id)| {
-                let addr = self
-                    .heap
-                    .insert(&bytes)
-                    // xlint: allow(panic-freedom) -- invariant: heap store failed during bulk load
-                    .expect("heap store failed during bulk load");
-                UPcrLeafEntry {
-                    pcrs,
-                    mbr,
-                    addr,
-                    id,
-                }
-            })
-            .collect();
-        self.tree
-            .bulk_rebuild_ordered(records)
-            // xlint: allow(panic-freedom) -- invariant: index store failed during bulk load
-            .expect("index store failed during bulk load");
-        InsertStats {
-            pcr_nanos,
-            lp_nanos: 0, // U-PCR skips the CFB fitting entirely
-            io_reads: self.tree.io_stats().reads() - reads0,
-            io_writes: self.tree.io_stats().writes() - writes0,
-        }
+    fn key_rect(key: &PcrKey<D>, j: usize, _frac: f64) -> Rect<D> {
+        key.rects[j]
     }
 
-    /// Executes a prob-range query, returning matches with provenance.
-    ///
-    /// Convenience over [`UPcrTree::execute_with`] with a throwaway
-    /// context. Panics on storage failure; see
-    /// [`UPcrTree::try_execute_with`].
-    pub fn execute(&self, query: &Query<D>) -> QueryOutcome {
-        self.execute_with(query, &mut QueryCtx::new())
-    }
-
-    /// [`UPcrTree::try_execute_with`], panicking on storage failure.
-    pub fn execute_with(&self, query: &Query<D>, ctx: &mut QueryCtx) -> QueryOutcome {
-        self.try_execute_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Executes a prob-range query with caller-owned scratch state (see
-    /// [`crate::UTree::execute_with`] — the concurrency contract is
-    /// identical: the tree is only read, `ctx` holds all per-query
-    /// mutation).
-    ///
-    /// Intermediate pruning tests `r_q` against the stored rectangle at the
-    /// largest catalog value `p_j <= p_q` (the exact-PCR analogue of
-    /// Observation 4); leaf entries use Observation 2 directly. The
-    /// [`QueryOptions`](crate::tree::QueryOptions) ablation switches are
-    /// U-tree-specific and ignored here. A storage failure mid-traversal
-    /// surfaces as [`QueryError::Io`].
-    pub fn try_execute_with(
-        &self,
-        query: &Query<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
-        ctx.begin();
-        let rq = query.region();
-        let pq = query.threshold();
-        let mode = query.refine_mode();
-        let j = self
-            .catalog
-            .largest_leq(pq + crate::filter::PROB_EPS)
-            .unwrap_or(0);
-        // One catalog-lookup plan for the whole traversal; per-entry
-        // filtering is pure rectangle arithmetic.
-        let plan = crate::filter::PreparedQuery::new(&self.catalog, rq, pq);
-
-        let t0 = Instant::now();
-        let nodes_read = {
-            let QueryCtx {
-                stats,
-                validated,
-                candidates,
-                stack,
-                ..
-            } = &mut *ctx;
-            self.tree.visit_with(
-                stack,
-                |key, _| rq.intersects(&key.rects[j]),
-                |rec| {
-                    stats.visited += 1;
-                    match crate::filter::filter_object_planned(&rec.pcrs, &rec.mbr, &plan) {
-                        FilterOutcome::Pruned => stats.pruned += 1,
-                        FilterOutcome::Validated => {
-                            stats.validated += 1;
-                            validated.push(rec.id);
-                        }
-                        FilterOutcome::Candidate => candidates.push((rec.addr, rec.id)),
-                    }
-                },
-            )?
-        };
-        ctx.stats.filter_nanos = t0.elapsed().as_nanos();
-        ctx.stats.node_reads = nodes_read;
-        ctx.stats.candidates = ctx.candidates.len() as u64;
-        ctx.stats.results = ctx.validated.len() as u64;
-
-        let t1 = Instant::now();
-        refine_ctx(&self.heap, rq, pq, mode, ctx)?;
-        ctx.stats.refine_nanos = t1.elapsed().as_nanos();
-        Ok(outcome_from_ctx(ctx))
-    }
-
-    /// Executes a probabilistic top-k ranking query with caller-owned
-    /// scratch state (see [`ProbIndex::rank_topk`]): the exact-PCR
-    /// analogue of [`crate::UTree::rank_topk_with`] — intermediate
-    /// entries bound by the smallest catalog value whose stored rectangle
-    /// misses `r_q`, leaf entries by [`crate::filter::prob_bounds`] over
-    /// the verbatim PCRs.
-    pub fn try_rank_topk_with(
-        &self,
-        query: &RankQuery<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
-        let rq = *query.region();
-        let m = self.catalog.len();
-        let plan = crate::filter::PreparedQuery::ranking(&self.catalog, &rq);
-        Ok(crate::rank::rank_best_first(
-            &self.tree,
-            &self.heap,
-            query,
-            ctx,
-            |key: &PcrKey<D>| {
-                let mut bound = 1.0f64;
-                for j in 0..m {
-                    if !rq.intersects(&key.rects[j]) {
-                        bound = bound.min(self.catalog.value(j));
-                    }
-                }
-                bound
-            },
-            |rec: &UPcrLeafEntry<D>| crate::filter::prob_bounds_planned(&rec.pcrs, &rec.mbr, &plan),
-        )?)
-    }
-
-    /// [`UPcrTree::try_rank_topk_with`], panicking on storage failure.
-    pub fn rank_topk_with(&self, query: &RankQuery<D>, ctx: &mut QueryCtx) -> RankOutcome {
-        self.try_rank_topk_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`UPcrTree::rank_topk_with`] with a throwaway context.
-    pub fn rank_topk(&self, query: &RankQuery<D>) -> RankOutcome {
-        self.rank_topk_with(query, &mut QueryCtx::new())
-    }
-
-    /// Visits every leaf entry.
-    pub fn for_each_entry<F: FnMut(&UPcrLeafEntry<D>)>(&self, mut f: F) {
-        self.tree
-            .for_each_record(|r| f(r))
-            // xlint: allow(panic-freedom) -- invariant: index store failed during scan
-            .expect("index store failed during scan");
-    }
-
-    /// Total index-file page accesses (reads + writes) since the last
-    /// [`Self::reset_io`].
-    pub fn io_counters(&self) -> u64 {
-        self.tree.io_stats().total()
-    }
-
-    /// Resets the I/O counters (harness use).
-    pub fn reset_io(&self) {
-        self.tree.io_stats().reset();
-        self.heap.file().stats().reset();
-    }
-
-    /// Direct read access to the node store (buffer-pool statistics,
-    /// backend counters).
-    pub fn node_store(&self) -> &S {
-        self.tree.store()
-    }
-
-    /// Direct read access to the heap.
-    pub fn heap(&self) -> &ObjectHeap<S> {
-        &self.heap
+    fn access<'a>(leaf: &'a UPcrLeafEntry<D>, _catalog: &'a UCatalog) -> impl PcrAccess<D> + 'a {
+        &leaf.pcrs
     }
 }
-
-impl<const D: usize, S: PageStore> ProbIndex<D> for UPcrTree<D, S> {
-    fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
-        UPcrTree::insert(self, obj)
-    }
-
-    fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
-        UPcrTree::delete(self, obj)
-    }
-
-    fn len(&self) -> usize {
-        UPcrTree::len(self)
-    }
-
-    fn index_size_bytes(&self) -> u64 {
-        UPcrTree::index_size_bytes(self)
-    }
-
-    fn heap_size_bytes(&self) -> u64 {
-        UPcrTree::heap_size_bytes(self)
-    }
-
-    fn io_counters(&self) -> u64 {
-        UPcrTree::io_counters(self)
-    }
-
-    fn reset_io(&self) {
-        UPcrTree::reset_io(self)
-    }
-
-    fn try_execute_with(
-        &self,
-        query: &Query<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
-        UPcrTree::try_execute_with(self, query, ctx)
-    }
-
-    fn try_rank_topk_with(
-        &self,
-        query: &RankQuery<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
-        UPcrTree::try_rank_topk_with(self, query, ctx)
-    }
-
-    fn bulk_load<It>(&mut self, objs: It) -> InsertStats
-    where
-        It: IntoIterator,
-        It::Item: Borrow<UncertainObject<D>>,
-    {
-        UPcrTree::bulk_load(self, objs)
-    }
-}
-
-// Keep the trait wiring visible here too.
-const _: () = {
-    fn _assert_leaf_record() {
-        fn takes<L: LeafRecord<PcrKey<2>>>() {}
-        let _ = takes::<UPcrLeafEntry<2>>;
-    }
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ProbIndex, Query};
     use crate::query::{ProbRangeQuery, QueryStats, RefineMode};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_geom::Point;
+    use uncertain_pdf::UncertainObject;
 
     fn run<const D: usize, I: ProbIndex<D>>(
         index: &I,

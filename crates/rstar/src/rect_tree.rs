@@ -168,18 +168,11 @@ impl<const D: usize> NodeCodec<Rect<D>, RectLeaf<D>> for RectCodec<D> {
 /// backing [`PageStore`] (defaults to the infallible in-memory
 /// [`page_store::PageFile`]).
 ///
-/// Every operation exists in two forms: a `try_*` method that surfaces
-/// store failures as `io::Result` (the PR-6 fallible-store contract —
-/// exercised under `FaultStore` in the tests), and, for the in-memory
-/// default store only, an infallible convenience wrapper.
+/// Every operation is a `try_*` method that surfaces store failures as
+/// `io::Result` (the PR-6 fallible-store contract — exercised under
+/// `FaultStore` in the tests).
 pub struct RectRStarTree<const D: usize, S: PageStore = page_store::PageFile> {
     tree: RStarTreeBase<D, RectMetrics<D>, RectLeaf<D>, RectCodec<D>, S>,
-}
-
-impl<const D: usize> Default for RectRStarTree<D> {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl<const D: usize, S: PageStore> RectRStarTree<D, S> {
@@ -249,49 +242,16 @@ impl<const D: usize, S: PageStore> RectRStarTree<D, S> {
     }
 }
 
-impl<const D: usize> RectRStarTree<D> {
-    /// An empty tree with R* defaults.
-    pub fn new() -> Self {
-        Self {
-            tree: RStarTreeBase::new(RectMetrics, RectCodec, TreeConfig::default()),
-        }
-    }
-
-    /// Builds a tree from a flat record set by STR packing; see
-    /// [`Self::try_bulk_load_on`].
-    pub fn bulk_load(data: Vec<RectLeaf<D>>) -> Self {
-        Self::try_bulk_load_on(page_store::PageFile::new(), data)
-            // xlint: allow(panic-freedom, io-fallibility) -- the default store is in-memory and cannot fail
-            .expect("in-memory page store cannot fail")
-    }
-
-    /// Inserts a rectangle with an identifier.
-    pub fn insert(&mut self, rect: Rect<D>, id: u64) {
-        self.try_insert(rect, id)
-            // xlint: allow(panic-freedom, io-fallibility) -- the default store is in-memory and cannot fail
-            .expect("in-memory page store cannot fail");
-    }
-
-    /// Deletes by (rect, id); returns `true` when found.
-    pub fn delete(&mut self, rect: Rect<D>, id: u64) -> bool {
-        self.try_delete(rect, id)
-            // xlint: allow(panic-freedom, io-fallibility) -- the default store is in-memory and cannot fail
-            .expect("in-memory page store cannot fail")
-    }
-
-    /// Conventional range query: ids of rectangles intersecting `query`.
-    pub fn range(&self, query: &Rect<D>) -> Vec<u64> {
-        self.try_range(query)
-            // xlint: allow(panic-freedom, io-fallibility) -- the default store is in-memory and cannot fail
-            .expect("in-memory page store cannot fail")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use page_store::PageFile;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    fn new_tree<const D: usize>() -> RectRStarTree<D> {
+        RectRStarTree::try_new_on(PageFile::new()).unwrap()
+    }
 
     fn random_rect(rng: &mut SmallRng, span: f64) -> Rect<2> {
         let x = rng.gen_range(0.0..10_000.0);
@@ -319,25 +279,28 @@ mod tests {
 
     #[test]
     fn empty_tree_range_is_empty() {
-        let t = RectRStarTree::<2>::new();
-        assert!(t.range(&Rect::new([0.0, 0.0], [1.0, 1.0])).is_empty());
+        let t = new_tree::<2>();
+        assert!(t
+            .try_range(&Rect::new([0.0, 0.0], [1.0, 1.0]))
+            .unwrap()
+            .is_empty());
         assert!(t.is_empty());
     }
 
     #[test]
     fn range_query_matches_naive_scan() {
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut tree = RectRStarTree::<2>::new();
+        let mut tree = new_tree::<2>();
         let mut data = Vec::new();
         for id in 0..3000u64 {
             let r = random_rect(&mut rng, 80.0);
-            tree.insert(r, id);
+            tree.try_insert(r, id).unwrap();
             data.push((f32_round(&r), id));
         }
         tree.inner().check_invariants().unwrap();
         for _ in 0..50 {
             let q = random_rect(&mut rng, 700.0);
-            let mut got = tree.range(&q);
+            let mut got = tree.try_range(&q).unwrap();
             got.sort_unstable();
             let mut expect: Vec<u64> = data
                 .iter()
@@ -352,12 +315,14 @@ mod tests {
     #[test]
     fn queries_prune_subtrees() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let mut tree = RectRStarTree::<2>::new();
+        let mut tree = new_tree::<2>();
         for id in 0..5000u64 {
-            tree.insert(random_rect(&mut rng, 10.0), id);
+            tree.try_insert(random_rect(&mut rng, 10.0), id).unwrap();
         }
         tree.inner().io_stats().reset();
-        let _ = tree.range(&Rect::new([0.0, 0.0], [300.0, 300.0]));
+        let _ = tree
+            .try_range(&Rect::new([0.0, 0.0], [300.0, 300.0]))
+            .unwrap();
         let accessed = tree.inner().io_stats().reads();
         let total = tree.inner().node_count() as u64;
         assert!(
@@ -369,21 +334,24 @@ mod tests {
     #[test]
     fn delete_removes_exactly_one() {
         let mut rng = SmallRng::seed_from_u64(17);
-        let mut tree = RectRStarTree::<2>::new();
+        let mut tree = new_tree::<2>();
         let mut data = Vec::new();
         for id in 0..1200u64 {
             let r = random_rect(&mut rng, 50.0);
-            tree.insert(r, id);
+            tree.try_insert(r, id).unwrap();
             data.push((r, id));
         }
         // Delete every third element.
         for (r, id) in data.iter().step_by(3) {
-            assert!(tree.delete(*r, *id), "id {id} must be deletable");
+            assert!(
+                tree.try_delete(*r, *id).unwrap(),
+                "id {id} must be deletable"
+            );
         }
         tree.inner().check_invariants().unwrap();
         assert_eq!(tree.len(), 800);
         let everything = Rect::new([-1.0, -1.0], [10_001.0, 10_001.0]);
-        let mut got = tree.range(&everything);
+        let mut got = tree.try_range(&everything).unwrap();
         got.sort_unstable();
         let mut expect: Vec<u64> = data
             .iter()
@@ -398,37 +366,41 @@ mod tests {
     #[test]
     fn delete_to_empty_and_reuse() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let mut tree = RectRStarTree::<2>::new();
+        let mut tree = new_tree::<2>();
         let mut data = Vec::new();
         for id in 0..600u64 {
             let r = random_rect(&mut rng, 30.0);
-            tree.insert(r, id);
+            tree.try_insert(r, id).unwrap();
             data.push((r, id));
         }
         for (r, id) in &data {
-            assert!(tree.delete(*r, *id));
+            assert!(tree.try_delete(*r, *id).unwrap());
         }
         assert!(tree.is_empty());
         assert_eq!(tree.inner().height(), 1);
         // The tree must remain fully usable.
-        tree.insert(Rect::new([1.0, 1.0], [2.0, 2.0]), 9999);
-        assert_eq!(tree.range(&Rect::new([0.0, 0.0], [3.0, 3.0])), vec![9999]);
+        tree.try_insert(Rect::new([1.0, 1.0], [2.0, 2.0]), 9999)
+            .unwrap();
+        assert_eq!(
+            tree.try_range(&Rect::new([0.0, 0.0], [3.0, 3.0])).unwrap(),
+            vec![9999]
+        );
     }
 
     #[test]
     fn delete_of_absent_id_returns_false() {
-        let mut tree = RectRStarTree::<2>::new();
+        let mut tree = new_tree::<2>();
         let r = Rect::new([0.0, 0.0], [1.0, 1.0]);
-        tree.insert(r, 1);
-        assert!(!tree.delete(r, 2));
-        assert!(tree.delete(r, 1));
-        assert!(!tree.delete(r, 1));
+        tree.try_insert(r, 1).unwrap();
+        assert!(!tree.try_delete(r, 2).unwrap());
+        assert!(tree.try_delete(r, 1).unwrap());
+        assert!(!tree.try_delete(r, 1).unwrap());
     }
 
     #[test]
     fn three_dimensional_tree() {
         let mut rng = SmallRng::seed_from_u64(23);
-        let mut tree = RectRStarTree::<3>::new();
+        let mut tree = new_tree::<3>();
         let mut data = Vec::new();
         for id in 0..2000u64 {
             let c = [
@@ -437,7 +409,7 @@ mod tests {
                 rng.gen_range(0.0..10_000.0),
             ];
             let r = Rect::new(c, [c[0] + 20.0, c[1] + 20.0, c[2] + 20.0]);
-            tree.insert(r, id);
+            tree.try_insert(r, id).unwrap();
             let rr = Rect {
                 min: [
                     r.min[0] as f32 as f64,
@@ -454,7 +426,7 @@ mod tests {
         }
         tree.inner().check_invariants().unwrap();
         let q = Rect::new([2000.0, 2000.0, 2000.0], [4000.0, 4000.0, 4000.0]);
-        let mut got = tree.range(&q);
+        let mut got = tree.try_range(&q).unwrap();
         got.sort_unstable();
         let mut expect: Vec<u64> = data
             .iter()
@@ -468,23 +440,23 @@ mod tests {
     #[test]
     fn bulk_load_matches_insert_build_and_packs_tight() {
         let mut rng = SmallRng::seed_from_u64(77);
-        let mut incremental = RectRStarTree::<2>::new();
+        let mut incremental = new_tree::<2>();
         let mut records = Vec::new();
         for id in 0..5000u64 {
             let r = random_rect(&mut rng, 60.0);
-            incremental.insert(r, id);
+            incremental.try_insert(r, id).unwrap();
             records.push(RectLeaf { rect: r, id });
         }
         let probe = f32_round(&records[123].rect);
-        let bulk = RectRStarTree::bulk_load(records);
+        let bulk = RectRStarTree::try_bulk_load_on(PageFile::new(), records).unwrap();
         bulk.inner().check_invariants().unwrap();
         assert_eq!(bulk.len(), 5000);
 
         // Same answers on every query.
         for _ in 0..40 {
             let q = random_rect(&mut rng, 900.0);
-            let mut a = bulk.range(&q);
-            let mut b = incremental.range(&q);
+            let mut a = bulk.try_range(&q).unwrap();
+            let mut b = incremental.try_range(&q).unwrap();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
@@ -507,37 +479,48 @@ mod tests {
 
         // Deletes and further inserts keep working on a bulk-built tree.
         let mut bulk = bulk;
-        assert!(bulk.delete(probe, 123), "bulk-built record must delete");
-        bulk.insert(Rect::new([1.0, 1.0], [2.0, 2.0]), 999_999);
+        assert!(
+            bulk.try_delete(probe, 123).unwrap(),
+            "bulk-built record must delete"
+        );
+        bulk.try_insert(Rect::new([1.0, 1.0], [2.0, 2.0]), 999_999)
+            .unwrap();
         bulk.inner().check_invariants().unwrap();
     }
 
     #[test]
     fn bulk_load_empty_and_tiny_inputs() {
-        let empty = RectRStarTree::<2>::bulk_load(Vec::new());
+        let empty = RectRStarTree::<2>::try_bulk_load_on(PageFile::new(), Vec::new()).unwrap();
         assert!(empty.is_empty());
         empty.inner().check_invariants().unwrap();
 
-        let one = RectRStarTree::<2>::bulk_load(vec![RectLeaf {
-            rect: Rect::new([0.0, 0.0], [1.0, 1.0]),
-            id: 7,
-        }]);
+        let one = RectRStarTree::<2>::try_bulk_load_on(
+            PageFile::new(),
+            vec![RectLeaf {
+                rect: Rect::new([0.0, 0.0], [1.0, 1.0]),
+                id: 7,
+            }],
+        )
+        .unwrap();
         assert_eq!(one.len(), 1);
         one.inner().check_invariants().unwrap();
-        assert_eq!(one.range(&Rect::new([0.0, 0.0], [2.0, 2.0])), vec![7]);
+        assert_eq!(
+            one.try_range(&Rect::new([0.0, 0.0], [2.0, 2.0])).unwrap(),
+            vec![7]
+        );
     }
 
     #[test]
     fn duplicate_rects_with_distinct_ids() {
-        let mut tree = RectRStarTree::<2>::new();
+        let mut tree = new_tree::<2>();
         let r = Rect::new([5.0, 5.0], [6.0, 6.0]);
         for id in 0..700u64 {
-            tree.insert(r, id);
+            tree.try_insert(r, id).unwrap();
         }
         tree.inner().check_invariants().unwrap();
-        assert_eq!(tree.range(&r).len(), 700);
+        assert_eq!(tree.try_range(&r).unwrap().len(), 700);
         for id in 0..700u64 {
-            assert!(tree.delete(r, id));
+            assert!(tree.try_delete(r, id).unwrap());
         }
         assert!(tree.is_empty());
     }

@@ -7,11 +7,15 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use utree_repro::index::{Cfbs, FilterPayload, Pcrs, ProbTree};
 use utree_repro::prelude::*;
 use utree_repro::store::wal::replay;
 use utree_repro::store::{
     DiskPageFile, FaultMode, FaultStore, PageId, ReplayTarget, Wal, WalStore, PAGE_SIZE,
 };
+
+/// A disk-backed tree of either payload.
+type DiskTree<P> = ProbTree<2, P, utree_repro::index::DiskStore>;
 
 fn temp_dir(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -34,7 +38,7 @@ enum Op {
     Delete(UncertainObject<2>),
 }
 
-fn apply_ops<S: PageStore>(tree: &mut UTree<2, S>, batch: &[Op]) {
+fn apply_ops<P: FilterPayload<2>, S: PageStore>(tree: &mut ProbTree<2, P, S>, batch: &[Op]) {
     for op in batch {
         match op {
             Op::Insert(o) => {
@@ -78,8 +82,8 @@ fn scripted_batches(base: &[UncertainObject<2>]) -> Vec<Vec<Op>> {
         .collect()
 }
 
-fn fresh_tree(base: &[UncertainObject<2>]) -> UTree<2> {
-    let mut tree = UTree::<2>::builder()
+fn fresh_tree<P: FilterPayload<2>>(base: &[UncertainObject<2>]) -> ProbTree<2, P> {
+    let mut tree = ProbTree::<2, P>::builder()
         .uniform_catalog(8)
         .build()
         .expect("valid catalog");
@@ -107,7 +111,7 @@ type Oracle = (usize, Vec<QueryOutcome>);
 
 /// Opens `scratch` (a fabricated crash state) and demands it answer
 /// byte-identically to the oracle for `k` committed batches.
-fn assert_recovers_prefix(
+fn assert_recovers_prefix<P: FilterPayload<2>>(
     scratch: &Path,
     cut: u64,
     k: usize,
@@ -115,7 +119,7 @@ fn assert_recovers_prefix(
     queries: &[Query<2>],
 ) {
     let (want_len, want_outcomes) = &oracles[k];
-    let recovered = DiskUTree::<2>::open(scratch, 32)
+    let recovered = DiskTree::<P>::open(scratch, 32)
         .unwrap_or_else(|e| panic!("open after crash at byte {cut} failed: {e}"));
     assert_eq!(
         recovered.len(),
@@ -154,7 +158,7 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
     let base = base_objects();
     let batches = scripted_batches(&base);
     let dir = temp_dir("prefix");
-    fresh_tree(&base).save(&dir).unwrap();
+    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
 
     // The backend as it was before any batch applied.
     let pristine = temp_dir("prefix-pristine");
@@ -183,7 +187,7 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
     let queries = probe_queries();
     let oracles: Vec<Oracle> = (0..=BATCHES)
         .map(|k| {
-            let mut t = fresh_tree(&base);
+            let mut t = fresh_tree::<Cfbs>(&base);
             for batch in &batches[..k] {
                 apply_ops(&mut t, batch);
             }
@@ -234,7 +238,7 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
     // Extreme 1: nothing applied, every possible log length.
     for &cut in &crash_points {
         fabricate(&pristine, cut);
-        assert_recovers_prefix(&scratch, cut, committed_under(cut), &oracles, &queries);
+        assert_recovers_prefix::<Cfbs>(&scratch, cut, committed_under(cut), &oracles, &queries);
     }
 
     // Mixed: j batches applied, log cut at the j-th commit, at the next
@@ -247,7 +251,7 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
         }
         for cut in cuts {
             fabricate(&captures[j - 1], cut);
-            assert_recovers_prefix(&scratch, cut, committed_under(cut), &oracles, &queries);
+            assert_recovers_prefix::<Cfbs>(&scratch, cut, committed_under(cut), &oracles, &queries);
         }
     }
 
@@ -261,15 +265,20 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
 
 /// Updates that were never committed roll back on reopen: dropping the
 /// tree stages them into the log (no marker), and recovery discards the
-/// uncommitted tail.
+/// uncommitted tail — on either payload.
 #[test]
 fn uncommitted_tail_rolls_back_to_the_last_commit() {
+    uncommitted_tail_rolls_back::<Cfbs>();
+    uncommitted_tail_rolls_back::<Pcrs>();
+}
+
+fn uncommitted_tail_rolls_back<P: FilterPayload<2>>() {
     let base = base_objects();
-    let dir = temp_dir("rollback");
-    fresh_tree(&base).save(&dir).unwrap();
+    let dir = temp_dir(&format!("rollback-{}", P::NAME));
+    fresh_tree::<P>(&base).save(&dir).unwrap();
 
     {
-        let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
+        let mut disk = DiskTree::<P>::open(&dir, 32).unwrap();
         let extra = datagen::lb_dataset(10, 107);
         for (i, o) in extra.iter().take(5).enumerate() {
             disk.insert(&UncertainObject::new(60_000 + i as u64, o.pdf.clone()));
@@ -281,7 +290,7 @@ fn uncommitted_tail_rolls_back_to_the_last_commit() {
         }
     }
 
-    let reopened = DiskUTree::<2>::open(&dir, 32).unwrap();
+    let reopened = DiskTree::<P>::open(&dir, 32).unwrap();
     assert_eq!(
         reopened.len(),
         BASE_N + 5,
@@ -292,17 +301,23 @@ fn uncommitted_tail_rolls_back_to_the_last_commit() {
 }
 
 /// Checkpoint folds the log into the snapshot (truncating it to its
-/// header), and commits after the checkpoint keep recovering.
+/// header), and commits after the checkpoint keep recovering — on either
+/// payload.
 #[test]
 fn checkpoint_truncates_the_log_and_later_commits_survive() {
+    checkpoint_truncates_the_log::<Cfbs>();
+    checkpoint_truncates_the_log::<Pcrs>();
+}
+
+fn checkpoint_truncates_the_log<P: FilterPayload<2>>() {
     let base = base_objects();
     let batches = scripted_batches(&base);
-    let dir = temp_dir("checkpoint");
-    fresh_tree(&base).save(&dir).unwrap();
+    let dir = temp_dir(&format!("checkpoint-{}", P::NAME));
+    fresh_tree::<P>(&base).save(&dir).unwrap();
 
-    let mut oracle = fresh_tree(&base);
+    let mut oracle = fresh_tree::<P>(&base);
     {
-        let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
+        let mut disk = DiskTree::<P>::open(&dir, 32).unwrap();
         for batch in &batches[..2] {
             apply_ops(&mut disk, batch);
             disk.commit().unwrap();
@@ -322,7 +337,7 @@ fn checkpoint_truncates_the_log_and_later_commits_survive() {
         apply_ops(&mut oracle, batch);
     }
 
-    let reopened = DiskUTree::<2>::open(&dir, 32).unwrap();
+    let reopened = DiskTree::<P>::open(&dir, 32).unwrap();
     assert_eq!(reopened.len(), oracle.len());
     reopened.check_invariants().unwrap();
     for q in &probe_queries() {
@@ -332,14 +347,19 @@ fn checkpoint_truncates_the_log_and_later_commits_survive() {
 }
 
 /// Group commit defers the fsync to every Nth commit; receipts say so, and
-/// an explicit `flush` forces durability early.
+/// an explicit `flush` forces durability early — on either payload.
 #[test]
 fn group_commit_defers_syncs_and_flush_forces_them() {
-    let base = base_objects();
-    let dir = temp_dir("group");
-    fresh_tree(&base).save(&dir).unwrap();
+    group_commit_defers_syncs::<Cfbs>();
+    group_commit_defers_syncs::<Pcrs>();
+}
 
-    let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
+fn group_commit_defers_syncs<P: FilterPayload<2>>() {
+    let base = base_objects();
+    let dir = temp_dir(&format!("group-{}", P::NAME));
+    fresh_tree::<P>(&base).save(&dir).unwrap();
+
+    let mut disk = DiskTree::<P>::open(&dir, 32).unwrap();
     disk.set_group_commit(4);
     let extra = datagen::lb_dataset(8, 109);
 
@@ -367,7 +387,7 @@ fn group_commit_defers_syncs_and_flush_forces_them() {
     disk.flush().unwrap();
 
     drop(disk);
-    let reopened = DiskUTree::<2>::open(&dir, 32).unwrap();
+    let reopened = DiskTree::<P>::open(&dir, 32).unwrap();
     assert_eq!(reopened.len(), BASE_N + 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -459,7 +479,7 @@ fn committed_batches_survive_backend_write_faults() {
 fn checkpoint_forces_deferred_group_commits_durable() {
     let base = base_objects();
     let dir = temp_dir("ckpt-group");
-    fresh_tree(&base).save(&dir).unwrap();
+    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
 
     let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
     disk.set_group_commit(10); // window far larger than the batch count
@@ -494,7 +514,7 @@ fn checkpoint_forces_deferred_group_commits_durable() {
 fn clean_drop_syncs_deferred_group_commits() {
     let base = base_objects();
     let dir = temp_dir("drop-deferred");
-    fresh_tree(&base).save(&dir).unwrap();
+    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
 
     {
         let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
