@@ -44,21 +44,15 @@ impl Default for HarnessConfig {
 
 impl HarnessConfig {
     /// Reads the knobs from the environment; `--full` in `args` forces
-    /// `scale = 1.0` (the paper's cardinalities).
+    /// `scale = 1.0` (the paper's cardinalities). A `UTREE_*` variable
+    /// that is set but not a number ends the process with status 2: a
+    /// typo must not silently run the default experiment.
     pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(v) = env_f64("UTREE_SCALE") {
-            cfg.scale = v;
-        }
-        if let Some(v) = env_f64("UTREE_QUERIES") {
-            cfg.queries = v as usize;
-        }
-        if let Some(v) = env_f64("UTREE_N1") {
-            cfg.n1 = v as usize;
-        }
-        if let Some(v) = env_f64("UTREE_IO_MS") {
-            cfg.io_ms = v;
-        }
+        let lookup = |name: &str| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        let mut cfg = Self::from_vars(lookup).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2)
+        });
         if std::env::args().any(|a| a == "--full") {
             cfg.scale = 1.0;
         }
@@ -68,6 +62,33 @@ impl HarnessConfig {
             cfg.n1 = 2_000;
         }
         cfg
+    }
+
+    /// The defaults overridden by whichever `UTREE_*` variables `lookup`
+    /// yields; `Err` names the first variable whose value is not a finite,
+    /// non-negative number.
+    fn from_vars(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let number = |name: &str| match lookup(name) {
+            None => Ok(None),
+            Some(raw) => match raw.parse::<f64>() {
+                Ok(v) if v.is_finite() && v >= 0.0 => Ok(Some(v)),
+                _ => Err(format!("{name}={raw:?} is not a non-negative number")),
+            },
+        };
+        let mut cfg = Self::default();
+        if let Some(v) = number("UTREE_SCALE")? {
+            cfg.scale = v;
+        }
+        if let Some(v) = number("UTREE_QUERIES")? {
+            cfg.queries = v as usize;
+        }
+        if let Some(v) = number("UTREE_N1")? {
+            cfg.n1 = v as usize;
+        }
+        if let Some(v) = number("UTREE_IO_MS")? {
+            cfg.io_ms = v;
+        }
+        Ok(cfg)
     }
 
     /// Scaled dataset size.
@@ -82,10 +103,6 @@ impl HarnessConfig {
             seed: 0x5EED,
         }
     }
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.parse().ok()
 }
 
 /// Workload-averaged costs (one row of a paper chart).
@@ -336,7 +353,7 @@ mod tests {
 
     #[test]
     fn phase_breakdown_sums_within_wall_clock() {
-        // The attributable-speedup contract behind the bench JSON lines:
+        // The attributable-speedup contract behind every reported phase share:
         // on a sequential run the filter + refine phase clocks are
         // disjoint slices of the same wall interval, so their sum cannot
         // exceed the batch wall clock, and a Monte-Carlo workload must
@@ -374,6 +391,37 @@ mod tests {
             0,
             "refined samples accrue in whole n1 batches"
         );
+    }
+
+    #[test]
+    fn scaling_variables_parse_or_name_the_offender() {
+        let parse = |vars: &[(&str, &str)]| {
+            HarnessConfig::from_vars(|name| {
+                let hit = vars.iter().find(|(k, _)| *k == name);
+                hit.map(|(_, v)| v.to_string())
+            })
+        };
+        let fields = |c: HarnessConfig| (c.scale, c.queries, c.n1, c.io_ms);
+        // Unset: the documented defaults.
+        assert_eq!(fields(parse(&[]).unwrap()), (0.2, 100, 20_000, 5.0));
+        // Set: each variable reaches its own field, the rest keep defaults.
+        let set = [
+            ("UTREE_SCALE", "0.1"),
+            ("UTREE_QUERIES", "64"),
+            ("UTREE_N1", "1e4"),
+        ];
+        assert_eq!(fields(parse(&set).unwrap()), (0.1, 64, 10_000, 5.0));
+        // Garbage: an error naming the variable and the value, never a default.
+        for garbage in [
+            ("UTREE_SCALE", "0,1"),
+            ("UTREE_QUERIES", "many"),
+            ("UTREE_N1", ""),
+            ("UTREE_IO_MS", "-5"),
+            ("UTREE_SCALE", "NaN"),
+        ] {
+            let err = parse(&[garbage]).unwrap_err();
+            assert!(err.contains(garbage.0) && err.contains(garbage.1), "{err}");
+        }
     }
 
     #[test]

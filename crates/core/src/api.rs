@@ -17,7 +17,7 @@
 //! * [`IndexError`] / [`QueryError`] — typed errors replacing the seed's
 //!   `assert!` panics.
 //!
-//! The old tuple-returning `query` methods remain as deprecated shims; see
+//! The seed's tuple-returning `query` methods have been removed; see
 //! `docs/API.md` for the migration table.
 
 use crate::catalog::UCatalog;

@@ -101,7 +101,6 @@ pub struct IndexCatalog<const D: usize> {
     next_id: u32,
     next_tag: u32,
     buffer_pages: usize,
-    pool_shards: Option<usize>,
 }
 
 fn invalid_input(msg: impl std::fmt::Display) -> io::Error {
@@ -125,17 +124,7 @@ impl<const D: usize> IndexCatalog<D> {
     /// Creates an empty catalog directory: `catalog.pg` (with an empty,
     /// superblock-anchored record chain) and a fresh `wal.log`.
     pub fn create<P: AsRef<Path>>(dir: P, buffer_pages: usize) -> io::Result<Self> {
-        Self::create_with_shards(dir, buffer_pages, None)
-    }
-
-    /// [`IndexCatalog::create`] with pinned buffer-pool latch striping for
-    /// every segment pool (`None` = automatic).
-    pub fn create_with_shards<P: AsRef<Path>>(
-        dir: P,
-        buffer_pages: usize,
-        pool_shards: Option<usize>,
-    ) -> io::Result<Self> {
-        persist::validate_pool_params(buffer_pages, pool_shards)?;
+        persist::validate_pool_params(buffer_pages)?;
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let file = DiskPageFile::create(dir.join(CATALOG_FILE))?;
@@ -148,7 +137,6 @@ impl<const D: usize> IndexCatalog<D> {
             next_id: 0,
             next_tag: 0,
             buffer_pages,
-            pool_shards,
         };
         catalog.persist_catalog()?;
         Ok(catalog)
@@ -159,16 +147,7 @@ impl<const D: usize> IndexCatalog<D> {
     /// log's last committed catalog record supersedes `catalog.pg`'s
     /// superstructure for the indexes it names.
     pub fn open<P: AsRef<Path>>(dir: P, buffer_pages: usize) -> io::Result<Self> {
-        Self::open_with_shards(dir, buffer_pages, None)
-    }
-
-    /// [`IndexCatalog::open`] with pinned buffer-pool latch striping.
-    pub fn open_with_shards<P: AsRef<Path>>(
-        dir: P,
-        buffer_pages: usize,
-        pool_shards: Option<usize>,
-    ) -> io::Result<Self> {
-        persist::validate_pool_params(buffer_pages, pool_shards)?;
+        persist::validate_pool_params(buffer_pages)?;
         let dir = dir.as_ref().to_path_buf();
         let file = DiskPageFile::open(dir.join(CATALOG_FILE))?;
         let blob = read_chain(&file, &dir)?;
@@ -236,10 +215,8 @@ impl<const D: usize> IndexCatalog<D> {
                 let index_rf = files.next().expect("one replay file per tag");
                 // xlint: allow(panic-freedom) -- invariant: one replay file per tag
                 let heap_rf = files.next().expect("one replay file per tag");
-                let index =
-                    persist::wrap_store(index_rf, &wal, tag as u8, buffer_pages, pool_shards);
-                let heap_store =
-                    persist::wrap_store(heap_rf, &wal, (tag + 1) as u8, buffer_pages, pool_shards);
+                let index = persist::wrap_store(index_rf, &wal, tag as u8, buffer_pages);
+                let heap_store = persist::wrap_store(heap_rf, &wal, (tag + 1) as u8, buffer_pages);
                 let meta = persist::SavedMeta {
                     kind: persist::KIND_UTREE,
                     dims: D as u8,
@@ -273,7 +250,6 @@ impl<const D: usize> IndexCatalog<D> {
             next_id,
             next_tag,
             buffer_pages,
-            pool_shards,
         })
     }
 
@@ -329,14 +305,12 @@ impl<const D: usize> IndexCatalog<D> {
                 &self.wal,
                 tag as u8,
                 self.buffer_pages,
-                self.pool_shards,
             );
             let heap_store = persist::wrap_store(
                 ReplayFile::new(DiskPageFile::open(&heap_path)?),
                 &self.wal,
                 (tag + 1) as u8,
                 self.buffer_pages,
-                self.pool_shards,
             );
             let heap = ObjectHeap::from_raw_parts(heap_store, meta.heap_open_page);
             shards.push(UTree::from_opened_parts(persist::OpenedParts {

@@ -22,7 +22,7 @@
 //!    whose leaf entries prune/validate objects without integration
 //!    (Observation 3; Observation 2 over exact PCRs);
 //! 4. only the surviving candidates reach the Monte-Carlo refinement
-//!    ([`query::refine_candidates`]).
+//!    (the last phase of [`ProbIndex::try_execute_with`]).
 //!
 //! [`SeqScan`] (no index) is the paper's other comparison point. All
 //! three implement the backend-agnostic [`ProbIndex`] trait and are
@@ -100,9 +100,7 @@ pub use filter::{
 };
 pub use key::{PcrKey, PcrMetrics, UKey, UMetrics};
 pub use pcr::PcrSet;
-pub use query::{
-    refine_candidates, refine_candidates_scored, ProbRangeQuery, QueryCtx, QueryStats, RefineMode,
-};
+pub use query::{ProbRangeQuery, QueryCtx, QueryStats, RefineMode};
 pub use seqscan::SeqScan;
 pub use service::{QueryService, ServiceReply, ServiceReport, ServiceRequest};
 pub use shard::{canonicalize, shard_of, ShardedIndex};

@@ -314,17 +314,11 @@ impl wal::ReplayTarget for ReplayFile {
 
 /// Validates buffer-pool sizing parameters (shared by single-index open
 /// and the multi-index catalog open).
-pub(crate) fn validate_pool_params(buffer_pages: usize, shards: Option<usize>) -> io::Result<()> {
+pub(crate) fn validate_pool_params(buffer_pages: usize) -> io::Result<()> {
     if buffer_pages == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "a buffer pool needs at least one frame",
-        ));
-    }
-    if shards.is_some_and(|s| !(1..=buffer_pages).contains(&s)) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "pool shard count must lie in 1..=buffer_pages",
         ));
     }
     Ok(())
@@ -338,13 +332,9 @@ pub(crate) fn wrap_store(
     wal: &Arc<Mutex<Wal>>,
     tag: u8,
     buffer_pages: usize,
-    shards: Option<usize>,
 ) -> DiskStore {
     let store = WalStore::attach(rf.file, Arc::clone(wal), tag, rf.n_pages, rf.free);
-    match shards {
-        Some(s) => BufferPool::with_shards(store, buffer_pages, s),
-        None => BufferPool::new(store, buffer_pages),
-    }
+    BufferPool::new(store, buffer_pages)
 }
 
 /// Everything `open` reconstructs before the tree-specific metrics/codec
@@ -362,16 +352,15 @@ pub(crate) struct OpenedParts {
 /// lie inside their files), **recovering any write-ahead log first**, then
 /// wrapping each page file in a journaling [`WalStore`] (both sharing one
 /// log, so index+heap commits stay atomic) behind a `buffer_pages` LRU
-/// pool. `shards` pins the pools' latch striping (`None` = automatic; see
-/// `BufferPool::new`). Shared by every tree's `open`.
+/// pool (latch striping chosen by `BufferPool::new`). Shared by every
+/// tree's `open`.
 pub(crate) fn open_parts(
     dir: &Path,
     kind: u8,
     dims: usize,
     buffer_pages: usize,
-    shards: Option<usize>,
 ) -> io::Result<OpenedParts> {
-    validate_pool_params(buffer_pages, shards)?;
+    validate_pool_params(buffer_pages)?;
 
     // Crash recovery: scan the log (discarding a torn/uncommitted tail)
     // and replay every committed batch onto the snapshot files. Full page
@@ -393,7 +382,7 @@ pub(crate) fn open_parts(
     let catalog = Arc::new(UCatalog::try_new(meta.catalog.clone()).map_err(invalid_data)?);
 
     let wal = Arc::new(Mutex::new(recovery.wal));
-    let index = wrap_store(index_rf, &wal, WAL_TAG_INDEX, buffer_pages, shards);
+    let index = wrap_store(index_rf, &wal, WAL_TAG_INDEX, buffer_pages);
     if meta.root as usize >= index.capacity_pages() {
         return Err(invalid_data(format!(
             "{}: root page {} outside the index file",
@@ -401,7 +390,7 @@ pub(crate) fn open_parts(
             meta.root
         )));
     }
-    let heap_store = wrap_store(heap_rf, &wal, WAL_TAG_HEAP, buffer_pages, shards);
+    let heap_store = wrap_store(heap_rf, &wal, WAL_TAG_HEAP, buffer_pages);
     if let Some(p) = meta.heap_open_page {
         if p as usize >= heap_store.capacity_pages() {
             return Err(invalid_data(format!(

@@ -249,11 +249,17 @@ impl QueryCtx {
 /// every object's estimate a pure function of the query — identical on
 /// every backend, in any traversal order, on any thread.
 pub(crate) fn rank_refine_seed(seed: u64, id: u64) -> u64 {
-    // SplitMix64-style finalizer over the id, xored into the query seed.
-    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    seed ^ splitmix64(id)
+}
+
+/// The SplitMix64 output function: a bijective bit mixer on `u64`. Shard
+/// routing ([`crate::shard::shard_of`]) hashes ids with it, so its values
+/// are persistent format.
+pub(crate) fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    seed ^ (z ^ (z >> 31))
+    z ^ (z >> 31)
 }
 
 /// Refines a single candidate: loads its heap record, computes the
@@ -308,24 +314,29 @@ pub(crate) fn refine_one<const D: usize, S: PageStore>(
     Ok(p)
 }
 
-/// Shared refinement core writing qualifiers into `out` (Sec 5.2):
-/// candidates are grouped by heap page; each page is loaded once; every
-/// candidate's appearance probability is evaluated and compared with `p_q`.
-#[allow(clippy::too_many_arguments)]
-fn refine_core<const D: usize, S: PageStore>(
+/// The refinement step of Sec 5.2 over the candidates a context's filter
+/// step collected: candidates are grouped by heap page; each page is
+/// loaded once; every candidate's appearance probability is evaluated and
+/// compared with `p_q`. Qualifiers are appended to the context's `refined`
+/// buffer with the probability computed for them, and its stats charged.
+pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
     heap: &ObjectHeap<S>,
-    candidates: &[(RecordAddr, u64)],
     rq: &Rect<D>,
     pq: f64,
     mode: RefineMode,
-    stats: &mut QueryStats,
-    rng_slot: &mut Option<SmallRng>,
-    scratch: &mut RefineScratch,
-    out: &mut Vec<(u64, f64)>,
+    ctx: &mut QueryCtx,
 ) -> io::Result<()> {
+    let QueryCtx {
+        stats,
+        candidates,
+        refined,
+        rng: rng_slot,
+        scratch,
+        ..
+    } = ctx;
     let samples0 = scratch.samples();
     let mut by_page: BTreeMap<PageId, Vec<(u16, u64)>> = BTreeMap::new();
-    for (addr, id) in candidates {
+    for (addr, id) in candidates.iter() {
         by_page.entry(addr.page).or_default().push((addr.slot, *id));
     }
     // One generator for the whole refinement pass, seeded afresh from the
@@ -335,7 +346,7 @@ fn refine_core<const D: usize, S: PageStore>(
         RefineMode::MonteCarlo { seed, .. } => Some(SmallRng::seed_from_u64(seed)),
         RefineMode::Reference { .. } => None,
     };
-    let qualified0 = out.len();
+    let qualified0 = refined.len();
     for (page, slots) in by_page {
         let records = heap.page_records(page)?;
         stats.heap_reads += 1;
@@ -357,83 +368,13 @@ fn refine_core<const D: usize, S: PageStore>(
             };
             stats.prob_computations += 1;
             if p_app >= pq {
-                out.push((id, p_app));
+                refined.push((id, p_app));
             }
         }
     }
-    stats.results += (out.len() - qualified0) as u64;
+    stats.results += (refined.len() - qualified0) as u64;
     stats.refined_samples += scratch.samples() - samples0;
     Ok(())
-}
-
-/// Runs the refinement step over the candidates a context's filter step
-/// collected, appending qualifiers to the context's `refined` buffer and
-/// charging its stats.
-pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
-    heap: &ObjectHeap<S>,
-    rq: &Rect<D>,
-    pq: f64,
-    mode: RefineMode,
-    ctx: &mut QueryCtx,
-) -> io::Result<()> {
-    let QueryCtx {
-        stats,
-        candidates,
-        refined,
-        rng,
-        scratch,
-        ..
-    } = ctx;
-    refine_core(heap, candidates, rq, pq, mode, stats, rng, scratch, refined)
-}
-
-/// The refinement step of Sec 5.2, reporting each qualifying candidate
-/// with the appearance probability computed for it.
-///
-/// Returns `(id, p)` for the qualifiers and updates `stats`. Standalone
-/// surface for direct callers; query execution goes through the
-/// [`QueryCtx`]-based path, which reuses buffers across queries.
-pub fn refine_candidates_scored<const D: usize, S: PageStore>(
-    heap: &ObjectHeap<S>,
-    candidates: &[(RecordAddr, u64)],
-    rq: &Rect<D>,
-    pq: f64,
-    mode: RefineMode,
-    stats: &mut QueryStats,
-) -> io::Result<Vec<(u64, f64)>> {
-    let mut out = Vec::new();
-    let mut rng = None;
-    let mut scratch = RefineScratch::new();
-    refine_core(
-        heap,
-        candidates,
-        rq,
-        pq,
-        mode,
-        stats,
-        &mut rng,
-        &mut scratch,
-        &mut out,
-    )?;
-    Ok(out)
-}
-
-/// [`refine_candidates_scored`] without the probabilities (the original
-/// id-only surface, kept for direct callers of the refinement step).
-pub fn refine_candidates<const D: usize, S: PageStore>(
-    heap: &ObjectHeap<S>,
-    candidates: &[(RecordAddr, u64)],
-    rq: &Rect<D>,
-    pq: f64,
-    mode: RefineMode,
-    stats: &mut QueryStats,
-) -> io::Result<Vec<u64>> {
-    Ok(
-        refine_candidates_scored(heap, candidates, rq, pq, mode, stats)?
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -464,22 +405,23 @@ mod tests {
         assert_eq!(a1.page, a2.page, "small records share a page");
 
         let rq = Rect::new([-1.0, -1.0], [9.0, 11.0]); // 90% of obj 1, 0% of 2
-        let mut stats = QueryStats::default();
-        let got = refine_candidates_scored(
+        let mut ctx = QueryCtx::new();
+        ctx.candidates.extend([(a1, 1), (a2, 2)]);
+        refine_ctx(
             &heap,
-            &[(a1, 1), (a2, 2)],
             &rq,
             0.5,
             RefineMode::Reference { tol: 1e-9 },
-            &mut stats,
+            &mut ctx,
         )
         .unwrap();
+        let got = &ctx.refined;
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 1);
         assert!((got[0].1 - 0.9).abs() < 1e-6, "reported p {}", got[0].1);
-        assert_eq!(stats.heap_reads, 1, "grouping must cost a single I/O");
-        assert_eq!(stats.prob_computations, 2);
-        assert_eq!(stats.results, 1);
+        assert_eq!(ctx.stats.heap_reads, 1, "grouping must cost a single I/O");
+        assert_eq!(ctx.stats.prob_computations, 2);
+        assert_eq!(ctx.stats.results, 1);
     }
 
     #[test]
@@ -495,21 +437,23 @@ mod tests {
         let a = heap.insert(&encode_object(&obj)).unwrap();
         let rq = Rect::new([40.0, 40.0], [50.0, 60.0]); // left half: P = 0.5
         for (pq, expect_hit) in [(0.45, true), (0.55, false)] {
-            let mut stats = QueryStats::default();
-            let got = refine_candidates(
-                &heap,
-                &[(a, 5)],
-                &rq,
-                pq,
-                RefineMode::MonteCarlo {
-                    n1: 60_000,
-                    seed: 7,
-                },
-                &mut stats,
-            )
-            .unwrap();
-            assert_eq!(got.len() == 1, expect_hit, "pq={pq}");
+            let mode = RefineMode::MonteCarlo {
+                n1: 60_000,
+                seed: 7,
+            };
+            let mut ctx = QueryCtx::new();
+            ctx.candidates.push((a, 5));
+            refine_ctx(&heap, &rq, pq, mode, &mut ctx).unwrap();
+            assert_eq!(ctx.refined.len() == 1, expect_hit, "pq={pq}");
         }
+    }
+
+    #[test]
+    fn per_object_ranking_seeds_are_pinned() {
+        // splitmix64(0) is the reference SplitMix64 stream's first output.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(rank_refine_seed(0xCAFE, 42), 0xBDD7_3226_2FEB_A46B);
+        assert_eq!(rank_refine_seed(7, 9999), 0x54E4_AD0E_266A_9E12);
     }
 
     #[test]

@@ -12,14 +12,13 @@ use crate::api::{
     RankQuery,
 };
 use crate::catalog::UCatalog;
-use crate::cfb::{fit_cfb_pair, CfbView};
+use crate::cfb::CfbView;
 use crate::entry::{UCodec, ULeafEntry};
 use crate::filter::FilterOutcome;
 use crate::object_codec::encode_object;
-use crate::pcr::PcrSet;
 use crate::query::{refine_ctx, QueryCtx};
-use crate::tree::InsertStats;
-use page_store::{f32_round_down, f32_round_up, ObjectHeap, PageFile, PageId, PageStore};
+use crate::tree::{storable_mbr, Cfbs, FilterPayload, InsertStats};
+use page_store::{ObjectHeap, PageFile, PageId, PageStore};
 use rstar_base::NodeCodec;
 use std::sync::Arc;
 use std::time::Instant;
@@ -99,23 +98,16 @@ impl<const D: usize> SeqScan<D> {
     /// no update locality to preserve). Returns the same cost breakdown as
     /// the tree inserts (no `lp` shortcut: the scan stores CFBs too).
     pub fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
-        let t0 = Instant::now();
-        let pcrs = PcrSet::compute(&obj.pdf, &self.catalog);
-        let pcr_nanos = t0.elapsed().as_nanos();
-        let t1 = Instant::now();
-        let cfbs = fit_cfb_pair(&pcrs, &self.catalog);
-        let lp_nanos = t1.elapsed().as_nanos();
-        let raw = obj.pdf.mbr();
-        let mut mbr = raw;
-        for i in 0..D {
-            mbr.min[i] = f32_round_down(raw.min[i]);
-            mbr.max[i] = f32_round_up(raw.max[i]);
-        }
+        // A U-tree leaf entry's payload and stored MBR, from the U-tree's
+        // own code, so the two cannot drift on what an entry holds.
+        let (cfbs, pcr_nanos, lp_nanos) =
+            <Cfbs as FilterPayload<D>>::compute(&obj.pdf, &self.catalog);
         let addr = self
             .heap
             .insert(&encode_object(obj))
             // xlint: allow(panic-freedom) -- invariant: in-memory heap cannot fail
             .expect("in-memory heap cannot fail");
+        let mbr = storable_mbr(&obj.pdf);
         let entry = ULeafEntry::new(cfbs, mbr, addr, obj.id, &self.catalog);
         let reads0 = self.file.stats().reads();
         let writes0 = self.file.stats().writes();
@@ -198,15 +190,13 @@ impl<const D: usize> SeqScan<D> {
     /// Convenience over [`SeqScan::execute_with`] with a throwaway
     /// context.
     pub fn execute(&self, query: &Query<D>) -> QueryOutcome {
-        self.execute_with(query, &mut QueryCtx::new())
+        ProbIndex::execute(self, query)
     }
 
     /// [`SeqScan::try_execute_with`], panicking on storage failure (the
     /// scan file itself is in-memory; only the heap can fail).
     pub fn execute_with(&self, query: &Query<D>, ctx: &mut QueryCtx) -> QueryOutcome {
-        self.try_execute_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
+        ProbIndex::execute_with(self, query, ctx)
     }
 
     /// Executes a prob-range query with caller-owned scratch state (the
@@ -352,14 +342,12 @@ impl<const D: usize> SeqScan<D> {
 
     /// [`SeqScan::try_rank_topk_with`], panicking on storage failure.
     pub fn rank_topk_with(&self, query: &RankQuery<D>, ctx: &mut QueryCtx) -> RankOutcome {
-        self.try_rank_topk_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
+        ProbIndex::rank_topk_with(self, query, ctx)
     }
 
     /// [`SeqScan::rank_topk_with`] with a throwaway context.
     pub fn rank_topk(&self, query: &RankQuery<D>) -> RankOutcome {
-        self.rank_topk_with(query, &mut QueryCtx::new())
+        ProbIndex::rank_topk(self, query)
     }
 }
 

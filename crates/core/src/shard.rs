@@ -43,7 +43,7 @@ use crate::api::{
     RankedMatch,
 };
 use crate::catalog::UCatalog;
-use crate::query::{QueryCtx, QueryStats};
+use crate::query::{splitmix64, QueryCtx, QueryStats};
 use crate::tree::{InsertStats, UTree};
 use page_store::{PageFile, PageStore};
 use rstar_base::TreeConfig;
@@ -57,10 +57,7 @@ use uncertain_pdf::UncertainObject;
 /// sharded index is saved.
 pub fn shard_of(id: u64, shard_count: usize) -> usize {
     debug_assert!(shard_count > 0);
-    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % shard_count as u64) as usize
+    (splitmix64(id) % shard_count as u64) as usize
 }
 
 /// Rewrites a [`QueryOutcome`]'s matches into the canonical scatter-gather
@@ -330,6 +327,20 @@ mod tests {
                 seen[shard_of(id, n)] = true;
             }
             assert!(seen.iter().all(|&s| s), "degenerate routing for n={n}");
+        }
+        // The routing is persistent format: pinned against the values saved
+        // indexes were partitioned with (per count: six ids, then the
+        // id-weighted shard sum over 0..10_000).
+        for (n, shards, weighted) in [
+            (1usize, [0usize, 0, 0, 0, 0, 0], 0u64),
+            (2, [1, 1, 0, 1, 0, 1], 24_868_264),
+            (4, [3, 1, 2, 1, 0, 1], 75_847_090),
+            (7, [2, 2, 4, 2, 0, 0], 149_981_057),
+        ] {
+            let ids = [0u64, 1, 2, 3, 1000, 9999];
+            assert_eq!(ids.map(|id| shard_of(id, n)), shards, "n={n}");
+            let sum: u64 = (0..10_000u64).map(|id| id * shard_of(id, n) as u64).sum();
+            assert_eq!(sum, weighted, "n={n}");
         }
     }
 

@@ -306,30 +306,9 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
     /// physical reads that actually hit the disk files.
     ///
     /// Pool latching is automatic (small pools exact-LRU, large pools
-    /// striped for concurrent readers); [`ProbTree::open_with_shards`]
-    /// pins it.
+    /// striped for concurrent readers).
     pub fn open<Q: AsRef<Path>>(dir: Q, buffer_pages: usize) -> io::Result<Self> {
-        Self::open_parts(dir, buffer_pages, None)
-    }
-
-    /// [`ProbTree::open`] with an explicit buffer-pool shard count: `1`
-    /// gives the exact global-LRU pool (the stack-algorithm baseline the
-    /// paper's buffer experiments assume), larger values trade LRU
-    /// exactness for reader parallelism.
-    pub fn open_with_shards<Q: AsRef<Path>>(
-        dir: Q,
-        buffer_pages: usize,
-        shards: usize,
-    ) -> io::Result<Self> {
-        Self::open_parts(dir, buffer_pages, Some(shards))
-    }
-
-    fn open_parts<Q: AsRef<Path>>(
-        dir: Q,
-        buffer_pages: usize,
-        shards: Option<usize>,
-    ) -> io::Result<Self> {
-        let parts = persist::open_parts(dir.as_ref(), P::KIND, D, buffer_pages, shards)?;
+        let parts = persist::open_parts(dir.as_ref(), P::KIND, D, buffer_pages)?;
         Ok(Self::from_opened_parts(parts))
     }
 
@@ -482,7 +461,7 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
 
 /// An object's MBR as stored in its leaf entry: f32-exact, rounded
 /// outward.
-fn storable_mbr<const D: usize>(pdf: &ObjectPdf<D>) -> Rect<D> {
+pub(crate) fn storable_mbr<const D: usize>(pdf: &ObjectPdf<D>) -> Rect<D> {
     let raw = pdf.mbr();
     let mut mbr = raw;
     for i in 0..D {

@@ -17,8 +17,9 @@
 //! pool); every counted node access lands in the store's
 //! [`page_store::IoStats`], which is the paper's I/O metric.
 //!
-//! The concrete rectangle R*-tree ([`RectRStarTree`]) doubles as the
-//! conventional "precise data" baseline and as the substrate's test rig.
+//! Instantiated with the plain-rectangle fixture ([`RectMetrics`],
+//! [`RectLeaf`], [`RectCodec`]) it is the conventional "precise data"
+//! R*-tree, which the substrate's own tests drive.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
@@ -33,6 +34,6 @@ mod tree;
 pub use bulk::str_order_by;
 pub use codec::{InnerEntry, NodeCodec};
 pub use metrics::{rect_covers_eps, KeyMetrics, LeafRecord};
-pub use rect_tree::{RectCodec, RectLeaf, RectMetrics, RectRStarTree};
+pub use rect_tree::{RectCodec, RectLeaf, RectMetrics};
 pub use split::rstar_split;
 pub use tree::{RStarTreeBase, TreeConfig, TreeStats};

@@ -1,11 +1,10 @@
-//! The concrete rectangle R*-tree: the conventional "precise data"
-//! baseline (paper Sec 2.2) and the substrate's primary test rig.
+//! The plain-rectangle key, leaf record and page codec: plugged into
+//! [`crate::RStarTreeBase`] they give the conventional "precise data"
+//! R*-tree (paper Sec 2.2), which is the substrate's primary test rig.
 
 use crate::codec::{InnerEntry, NodeCodec};
 use crate::metrics::{rect_covers_eps, KeyMetrics, LeafRecord};
-use crate::tree::{RStarTreeBase, TreeConfig};
-use page_store::{ByteReader, ByteWriter, PageStore, PAGE_SIZE};
-use std::io;
+use page_store::{ByteReader, ByteWriter, PAGE_SIZE};
 use uncertain_geom::Rect;
 
 /// Plain-rectangle metrics: the R*-tree penalty metrics verbatim.
@@ -164,93 +163,42 @@ impl<const D: usize> NodeCodec<Rect<D>, RectLeaf<D>> for RectCodec<D> {
     }
 }
 
-/// The baseline disk-based R*-tree over rectangles, generic over the
-/// backing [`PageStore`] (defaults to the infallible in-memory
-/// [`page_store::PageFile`]).
-///
-/// Every operation is a `try_*` method that surfaces store failures as
-/// `io::Result` (the PR-6 fallible-store contract — exercised under
-/// `FaultStore` in the tests).
-pub struct RectRStarTree<const D: usize, S: PageStore = page_store::PageFile> {
-    tree: RStarTreeBase<D, RectMetrics<D>, RectLeaf<D>, RectCodec<D>, S>,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tree::{RStarTreeBase, TreeConfig};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
-impl<const D: usize, S: PageStore> RectRStarTree<D, S> {
-    /// An empty tree with R* defaults on the given store.
-    pub fn try_new_on(store: S) -> io::Result<Self> {
-        Ok(Self {
-            tree: RStarTreeBase::with_store(store, RectMetrics, RectCodec, TreeConfig::default())?,
-        })
+    type RectTree<const D: usize> = RStarTreeBase<D, RectMetrics<D>, RectLeaf<D>, RectCodec<D>>;
+
+    fn new_tree<const D: usize>() -> RectTree<D> {
+        RStarTreeBase::new(RectMetrics, RectCodec, TreeConfig::default())
     }
 
-    /// Builds a tree on `store` from a flat record set by STR packing
-    /// ([`crate::str_order_by`] + bottom-up level construction) instead
-    /// of repeated insertion.
-    pub fn try_bulk_load_on(store: S, mut data: Vec<RectLeaf<D>>) -> io::Result<Self> {
-        let codec = RectCodec::<D>;
-        let cap = NodeCodec::<Rect<D>, RectLeaf<D>>::leaf_capacity(&codec);
-        crate::str_order_by(&mut data, cap, &|e: &RectLeaf<D>| e.rect.center().coords);
-        Ok(Self {
-            tree: RStarTreeBase::bulk_build_ordered(
-                store,
-                data,
-                RectMetrics,
-                codec,
-                TreeConfig::default(),
-            )?,
-        })
-    }
-
-    /// Inserts a rectangle with an identifier; a failing store surfaces
-    /// its `io::Error` and leaves the already-stored pages untouched.
-    pub fn try_insert(&mut self, rect: Rect<D>, id: u64) -> io::Result<()> {
-        self.tree.insert(RectLeaf { rect, id })
-    }
-
-    /// Deletes by (rect, id); `Ok(true)` when found.
-    pub fn try_delete(&mut self, rect: Rect<D>, id: u64) -> io::Result<bool> {
-        Ok(self.tree.delete(&rect, id)?.is_some())
+    /// STR-packs `data` ([`crate::str_order_by`] + bottom-up levels)
+    /// instead of inserting record by record.
+    fn bulk_tree(mut data: Vec<RectLeaf<2>>) -> RectTree<2> {
+        let cap = RectCodec::<2>::capacity();
+        crate::str_order_by(&mut data, cap, &|e: &RectLeaf<2>| e.rect.center().coords);
+        let mut tree = new_tree::<2>();
+        tree.bulk_rebuild_ordered(data).unwrap();
+        tree
     }
 
     /// Conventional range query: ids of rectangles intersecting `query`.
-    pub fn try_range(&self, query: &Rect<D>) -> io::Result<Vec<u64>> {
+    fn range<const D: usize>(tree: &RectTree<D>, query: &Rect<D>) -> Vec<u64> {
         let mut out = Vec::new();
-        self.tree.visit(
+        tree.visit(
             |key, _| key.intersects(query),
             |rec| {
                 if rec.rect.intersects(query) {
                     out.push(rec.id);
                 }
             },
-        )?;
-        Ok(out)
-    }
-
-    /// Access to the generic machinery (stats, invariants, I/O counters).
-    pub fn inner(&self) -> &RStarTreeBase<D, RectMetrics<D>, RectLeaf<D>, RectCodec<D>, S> {
-        &self.tree
-    }
-
-    /// Number of stored rectangles.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use page_store::PageFile;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    fn new_tree<const D: usize>() -> RectRStarTree<D> {
-        RectRStarTree::try_new_on(PageFile::new()).unwrap()
+        )
+        .unwrap();
+        out
     }
 
     fn random_rect(rng: &mut SmallRng, span: f64) -> Rect<2> {
@@ -280,10 +228,7 @@ mod tests {
     #[test]
     fn empty_tree_range_is_empty() {
         let t = new_tree::<2>();
-        assert!(t
-            .try_range(&Rect::new([0.0, 0.0], [1.0, 1.0]))
-            .unwrap()
-            .is_empty());
+        assert!(range(&t, &Rect::new([0.0, 0.0], [1.0, 1.0])).is_empty());
         assert!(t.is_empty());
     }
 
@@ -294,13 +239,13 @@ mod tests {
         let mut data = Vec::new();
         for id in 0..3000u64 {
             let r = random_rect(&mut rng, 80.0);
-            tree.try_insert(r, id).unwrap();
+            tree.insert(RectLeaf { rect: r, id }).unwrap();
             data.push((f32_round(&r), id));
         }
-        tree.inner().check_invariants().unwrap();
+        tree.check_invariants().unwrap();
         for _ in 0..50 {
             let q = random_rect(&mut rng, 700.0);
-            let mut got = tree.try_range(&q).unwrap();
+            let mut got = range(&tree, &q);
             got.sort_unstable();
             let mut expect: Vec<u64> = data
                 .iter()
@@ -317,14 +262,16 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mut tree = new_tree::<2>();
         for id in 0..5000u64 {
-            tree.try_insert(random_rect(&mut rng, 10.0), id).unwrap();
-        }
-        tree.inner().io_stats().reset();
-        let _ = tree
-            .try_range(&Rect::new([0.0, 0.0], [300.0, 300.0]))
+            tree.insert(RectLeaf {
+                rect: random_rect(&mut rng, 10.0),
+                id,
+            })
             .unwrap();
-        let accessed = tree.inner().io_stats().reads();
-        let total = tree.inner().node_count() as u64;
+        }
+        tree.io_stats().reset();
+        let _ = range(&tree, &Rect::new([0.0, 0.0], [300.0, 300.0]));
+        let accessed = tree.io_stats().reads();
+        let total = tree.node_count() as u64;
         assert!(
             accessed < total / 3,
             "query touched {accessed} of {total} nodes — no pruning?"
@@ -338,20 +285,20 @@ mod tests {
         let mut data = Vec::new();
         for id in 0..1200u64 {
             let r = random_rect(&mut rng, 50.0);
-            tree.try_insert(r, id).unwrap();
+            tree.insert(RectLeaf { rect: r, id }).unwrap();
             data.push((r, id));
         }
         // Delete every third element.
         for (r, id) in data.iter().step_by(3) {
             assert!(
-                tree.try_delete(*r, *id).unwrap(),
+                tree.delete(r, *id).unwrap().is_some(),
                 "id {id} must be deletable"
             );
         }
-        tree.inner().check_invariants().unwrap();
+        tree.check_invariants().unwrap();
         assert_eq!(tree.len(), 800);
         let everything = Rect::new([-1.0, -1.0], [10_001.0, 10_001.0]);
-        let mut got = tree.try_range(&everything).unwrap();
+        let mut got = range(&tree, &everything);
         got.sort_unstable();
         let mut expect: Vec<u64> = data
             .iter()
@@ -370,31 +317,28 @@ mod tests {
         let mut data = Vec::new();
         for id in 0..600u64 {
             let r = random_rect(&mut rng, 30.0);
-            tree.try_insert(r, id).unwrap();
+            tree.insert(RectLeaf { rect: r, id }).unwrap();
             data.push((r, id));
         }
         for (r, id) in &data {
-            assert!(tree.try_delete(*r, *id).unwrap());
+            assert!(tree.delete(r, *id).unwrap().is_some());
         }
         assert!(tree.is_empty());
-        assert_eq!(tree.inner().height(), 1);
+        assert_eq!(tree.height(), 1);
         // The tree must remain fully usable.
-        tree.try_insert(Rect::new([1.0, 1.0], [2.0, 2.0]), 9999)
-            .unwrap();
-        assert_eq!(
-            tree.try_range(&Rect::new([0.0, 0.0], [3.0, 3.0])).unwrap(),
-            vec![9999]
-        );
+        let rect = Rect::new([1.0, 1.0], [2.0, 2.0]);
+        tree.insert(RectLeaf { rect, id: 9999 }).unwrap();
+        assert_eq!(range(&tree, &Rect::new([0.0, 0.0], [3.0, 3.0])), vec![9999]);
     }
 
     #[test]
     fn delete_of_absent_id_returns_false() {
         let mut tree = new_tree::<2>();
         let r = Rect::new([0.0, 0.0], [1.0, 1.0]);
-        tree.try_insert(r, 1).unwrap();
-        assert!(!tree.try_delete(r, 2).unwrap());
-        assert!(tree.try_delete(r, 1).unwrap());
-        assert!(!tree.try_delete(r, 1).unwrap());
+        tree.insert(RectLeaf { rect: r, id: 1 }).unwrap();
+        assert!(tree.delete(&r, 2).unwrap().is_none());
+        assert!(tree.delete(&r, 1).unwrap().is_some());
+        assert!(tree.delete(&r, 1).unwrap().is_none());
     }
 
     #[test]
@@ -409,7 +353,7 @@ mod tests {
                 rng.gen_range(0.0..10_000.0),
             ];
             let r = Rect::new(c, [c[0] + 20.0, c[1] + 20.0, c[2] + 20.0]);
-            tree.try_insert(r, id).unwrap();
+            tree.insert(RectLeaf { rect: r, id }).unwrap();
             let rr = Rect {
                 min: [
                     r.min[0] as f32 as f64,
@@ -424,9 +368,9 @@ mod tests {
             };
             data.push((rr, id));
         }
-        tree.inner().check_invariants().unwrap();
+        tree.check_invariants().unwrap();
         let q = Rect::new([2000.0, 2000.0, 2000.0], [4000.0, 4000.0, 4000.0]);
-        let mut got = tree.try_range(&q).unwrap();
+        let mut got = range(&tree, &q);
         got.sort_unstable();
         let mut expect: Vec<u64> = data
             .iter()
@@ -444,19 +388,19 @@ mod tests {
         let mut records = Vec::new();
         for id in 0..5000u64 {
             let r = random_rect(&mut rng, 60.0);
-            incremental.try_insert(r, id).unwrap();
+            incremental.insert(RectLeaf { rect: r, id }).unwrap();
             records.push(RectLeaf { rect: r, id });
         }
         let probe = f32_round(&records[123].rect);
-        let bulk = RectRStarTree::try_bulk_load_on(PageFile::new(), records).unwrap();
-        bulk.inner().check_invariants().unwrap();
+        let bulk = bulk_tree(records);
+        bulk.check_invariants().unwrap();
         assert_eq!(bulk.len(), 5000);
 
         // Same answers on every query.
         for _ in 0..40 {
             let q = random_rect(&mut rng, 900.0);
-            let mut a = bulk.try_range(&q).unwrap();
-            let mut b = incremental.try_range(&q).unwrap();
+            let mut a = range(&bulk, &q);
+            let mut b = range(&incremental, &q);
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
@@ -466,48 +410,41 @@ mod tests {
         // theoretical minimum plus the per-level remainder node.
         let cap = RectCodec::<2>::capacity();
         let min_leaves = 5000usize.div_ceil(cap);
-        let stats = bulk.inner().stats().unwrap();
+        let stats = bulk.stats().unwrap();
         assert!(
             stats.nodes_per_level[0] <= min_leaves + 1,
             "bulk leaves not packed: {} vs {min_leaves}",
             stats.nodes_per_level[0]
         );
         assert!(
-            stats.total_nodes() < incremental.inner().stats().unwrap().total_nodes(),
+            stats.total_nodes() < incremental.stats().unwrap().total_nodes(),
             "bulk tree must be denser than the insert-built tree"
         );
 
         // Deletes and further inserts keep working on a bulk-built tree.
         let mut bulk = bulk;
         assert!(
-            bulk.try_delete(probe, 123).unwrap(),
+            bulk.delete(&probe, 123).unwrap().is_some(),
             "bulk-built record must delete"
         );
-        bulk.try_insert(Rect::new([1.0, 1.0], [2.0, 2.0]), 999_999)
-            .unwrap();
-        bulk.inner().check_invariants().unwrap();
+        let rect = Rect::new([1.0, 1.0], [2.0, 2.0]);
+        bulk.insert(RectLeaf { rect, id: 999_999 }).unwrap();
+        bulk.check_invariants().unwrap();
     }
 
     #[test]
     fn bulk_load_empty_and_tiny_inputs() {
-        let empty = RectRStarTree::<2>::try_bulk_load_on(PageFile::new(), Vec::new()).unwrap();
+        let empty = bulk_tree(Vec::new());
         assert!(empty.is_empty());
-        empty.inner().check_invariants().unwrap();
+        empty.check_invariants().unwrap();
 
-        let one = RectRStarTree::<2>::try_bulk_load_on(
-            PageFile::new(),
-            vec![RectLeaf {
-                rect: Rect::new([0.0, 0.0], [1.0, 1.0]),
-                id: 7,
-            }],
-        )
-        .unwrap();
+        let one = bulk_tree(vec![RectLeaf {
+            rect: Rect::new([0.0, 0.0], [1.0, 1.0]),
+            id: 7,
+        }]);
         assert_eq!(one.len(), 1);
-        one.inner().check_invariants().unwrap();
-        assert_eq!(
-            one.try_range(&Rect::new([0.0, 0.0], [2.0, 2.0])).unwrap(),
-            vec![7]
-        );
+        one.check_invariants().unwrap();
+        assert_eq!(range(&one, &Rect::new([0.0, 0.0], [2.0, 2.0])), vec![7]);
     }
 
     #[test]
@@ -515,12 +452,12 @@ mod tests {
         let mut tree = new_tree::<2>();
         let r = Rect::new([5.0, 5.0], [6.0, 6.0]);
         for id in 0..700u64 {
-            tree.try_insert(r, id).unwrap();
+            tree.insert(RectLeaf { rect: r, id }).unwrap();
         }
-        tree.inner().check_invariants().unwrap();
-        assert_eq!(tree.try_range(&r).unwrap().len(), 700);
+        tree.check_invariants().unwrap();
+        assert_eq!(range(&tree, &r).len(), 700);
         for id in 0..700u64 {
-            assert!(tree.try_delete(r, id).unwrap());
+            assert!(tree.delete(&r, id).unwrap().is_some());
         }
         assert!(tree.is_empty());
     }

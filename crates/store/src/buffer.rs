@@ -3,12 +3,13 @@
 //! The pool's own [`IoStats`] count *logical* accesses — exactly what the
 //! caller issued, so an index's node-access accounting is identical
 //! whatever backend sits underneath. The backend's counters keep counting
-//! *physical* transfers (misses, dirty write-backs), which is how the
-//! Fig-9-style `io_vs_buffer` experiment measures real I/O against buffer
-//! size. Counted logical reads additionally record a cache hit or miss on
-//! the pool stats (`hits + misses == reads` at all times in the absence of
-//! concurrent readers; under concurrency each read still records exactly
-//! one hit or miss, so the totals always agree once readers quiesce).
+//! *physical* transfers (misses, dirty write-backs), which is how real
+//! I/O is measured against buffer size (`tests/pool_invariants.rs` replays
+//! one trace through growing pools). Counted logical reads additionally
+//! record a cache hit or miss on the pool stats (`hits + misses == reads`
+//! at all times in the absence of concurrent readers; under concurrency
+//! each read still records exactly one hit or miss, so the totals always
+//! agree once readers quiesce).
 //!
 //! ## Latching
 //!
@@ -35,7 +36,8 @@
 //!
 //! Eviction is LRU **per shard** (recency is a pool-wide atomic tick).
 //! With one shard this is the exact global LRU of the classic pool — the
-//! stack-algorithm property the `io_vs_buffer` experiment relies on; with
+//! stack-algorithm property `tests/pool_invariants.rs`
+//! (`single_latch_physical_reads_never_grow_with_capacity`) asserts; with
 //! more shards it is the standard lock-striped approximation every
 //! production buffer manager makes. [`BufferPool::new`] picks a shard
 //! count automatically (small pools stay exact, large pools stripe);

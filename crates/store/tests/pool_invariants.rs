@@ -122,6 +122,45 @@ fn random_ops_respect_invariants_across_shard_counts() {
 }
 
 #[test]
+fn single_latch_physical_reads_never_grow_with_capacity() {
+    // One latch is exact global LRU, and LRU is a stack algorithm: the
+    // pages resident at capacity c are a subset of those resident at any
+    // larger capacity, so one trace replayed through growing pools can
+    // only miss less. (Latch striping deliberately trades this away.)
+    const PAGES: u64 = 400;
+    let mut rng = SmallRng::seed_from_u64(23);
+    // 70 % of reads go to a 48-page hot set, the rest anywhere.
+    let trace: Vec<PageId> = (0..6_000)
+        .map(|_| match rng.gen_range(0..10u32) {
+            0..=6 => rng.gen_range(0..48),
+            _ => rng.gen_range(0..PAGES),
+        })
+        .collect();
+    let physical: Vec<u64> = [4usize, 16, 64, 256]
+        .iter()
+        .map(|&capacity| {
+            let mut file = PageFile::new();
+            for _ in 0..PAGES {
+                file.allocate().unwrap();
+            }
+            let pool = BufferPool::with_shards(file, capacity, 1);
+            for &id in &trace {
+                pool.read_page(id).unwrap();
+            }
+            pool.backend_stats().reads()
+        })
+        .collect();
+    assert!(
+        physical.windows(2).all(|p| p[1] <= p[0]),
+        "physical reads grew with capacity: {physical:?}"
+    );
+    assert!(
+        physical[3] < physical[0],
+        "the trace never exercised the cache: {physical:?}"
+    );
+}
+
+#[test]
 fn concurrent_readers_observe_flushed_writes_exactly() {
     // Fill a sharded pool, flush, then hammer it with counted reads from
     // many threads: every read must return the exact page image, resident

@@ -29,7 +29,7 @@ impl ScanConfig {
     ///
     /// * `panic-freedom`, `lock-order` and `atomics-justification` run on
     ///   every library crate (the bench harness, examples and the offline
-    ///   shim crates are exempt: they are not serving-path code).
+    ///   `rand` shim are exempt: they are not serving-path code).
     /// * `io-fallibility` runs where `PageStore`/`Wal` calls live:
     ///   `store`, `rstar` and `core`.
     /// * `doc-coverage` runs on the crates whose rustdoc is the public
