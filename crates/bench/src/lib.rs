@@ -386,10 +386,11 @@ mod tests {
             out.stats.refined_samples > 0,
             "a Monte-Carlo workload over data-centred queries must refine"
         );
-        assert_eq!(
-            out.stats.refined_samples % 2_000,
-            0,
-            "refined samples accrue in whole n1 batches"
+        assert!(
+            out.stats.refined_samples <= out.stats.prob_computations * 2_000,
+            "{} samples over {} estimates: n1 caps each one",
+            out.stats.refined_samples,
+            out.stats.prob_computations
         );
     }
 

@@ -514,6 +514,14 @@ pub enum Provenance {
     Refined {
         /// The appearance probability the refinement step computed.
         p: f64,
+        /// Monte-Carlo samples behind `p`. Fewer than the query's n₁: the
+        /// object was decided early, and `p ≥ p_q` is wrong with
+        /// probability at most 10⁻⁹. Exactly n₁: a full-budget estimate
+        /// with standard error at most `√(0.25/n₁)` — a close call if `p`
+        /// is within a few of those of `p_q`. 0: `p` was computed by
+        /// quadrature ([`RefineMode::Reference`]) or pinned by the
+        /// estimator's containment short-circuits.
+        samples: usize,
     },
 }
 
@@ -600,18 +608,18 @@ impl IntoIterator for QueryOutcome {
 }
 
 /// Assembles an outcome from the two result streams every backend's
-/// context produces — validated ids (filter step) then refined `(id, p)`
-/// pairs — draining the buffers so their capacity stays with the context
-/// for the next query.
+/// context produces — validated ids (filter step) then refined
+/// `(id, p, samples)` triples — draining the buffers so their capacity
+/// stays with the context for the next query.
 pub(crate) fn outcome_from_ctx(ctx: &mut QueryCtx) -> QueryOutcome {
     let mut matches = Vec::with_capacity(ctx.validated.len() + ctx.refined.len());
     matches.extend(ctx.validated.drain(..).map(|id| Match {
         id,
         provenance: Provenance::Validated,
     }));
-    matches.extend(ctx.refined.drain(..).map(|(id, p)| Match {
+    matches.extend(ctx.refined.drain(..).map(|(id, p, samples)| Match {
         id,
-        provenance: Provenance::Refined { p },
+        provenance: Provenance::Refined { p, samples },
     }));
     QueryOutcome {
         matches,
@@ -1078,8 +1086,9 @@ mod tests {
             .run(&tree)
             .unwrap();
         for m in &out {
-            if let Provenance::Refined { p } = m.provenance {
+            if let Provenance::Refined { p, samples } = m.provenance {
                 assert!((0.2..=1.0).contains(&p), "match {m:?} below threshold");
+                assert_eq!(samples, 0, "quadrature draws no samples");
             }
         }
         assert_eq!(out.len(), out.validated_count() + out.refined_count());

@@ -12,7 +12,8 @@
 //!   behind its latched buffer pool, [`crate::UPcrTree`] and
 //!   [`crate::SeqScan`] all qualify;
 //! * all per-query mutable state lives in a [`QueryCtx`], one per worker,
-//!   and the refinement RNG is re-seeded per query — so results (matches,
+//!   and every candidate seeds its own refinement RNG from the query's
+//!   seed and its id — so results (matches,
 //!   provenance, per-query cost counters) are **byte-identical** to a
 //!   sequential run, whatever the thread count or scheduling.
 //!

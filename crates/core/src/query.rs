@@ -48,10 +48,19 @@ impl<const D: usize> ProbRangeQuery<D> {
 /// step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RefineMode {
-    /// The paper's Monte-Carlo estimator (Eq. 3) with n₁ samples and a
-    /// deterministic seed.
+    /// The paper's Monte-Carlo estimator (Eq. 3) with a deterministic
+    /// seed. Every object draws from its own stream, derived from the seed
+    /// and the object's id, so its estimate does not depend on the backend,
+    /// the traversal order or the thread.
+    ///
+    /// A range query needs only the decision `P ≥ p_q`, so a candidate
+    /// stops sampling once a distribution-free confidence bound separates
+    /// its estimate from `p_q` (wrong with probability ≤ 10⁻⁹; see
+    /// [`MonteCarlo::decide_with`]); a top-k query ranks by the
+    /// probability itself and always draws n₁.
     MonteCarlo {
-        /// Sample count (the paper settles on 10⁶; Sec 6.1).
+        /// Samples per candidate: the cap for a range query, the count for
+        /// a top-k query (the paper settles on 10⁶; Sec 6.1).
         n1: usize,
         /// Seed for reproducible runs.
         seed: u64,
@@ -106,8 +115,9 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Final result count.
     pub results: u64,
-    /// Monte-Carlo samples drawn during refinement (n₁ per estimate that
-    /// did not short-circuit). Together with `refine_nanos` this makes the
+    /// Monte-Carlo samples actually drawn during refinement: none for an
+    /// estimate that short-circuits, fewer than n₁ for a range candidate
+    /// decided early. Together with `refine_nanos` this makes the
     /// refinement cost attributable as nanoseconds **per sample**, a
     /// machine-scaled figure the bench gates can compare across runs.
     pub refined_samples: u64,
@@ -172,8 +182,8 @@ impl AddAssign<QueryStats> for QueryStats {
 }
 
 /// Reusable per-query scratch state: the cost counters of the query being
-/// executed, the result/candidate buffers the filter step fills, the
-/// traversal stack, and the refinement RNG.
+/// executed, the result/candidate buffers the filter step fills, and the
+/// traversal stack.
 ///
 /// This is the mutable half of query execution. The indexes themselves are
 /// only ever *read* during a query (`&self` end-to-end), so one shared
@@ -182,10 +192,9 @@ impl AddAssign<QueryStats> for QueryStats {
 /// worker thread (as [`crate::engine::BatchExecutor`] does) amortises the
 /// buffer allocations across a whole workload.
 ///
-/// The Monte-Carlo generator lives here too, but is **re-seeded from the
-/// query's [`RefineMode`] seed on every refinement pass** — that is what
-/// makes results byte-identical however queries are scheduled across
-/// threads.
+/// No Monte-Carlo generator lives here: every candidate seeds its own
+/// from the query's [`RefineMode`] seed and its id, which is what makes
+/// results byte-identical however queries are scheduled across threads.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
     /// Cost counters of the current query (zeroed when execution begins).
@@ -194,12 +203,10 @@ pub struct QueryCtx {
     pub(crate) validated: Vec<u64>,
     /// Entries the filter could not decide; input to refinement.
     pub(crate) candidates: Vec<(RecordAddr, u64)>,
-    /// Refinement qualifiers with their computed probabilities.
-    pub(crate) refined: Vec<(u64, f64)>,
+    /// Refinement qualifiers: id, computed probability, samples behind it.
+    pub(crate) refined: Vec<(u64, f64, usize)>,
     /// Tree-traversal stack (reused by [`rstar_base::RStarTreeBase::visit_with`]).
     pub(crate) stack: Vec<(PageId, usize)>,
-    /// Monte-Carlo generator slot (re-seeded per refinement pass).
-    pub(crate) rng: Option<SmallRng>,
     /// Best-first ranking frontier (nodes and undecided objects, keyed by
     /// upper probability bound).
     pub(crate) frontier: std::collections::BinaryHeap<crate::rank::RankItem>,
@@ -213,8 +220,7 @@ pub struct QueryCtx {
     /// Reusable SoA buffers for the chunked Monte-Carlo kernels
     /// ([`uncertain_pdf::kernel`]): warm after the first refinement, so a
     /// refinement pass allocates nothing. Deliberately *not* cleared by
-    /// [`QueryCtx::begin`] — the buffers are the point of reuse, and the
-    /// sample counter is snapshotted per pass.
+    /// [`QueryCtx::begin`] — the buffers are the point of reuse.
     pub(crate) scratch: RefineScratch,
 }
 
@@ -240,15 +246,15 @@ impl QueryCtx {
     }
 }
 
-/// The per-object Monte-Carlo seed used by ranking refinement.
+/// The per-object Monte-Carlo seed.
 ///
-/// Range refinement seeds one generator per *pass* (candidates are
-/// evaluated in one deterministic sweep), but a best-first ranking refines
-/// objects one at a time in a bound-dependent order that legitimately
-/// differs between backends. Deriving the stream from `(seed, id)` makes
-/// every object's estimate a pure function of the query — identical on
-/// every backend, in any traversal order, on any thread.
-pub(crate) fn rank_refine_seed(seed: u64, id: u64) -> u64 {
+/// A best-first ranking refines objects one at a time in a bound-dependent
+/// order that legitimately differs between backends, and a range candidate
+/// stops sampling wherever its own estimate clears `p_q`. Deriving each
+/// object's stream from `(seed, id)` makes its estimate a pure function of
+/// the query — identical on every backend, in any traversal order, on any
+/// thread.
+pub(crate) fn refine_seed(seed: u64, id: u64) -> u64 {
     seed ^ splitmix64(id)
 }
 
@@ -262,10 +268,54 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Refines a single candidate: loads its heap record, computes the
-/// appearance probability under `mode`, and charges the ranking cost
-/// model (`prob_computations` per call; `heap_reads` counts *distinct*
-/// pages touched this query, tracked in `ctx.heap_pages`).
+/// A candidate whose heap record is gone cannot be refined, and skipping
+/// it would be a false dismissal: the index and its heap disagree.
+fn missing_record(page: PageId, slot: u16) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("candidate addr {page}/{slot} missing from heap"),
+    )
+}
+
+/// Appearance probability of the object in heap record `bytes` under
+/// `mode`, with the Monte-Carlo samples it took (0 in `Reference` mode).
+/// With a threshold the estimate is only as good as the decision against
+/// it needs ([`MonteCarlo::decide_with`]); without one it is the full-n₁
+/// estimate.
+fn appearance<const D: usize>(
+    bytes: &[u8],
+    id: u64,
+    rq: &Rect<D>,
+    threshold: Option<f64>,
+    mode: RefineMode,
+    scratch: &mut RefineScratch,
+) -> (f64, usize) {
+    let obj = decode_object::<D>(bytes);
+    debug_assert_eq!(obj.id, id, "heap record id mismatch");
+    match mode {
+        RefineMode::MonteCarlo { n1, seed } => {
+            let mut rng = SmallRng::seed_from_u64(refine_seed(seed, id));
+            let prepared = PreparedPdf::new(&obj.pdf);
+            let mc = MonteCarlo::new(n1);
+            match threshold {
+                Some(pq) => mc.decide_with(&prepared, rq, pq, &mut rng, scratch),
+                None => {
+                    let before = scratch.samples();
+                    let p = mc.estimate_with(&prepared, rq, &mut rng, scratch);
+                    (p, (scratch.samples() - before) as usize)
+                }
+            }
+        }
+        RefineMode::Reference { tol } => (appearance_reference(&obj.pdf, rq, tol), 0),
+    }
+}
+
+/// Refines a single candidate for ranking: loads its heap record, computes
+/// the appearance probability under `mode` (always the full-n₁ estimate —
+/// stopping against a moving k-th bound would make a probability depend on
+/// the traversal), and charges the ranking cost model (`prob_computations`
+/// per call; `heap_reads` counts *distinct* pages touched this query,
+/// tracked in `ctx.heap_pages`). Returns the probability and its samples.
 pub(crate) fn refine_one<const D: usize, S: PageStore>(
     heap: &ObjectHeap<S>,
     addr: RecordAddr,
@@ -273,52 +323,28 @@ pub(crate) fn refine_one<const D: usize, S: PageStore>(
     rq: &Rect<D>,
     mode: RefineMode,
     ctx: &mut QueryCtx,
-) -> io::Result<f64> {
+) -> io::Result<(f64, usize)> {
     let t0 = std::time::Instant::now();
     if let Err(at) = ctx.heap_pages.binary_search(&addr.page) {
         ctx.heap_pages.insert(at, addr.page);
         ctx.stats.heap_reads += 1;
     }
-    let p = match heap.get(addr)? {
-        Some(bytes) => {
-            let obj = decode_object::<D>(&bytes);
-            debug_assert_eq!(obj.id, id, "heap record id mismatch");
-            match mode {
-                RefineMode::MonteCarlo { n1, seed } => {
-                    let mut rng = SmallRng::seed_from_u64(rank_refine_seed(seed, id));
-                    let prepared = PreparedPdf::new(&obj.pdf);
-                    let s0 = ctx.scratch.samples();
-                    let p = MonteCarlo::new(n1).estimate_with(
-                        &prepared,
-                        rq,
-                        &mut rng,
-                        &mut ctx.scratch,
-                    );
-                    ctx.stats.refined_samples += ctx.scratch.samples() - s0;
-                    p
-                }
-                RefineMode::Reference { tol } => appearance_reference(&obj.pdf, rq, tol),
-            }
-        }
-        None => {
-            debug_assert!(
-                false,
-                "candidate addr {}/{} missing from heap",
-                addr.page, addr.slot
-            );
-            0.0
-        }
-    };
+    let bytes = heap
+        .get(addr)?
+        .ok_or_else(|| missing_record(addr.page, addr.slot))?;
+    let (p, samples) = appearance(&bytes, id, rq, None, mode, &mut ctx.scratch);
+    ctx.stats.refined_samples += samples as u64;
     ctx.stats.prob_computations += 1;
     ctx.stats.refine_nanos += t0.elapsed().as_nanos();
-    Ok(p)
+    Ok((p, samples))
 }
 
 /// The refinement step of Sec 5.2 over the candidates a context's filter
 /// step collected: candidates are grouped by heap page; each page is
-/// loaded once; every candidate's appearance probability is evaluated and
-/// compared with `p_q`. Qualifiers are appended to the context's `refined`
-/// buffer with the probability computed for them, and its stats charged.
+/// loaded once; every candidate's appearance probability is evaluated as
+/// far as the comparison with `p_q` needs. Qualifiers are appended to the
+/// context's `refined` buffer with the probability computed for them and
+/// the samples behind it, and its stats charged.
 pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
     heap: &ObjectHeap<S>,
     rq: &Rect<D>,
@@ -330,50 +356,31 @@ pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
         stats,
         candidates,
         refined,
-        rng: rng_slot,
         scratch,
         ..
     } = ctx;
-    let samples0 = scratch.samples();
     let mut by_page: BTreeMap<PageId, Vec<(u16, u64)>> = BTreeMap::new();
     for (addr, id) in candidates.iter() {
         by_page.entry(addr.page).or_default().push((addr.slot, *id));
     }
-    // One generator for the whole refinement pass, seeded afresh from the
-    // mode (never carried over from a previous query) so that a query's
-    // answer is independent of which thread runs it and in what order.
-    *rng_slot = match mode {
-        RefineMode::MonteCarlo { seed, .. } => Some(SmallRng::seed_from_u64(seed)),
-        RefineMode::Reference { .. } => None,
-    };
     let qualified0 = refined.len();
     for (page, slots) in by_page {
         let records = heap.page_records(page)?;
         stats.heap_reads += 1;
         for (slot, id) in slots {
-            let Some((_, bytes)) = records.iter().find(|(s, _)| *s == slot) else {
-                debug_assert!(false, "candidate addr {page}/{slot} missing from heap");
-                continue;
-            };
-            let obj = decode_object::<D>(bytes);
-            debug_assert_eq!(obj.id, id, "heap record id mismatch");
-            let p_app = match mode {
-                RefineMode::MonteCarlo { n1, .. } => {
-                    // xlint: allow(panic-freedom) -- invariant: rng exists in Monte-Carlo mode
-                    let rng = rng_slot.as_mut().expect("rng exists in Monte-Carlo mode");
-                    let prepared = PreparedPdf::new(&obj.pdf);
-                    MonteCarlo::new(n1).estimate_with(&prepared, rq, rng, scratch)
-                }
-                RefineMode::Reference { tol } => appearance_reference(&obj.pdf, rq, tol),
-            };
+            let (_, bytes) = records
+                .iter()
+                .find(|(s, _)| *s == slot)
+                .ok_or_else(|| missing_record(page, slot))?;
+            let (p_app, samples) = appearance(bytes, id, rq, Some(pq), mode, scratch);
+            stats.refined_samples += samples as u64;
             stats.prob_computations += 1;
             if p_app >= pq {
-                refined.push((id, p_app));
+                refined.push((id, p_app, samples));
             }
         }
     }
     stats.results += (refined.len() - qualified0) as u64;
-    stats.refined_samples += scratch.samples() - samples0;
     Ok(())
 }
 
@@ -436,24 +443,66 @@ mod tests {
         );
         let a = heap.insert(&encode_object(&obj)).unwrap();
         let rq = Rect::new([40.0, 40.0], [50.0, 60.0]); // left half: P = 0.5
-        for (pq, expect_hit) in [(0.45, true), (0.55, false)] {
-            let mode = RefineMode::MonteCarlo {
-                n1: 60_000,
-                seed: 7,
-            };
+        let n1 = 60_000;
+        let mode = RefineMode::MonteCarlo { n1, seed: 7 };
+        // Far thresholds are decided on a fraction of the budget, close
+        // ones spend more of it; the stats count what was drawn.
+        let mut spent = Vec::new();
+        for (pq, expect_hit) in [(0.1, true), (0.45, true), (0.55, false), (0.9, false)] {
             let mut ctx = QueryCtx::new();
             ctx.candidates.push((a, 5));
             refine_ctx(&heap, &rq, pq, mode, &mut ctx).unwrap();
             assert_eq!(ctx.refined.len() == 1, expect_hit, "pq={pq}");
+            if let Some(&(_, _, samples)) = ctx.refined.first() {
+                assert_eq!(samples as u64, ctx.stats.refined_samples);
+            }
+            spent.push(ctx.stats.refined_samples);
         }
+        assert!(spent[0] < spent[1] && spent[3] < spent[2], "{spent:?}");
+        assert!(spent.iter().all(|&s| s > 0 && s < n1 as u64), "{spent:?}");
+        // Ranking has no threshold to stop against: the full budget.
+        let mut ctx = QueryCtx::new();
+        let (p, samples) = refine_one(&heap, a, 5, &rq, mode, &mut ctx).unwrap();
+        assert!((p - 0.5).abs() < 0.02, "p {p}");
+        assert_eq!((samples, ctx.stats.refined_samples), (n1, n1 as u64));
+    }
+
+    #[test]
+    fn a_candidate_missing_from_its_heap_page_is_an_error() {
+        // Regression: release builds used to skip the candidate (a false
+        // dismissal) or rank it with p = 0.
+        let mut heap = ObjectHeap::new();
+        let obj = |id| -> UncertainObject<2> {
+            UncertainObject::new(
+                id,
+                ObjectPdf::UniformBox {
+                    rect: Rect::new([0.0, 0.0], [10.0, 10.0]),
+                },
+            )
+        };
+        let kept = heap.insert(&encode_object(&obj(1))).unwrap();
+        let gone = heap.insert(&encode_object(&obj(2))).unwrap();
+        heap.remove(gone).unwrap();
+        let rq = Rect::new([-1.0, -1.0], [9.0, 11.0]);
+        let mode = RefineMode::monte_carlo(100, 3);
+
+        let mut ctx = QueryCtx::new();
+        ctx.candidates.extend([(kept, 1), (gone, 2)]);
+        let err = refine_ctx(&heap, &rq, 0.5, mode, &mut ctx).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("missing from heap"), "{err}");
+
+        let err = refine_one(&heap, gone, 2, &rq, mode, &mut ctx).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(matches!(QueryError::from(err), QueryError::Io { .. }));
     }
 
     #[test]
     fn per_object_ranking_seeds_are_pinned() {
         // splitmix64(0) is the reference SplitMix64 stream's first output.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(rank_refine_seed(0xCAFE, 42), 0xBDD7_3226_2FEB_A46B);
-        assert_eq!(rank_refine_seed(7, 9999), 0x54E4_AD0E_266A_9E12);
+        assert_eq!(refine_seed(0xCAFE, 42), 0xBDD7_3226_2FEB_A46B);
+        assert_eq!(refine_seed(7, 9999), 0x54E4_AD0E_266A_9E12);
     }
 
     #[test]

@@ -105,6 +105,9 @@ pub(crate) struct RankedHit {
     pub(crate) id: u64,
     /// True when `p = 1` was certified without integration.
     pub(crate) validated: bool,
+    /// Monte-Carlo samples behind `p` (0 when validated or computed by
+    /// quadrature).
+    pub(crate) samples: usize,
 }
 
 /// The leaf-entry surface the ranking driver needs, shared by the U-tree
@@ -272,6 +275,7 @@ where
                                     p: 1.0,
                                     id: rec.oid(),
                                     validated: true,
+                                    samples: 0,
                                 },
                             );
                             return;
@@ -299,7 +303,7 @@ where
                 frontier.extend(staged_objs.drain(..));
             }
             RankTarget::Object { addr, id, .. } => {
-                let p = refine_one(heap, addr, id, rq, mode, ctx)?;
+                let (p, samples) = refine_one(heap, addr, id, rq, mode, ctx)?;
                 if p > 0.0 {
                     push_hit(
                         &mut ctx.ranked,
@@ -308,6 +312,7 @@ where
                             p,
                             id,
                             validated: false,
+                            samples,
                         },
                     );
                 }
@@ -330,7 +335,10 @@ pub(crate) fn finish(ctx: &mut QueryCtx, t_total: Instant) -> RankOutcome {
             provenance: if h.validated {
                 Provenance::Validated
             } else {
-                Provenance::Refined { p: h.p }
+                Provenance::Refined {
+                    p: h.p,
+                    samples: h.samples,
+                }
             },
         })
         .collect();
@@ -354,6 +362,7 @@ mod tests {
             p,
             id,
             validated: false,
+            samples: 0,
         }
     }
 

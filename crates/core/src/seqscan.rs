@@ -297,6 +297,7 @@ impl<const D: usize> SeqScan<D> {
                             p: 1.0,
                             id: rec.id,
                             validated: true,
+                            samples: 0,
                         },
                     );
                 } else if rec.mbr.intersects(rq) {
@@ -322,7 +323,7 @@ impl<const D: usize> SeqScan<D> {
         }
         let cands = std::mem::take(&mut ctx.candidates);
         for &(addr, id) in &cands {
-            let p = crate::query::refine_one(&self.heap, addr, id, rq, mode, ctx)?;
+            let (p, samples) = crate::query::refine_one(&self.heap, addr, id, rq, mode, ctx)?;
             if p > 0.0 {
                 crate::rank::push_hit(
                     &mut ctx.ranked,
@@ -331,6 +332,7 @@ impl<const D: usize> SeqScan<D> {
                         p,
                         id,
                         validated: false,
+                        samples,
                     },
                 );
             }

@@ -18,13 +18,9 @@
 //! Both answers are **byte-identical to a single unsharded tree** over
 //! the same objects, because every per-object decision in the query path
 //! is entry-local: validation/pruning and probability bounds come from
-//! the object's own CFB payload, and ranking refinement draws from a
-//! per-`(seed, id)` stream (see
-//! [`crate::query::RefineMode`]). The one exception is Monte-Carlo
-//! **range** refinement, which consumes one generator across the whole
-//! pass in candidate order — per-object estimates then depend on which
-//! other candidates share the pass, so use [`crate::api::Refine::reference`]
-//! when cross-partitioning reproducibility matters.
+//! the object's own CFB payload, and refinement — range and ranking
+//! alike — draws from a per-`(seed, id)` stream (see
+//! [`crate::query::RefineMode`]).
 //!
 //! Per-object provenance and probabilities survive re-partitioning, so
 //! shard counts can change offline (rebuild) without changing any answer.
@@ -145,29 +141,26 @@ impl<const D: usize, S: PageStore> ShardedIndex<D, S> {
     ) -> Result<QueryOutcome, QueryError> {
         let mut stats = QueryStats::default();
         let mut validated: Vec<u64> = Vec::new();
-        let mut refined: Vec<(u64, f64)> = Vec::new();
+        let mut refined: Vec<Match> = Vec::new();
         for shard in &self.shards {
             let out = shard.try_execute_with(query, ctx)?;
             stats += &out.stats;
             for m in out.matches {
                 match m.provenance {
                     Provenance::Validated => validated.push(m.id),
-                    Provenance::Refined { p } => refined.push((m.id, p)),
+                    Provenance::Refined { .. } => refined.push(m),
                 }
             }
         }
         validated.sort_unstable();
-        refined.sort_unstable_by_key(|&(id, _)| id);
+        refined.sort_unstable_by_key(|m| m.id);
         let matches = validated
             .into_iter()
             .map(|id| Match {
                 id,
                 provenance: Provenance::Validated,
             })
-            .chain(refined.into_iter().map(|(id, p)| Match {
-                id,
-                provenance: Provenance::Refined { p },
-            }))
+            .chain(refined)
             .collect();
         Ok(QueryOutcome { matches, stats })
     }
@@ -368,6 +361,75 @@ mod tests {
             assert_eq!(got.stats.candidates, expect.stats.candidates);
             assert_eq!(got.stats.results, expect.stats.results);
             assert_eq!(got.stats.prob_computations, expect.stats.prob_computations);
+        }
+    }
+
+    #[test]
+    fn monte_carlo_answers_are_identical_on_every_backend() {
+        // Every object samples from its own (seed, id) stream and stops by
+        // its own estimate, so its reported probability cannot depend on
+        // which backend, shard or traversal reached it.
+        use crate::{SeqScan, UPcrTree};
+        use std::collections::BTreeMap;
+        let objs = dataset(2_000);
+        let query = Query::range(Rect::new([560.0, 430.0], [6470.0, 6380.0]))
+            .threshold(0.3)
+            .refine(Refine::monte_carlo(4_000, 7))
+            .build()
+            .unwrap();
+        let mut tree = UTree::<2>::with_config(UCatalog::uniform(6), TreeConfig::default());
+        tree.bulk_load(&objs);
+        let expect = tree.execute(&query);
+        // id → `(p bits, samples)` of a refined match, `None` of a validated one.
+        let by_id = |o: &QueryOutcome| -> BTreeMap<u64, Option<(u64, usize)>> {
+            o.matches.iter().map(|m| (m.id, refined_bits(m))).collect()
+        };
+        let want = by_id(&expect);
+        let drawn: Vec<usize> = want.values().flatten().map(|&(_, s)| s).collect();
+        assert!(
+            drawn.iter().any(|&s| s < 4_000) && drawn.iter().any(|&s| s > 64),
+            "the fixture must stop candidates at different points: {drawn:?}"
+        );
+
+        // Same filter, different partitioning: the whole answer is equal,
+        // probability bits and sample counts included.
+        for n in [1usize, 2, 4, 7] {
+            let mut sharded =
+                ShardedIndex::<2>::new(UCatalog::uniform(6), TreeConfig::default(), n);
+            sharded.bulk_load(&objs);
+            let got = sharded.execute(&query);
+            assert_eq!(by_id(&got), want, "n={n}");
+            assert_eq!(got.stats.refined_samples, expect.stats.refined_samples);
+        }
+
+        // Different filters decide different objects for free; what two
+        // backends both refine, they refine to the same bits.
+        let mut upcr = UPcrTree::<2>::builder().uniform_catalog(6).build().unwrap();
+        upcr.bulk_load(&objs);
+        let mut scan = SeqScan::<2>::builder().uniform_catalog(6).build().unwrap();
+        scan.bulk_load(&objs);
+        for (name, got) in [
+            ("U-PCR", upcr.execute(&query)),
+            ("SeqScan", scan.execute(&query)),
+        ] {
+            let got = by_id(&got);
+            assert!(got.keys().eq(want.keys()), "{name} ids diverged");
+            let mut both_refined = 0;
+            for (id, g) in &got {
+                if let (Some(g), Some(w)) = (g, &want[id]) {
+                    assert_eq!(g, w, "{name} refined object {id} differently");
+                    both_refined += 1;
+                }
+            }
+            assert!(both_refined > 0, "{name} shared no refined object");
+        }
+    }
+
+    /// `(p bits, samples)` of a refined match.
+    fn refined_bits(m: &Match) -> Option<(u64, usize)> {
+        match m.provenance {
+            Provenance::Validated => None,
+            Provenance::Refined { p, samples } => Some((p.to_bits(), samples)),
         }
     }
 

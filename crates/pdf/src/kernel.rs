@@ -19,7 +19,11 @@
 //!   are generated in **exactly the scalar order** (same RNG consumption),
 //!   then density and query-rect containment are evaluated over whole
 //!   chunks in plain loops the compiler can vectorize, with branch-free
-//!   mask accumulation.
+//!   mask accumulation;
+//! * [`crate::MonteCarlo::decide_with`] — the same loop for a caller that
+//!   needs only the *decision* `P ≥ p_q`: it stops at the first chunk
+//!   boundary where a distribution-free confidence bound clears `p_q`, so
+//!   `n1` is a cap on the samples drawn, not their number.
 //!
 //! # Equivalence contract
 //!
@@ -70,9 +74,9 @@ pub const CHUNK: usize = 64;
 /// allocation after warm-up.
 ///
 /// The struct also carries the running count of Monte-Carlo samples
-/// drawn through it ([`RefineScratch::samples`]), which is how the query
-/// layer attributes refinement cost per sample without threading another
-/// counter through every call.
+/// actually drawn through it ([`RefineScratch::samples`]): nothing for an
+/// estimate that short-circuits, fewer than n₁ for a decision that stops
+/// early.
 #[derive(Debug, Default)]
 pub struct RefineScratch {
     /// Dim-major sample coordinates: `coords[d * CHUNK + i]` is
@@ -209,6 +213,21 @@ impl<'p, const D: usize> PreparedPdf<'p, D> {
         &self.mbr
     }
 
+    /// The largest weight [`Self::density_chunk`] can produce: what scales
+    /// a sample's contribution into `[0, 1]` for the stopping rule of
+    /// [`MonteCarlo::decide_with`]. Infinite for a zero-area box.
+    fn w_max(&self) -> f64 {
+        match &self.kind {
+            PreparedKind::UniformBall { w_in, .. } | PreparedKind::UniformBox { w_in, .. } => *w_in,
+            // The density at the centre, in the sample loop's operation
+            // order, so no sample's weight can round above it.
+            PreparedKind::ConGauBall { norm, lambda, .. } => (1.0 / norm) / lambda,
+            PreparedKind::Histogram { h, cell_vol, .. } => {
+                h.mass().iter().copied().fold(0.0, f64::max) / cell_vol
+            }
+        }
+    }
+
     /// Draws `n` support-uniform samples into the dim-major `coords`
     /// buffer, consuming the RNG exactly like `n` scalar
     /// [`ObjectPdf::sample_support_uniform`] calls.
@@ -321,6 +340,16 @@ fn contains_chunk<const D: usize>(rq: &Rect<D>, n: usize, coords: &[f64], masks:
     }
 }
 
+/// Probability that one [`MonteCarlo::decide_with`] call stops early on
+/// the wrong side of `p_q`.
+const DELTA: f64 = 1e-9;
+
+/// `KL(Bernoulli(x) ‖ Bernoulli(p))` for `x ∈ [0, 1]`, `p ∈ (0, 1)`.
+fn kl_bernoulli(x: f64, p: f64) -> f64 {
+    let term = |a: f64, b: f64| if a > 0.0 { a * (a / b).ln() } else { 0.0 };
+    term(x, p) + term(1.0 - x, 1.0 - p)
+}
+
 impl MonteCarlo {
     /// The chunked-kernel form of [`MonteCarlo::estimate`]: byte-identical
     /// probabilities under the same seed, evaluated over [`CHUNK`]-sample
@@ -336,21 +365,81 @@ impl MonteCarlo {
         rng: &mut R,
         scratch: &mut RefineScratch,
     ) -> f64 {
+        self.sample_until(prepared, rq, rng, scratch, |_, _, _| false)
+            .0
+    }
+
+    /// Decides `P ≥ p_q` with at most `n1` samples: returns the estimate
+    /// the decision rests on and the number of samples behind it. The
+    /// estimate is bit-for-bit what [`MonteCarlo::estimate_with`] returns
+    /// for that many samples under the same seed.
+    ///
+    /// With `w` the largest density of the pdf, each sample's
+    /// `p_q + w_i·(1[in r_q] − p_q)/w` lies in `[0, 1]` and has
+    /// expectation `≥ p_q` exactly when `P ≥ p_q`. After every chunk but
+    /// the last, sampling stops if the mean `X̄` of those `m` values has
+    /// `m·KL(X̄ ‖ p_q) > ln(2·⌈n1/CHUNK⌉/δ)`: by the Chernoff–Hoeffding
+    /// bound and a union bound over the checks, the estimate then lies on
+    /// the wrong side of `p_q` with probability at most δ = 10⁻⁹ whatever
+    /// the pdf. A call that draws all `n1` samples is a plain estimate,
+    /// with standard error at most `√(0.25/n1)`.
+    ///
+    /// Never stops early when `p_q` is 0 or 1 (nothing to separate the
+    /// estimate from), when `n1` is a single chunk, or when the pdf has no
+    /// finite maximum (a zero-area box).
+    pub fn decide_with<const D: usize, R: Rng + ?Sized>(
+        &self,
+        prepared: &PreparedPdf<'_, D>,
+        rq: &Rect<D>,
+        p_q: f64,
+        rng: &mut R,
+        scratch: &mut RefineScratch,
+    ) -> (f64, usize) {
+        // Asked only where a stop is possible: a histogram's is a scan.
+        let may_stop = self.n1 > CHUNK && p_q > 0.0 && p_q < 1.0;
+        let w_max = if may_stop {
+            prepared.w_max()
+        } else {
+            f64::INFINITY
+        };
+        let sequential = w_max > 0.0 && w_max.is_finite();
+        let bar = (2.0 * self.n1.div_ceil(CHUNK) as f64 / DELTA).ln();
+        self.sample_until(prepared, rq, rng, scratch, |m, inside, total| {
+            if !sequential {
+                return false;
+            }
+            let m = m as f64;
+            // Clamped: the sums carry rounding error the bound does not.
+            let mean = (p_q + (inside - p_q * total) / (m * w_max)).clamp(0.0, 1.0);
+            m * kl_bernoulli(mean, p_q) > bar
+        })
+    }
+
+    /// The one sample loop: `(inside / total, samples drawn)` once `n1`
+    /// samples are in or `stop(drawn, inside, total)` says so at a chunk
+    /// boundary before that.
+    fn sample_until<const D: usize, R: Rng + ?Sized>(
+        &self,
+        prepared: &PreparedPdf<'_, D>,
+        rq: &Rect<D>,
+        rng: &mut R,
+        scratch: &mut RefineScratch,
+        mut stop: impl FnMut(usize, f64, f64) -> bool,
+    ) -> (f64, usize) {
         let mbr = prepared.mbr();
         if !mbr.intersects(rq) {
-            return 0.0;
+            return (0.0, 0);
         }
         if rq.contains_rect(mbr) {
-            return 1.0;
+            return (1.0, 0);
         }
         scratch.ensure(D);
-        scratch.samples += self.n1 as u64;
         let RefineScratch {
             coords,
             weights,
             masks,
             dist2,
-            ..
+            samples,
         } = scratch;
         let mut total = 0.0;
         let mut inside = 0.0;
@@ -371,12 +460,14 @@ impl MonteCarlo {
                 inside += if masks[i] != 0.0 { w } else { 0.0 };
             }
             remaining -= n;
+            if remaining > 0 && stop(self.n1 - remaining, inside, total) {
+                break;
+            }
         }
-        if total == 0.0 {
-            0.0
-        } else {
-            inside / total
-        }
+        let drawn = self.n1 - remaining;
+        *samples += drawn as u64;
+        let p = if total == 0.0 { 0.0 } else { inside / total };
+        (p, drawn)
     }
 }
 

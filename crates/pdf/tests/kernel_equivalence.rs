@@ -168,3 +168,85 @@ fn scratch_reuse_is_stateless_across_candidates() {
     // candidates charge the counter.
     assert_eq!(scratch.samples(), 3 * 2 * (CHUNK as u64 + 7));
 }
+
+/// [`MonteCarlo::decide_with`] is the same loop with a stopping rule: a
+/// decision that rests on `m` samples carries the bits of an `m`-sample
+/// [`MonteCarlo::estimate_with`] under the same seed, and one that cannot
+/// stop (`p_q` 0 or 1) carries the full-`n1` bits. Returns how many
+/// decisions stopped early.
+fn assert_decision_is_a_prefix<const D: usize>(
+    pdf: &ObjectPdf<D>,
+    rq: &Rect<D>,
+    label: &str,
+) -> usize {
+    let prepared = PreparedPdf::new(pdf);
+    let mut scratch = RefineScratch::new();
+    let mut early = 0;
+    for n1 in SAMPLE_COUNTS {
+        let mc = MonteCarlo::new(n1);
+        for seed in SEEDS {
+            let full = mc.estimate_with(
+                &prepared,
+                rq,
+                &mut SmallRng::seed_from_u64(seed),
+                &mut scratch,
+            );
+            for p_q in [0.0, 0.05, 0.5, 0.95, 1.0] {
+                let before = scratch.samples();
+                let (p, m) = mc.decide_with(
+                    &prepared,
+                    rq,
+                    p_q,
+                    &mut SmallRng::seed_from_u64(seed),
+                    &mut scratch,
+                );
+                let at = format!("{label}: n1={n1} seed={seed:#x} p_q={p_q} m={m}");
+                assert_eq!(scratch.samples() - before, m as u64, "{at}");
+                assert!(m <= n1 && (m == n1 || m % CHUNK == 0), "{at}");
+                if p_q == 0.0 || p_q == 1.0 || n1 <= CHUNK {
+                    assert!(m == n1 || m == 0, "{at}: stopped early");
+                }
+                let want = if m == n1 || m == 0 {
+                    full
+                } else {
+                    early += 1;
+                    MonteCarlo::new(m).estimate_with(
+                        &prepared,
+                        rq,
+                        &mut SmallRng::seed_from_u64(seed),
+                        &mut scratch,
+                    )
+                };
+                assert_eq!(p.to_bits(), want.to_bits(), "{at}");
+            }
+        }
+    }
+    early
+}
+
+fn check_decisions<const D: usize>() {
+    let (c, r) = (100.0, 25.0);
+    let mut early = 0;
+    for rq in query_rects::<D>(c, r) {
+        early += assert_decision_is_a_prefix(&ball::<D>(c, r), &rq, "uniform-ball");
+        early += assert_decision_is_a_prefix(&congau::<D>(c, r), &rq, "congau-ball");
+        early += assert_decision_is_a_prefix(&boxed::<D>(c, r), &rq, "uniform-box");
+        early += assert_decision_is_a_prefix(&histogram::<D>(c, r), &rq, "histogram");
+    }
+    assert!(early > 0, "no decision stopped early: the rule never fired");
+}
+
+#[test]
+fn decision_is_a_prefix_of_the_estimate_1d() {
+    check_decisions::<1>();
+}
+
+#[test]
+fn decision_is_a_prefix_of_the_estimate_2d() {
+    check_decisions::<2>();
+}
+
+#[test]
+fn decision_is_a_prefix_of_the_estimate_3d() {
+    check_decisions::<3>();
+}

@@ -68,7 +68,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Provenance::Validated => {
                 println!("  #{:<3} certified by the filter, no integration", m.id)
             }
-            Provenance::Refined { p } => println!("  #{:<3} refined: P = {p:.3}", m.id),
+            // Fewer samples than the refinement budget: decided early, the
+            // estimate was far enough from 80% to stop.
+            Provenance::Refined { p, samples } => {
+                println!("  #{:<3} refined: P = {p:.3} from {samples} samples", m.id)
+            }
         }
     }
     println!(

@@ -46,7 +46,11 @@
 //! for m in &outcome {
 //!     match m.provenance {
 //!         Provenance::Validated => println!("object {} (certified by the filter)", m.id),
-//!         Provenance::Refined { p } => println!("object {} (P = {p:.3})", m.id),
+//!         // `samples` below the budget of 100 000: decided early, `p` was
+//!         // far enough from 0.7; at the budget: a close call.
+//!         Provenance::Refined { p, samples } => {
+//!             println!("object {} (P = {p:.3} from {samples} samples)", m.id)
+//!         }
 //!     }
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())

@@ -229,15 +229,23 @@ fn batch_executor_equals_sequential_on_disk_backend() {
         "4-thread batch over the shared buffered disk index diverged"
     );
     assert!(par.stats.same_counts(&seq.stats));
-    // Machine-independent filter-strength gate: every Monte-Carlo sample
-    // drawn is one the filter failed to avoid, and the seeded workload
-    // repeats the count exactly in debug and release. 750 000 = 1.25 ×
-    // the 600 000 drawn when the gate was pinned (60 candidates × n1);
-    // to re-derive after a deliberate change, print the count here and
+    // Machine-independent gates; the seeded workload repeats both counts
+    // exactly in debug and release. Filter strength: every probability
+    // computation is a candidate the filter failed to decide — 254 =
+    // ⌈1.25 × the 203 computed when the gate was pinned⌉ (60 of them by
+    // Monte-Carlo, the rest by quadrature).
+    assert!(
+        seq.stats.prob_computations <= 254,
+        "the batch computed {} probabilities — the filter got weaker",
+        seq.stats.prob_computations
+    );
+    // Sampling: the 60 Monte-Carlo candidates may draw 600 000 samples
+    // (n1 each) and stop at 225 136; 281 420 = ⌈1.25 × that⌉. To re-derive
+    // either gate after a deliberate change, print the count here and
     // scale it the same.
     assert!(
-        seq.stats.refined_samples <= 750_000,
-        "the batch drew {} Monte-Carlo samples — the filter got weaker",
+        seq.stats.refined_samples <= 281_420,
+        "the batch drew {} Monte-Carlo samples — refinement stops later",
         seq.stats.refined_samples
     );
     assert_eq!(par.workers, THREADS);

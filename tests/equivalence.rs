@@ -101,7 +101,7 @@ fn run_checked<I: ProbIndex<2>>(index: &I, q: &QueryBuilder<2>) -> QueryOutcome 
     );
     // Refined matches must report probabilities at or above the threshold.
     for m in &outcome {
-        if let Provenance::Refined { p } = m.provenance {
+        if let Provenance::Refined { p, .. } = m.provenance {
             assert!(
                 p >= q.build().unwrap().threshold(),
                 "refined match {m:?} below threshold"
