@@ -806,6 +806,8 @@ pub(crate) mod sealed {
     impl<const D: usize> Sealed for SeqScan<D> {}
     impl Sealed for crate::tree::Cfbs {}
     impl Sealed for crate::upcr::Pcrs {}
+    impl Sealed for super::QueryOutcome {}
+    impl Sealed for super::RankOutcome {}
 }
 
 impl<const D: usize, P: FilterPayload<D>> IndexBackend<D> for ProbTree<D, P> {

@@ -17,35 +17,37 @@
 //!   page snapshots of each physical shard tree, each journaled through
 //!   the shared log under its own store tag.
 //!
-//! On [`IndexCatalog::open`], the page-file catalog supplies the segment
-//! *set* (which files exist — index DDL rewrites it durably before any
-//! commit can reference the new segments), the log is recovered and
-//! replayed across every segment, and the log's last committed catalog
-//! record — when present — supplies the authoritative per-index
-//! superstructure. [`IndexCatalog::checkpoint`] rewrites all snapshots
-//! plus the page-file catalog and truncates the log, exactly like the
-//! single-tree `checkpoint`.
+//! None of the durability decisions live here — commit is
+//! [`page_store::wal::commit_group`] over every shard's stores, recovery
+//! and checkpoint are `persist::recover` / `persist::checkpoint`, the same
+//! functions a single saved tree goes through. What this module adds is
+//! the layout: on [`IndexCatalog::open`] the page-file catalog supplies
+//! the segment *list* (index DDL rewrites it durably before any commit can
+//! reference the new segments) — a segment's WAL store tag **is** its
+//! position in that list — and the log's last committed catalog record,
+//! when present, supplies the authoritative per-index superstructure.
+//! [`IndexCatalog::checkpoint`] rewrites all segment snapshots plus the
+//! page-file catalog.
 //!
 //! Naming rules: index names are 1–64 characters from `[A-Za-z0-9_.-]`,
 //! unique within the catalog. Names are catalog keys, not file names —
 //! segment files are keyed by the immutable numeric index id.
 
 use crate::catalog::UCatalog;
-use crate::persist::{self, ReplayFile};
+use crate::persist::{self, TreeShape};
 use crate::shard::ShardedIndex;
 use crate::tree::UTree;
 use crate::DiskStore;
-use page_store::wal::{self, CommitReceipt, Wal};
 use page_store::{
-    byte_array, ByteReader, ByteWriter, DiskPageFile, ObjectHeap, PageId, PageStore, PAGE_SIZE,
+    byte_array, commit_group, ByteReader, ByteWriter, CommitReceipt, DiskPageFile, PageId,
+    PageStore, Wal, PAGE_SIZE,
 };
 use rstar_base::TreeConfig;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 const CATALOG_FILE: &str = "catalog.pg";
-const WAL_FILE: &str = "wal.log";
 const MAGIC: [u8; 4] = *b"UCAT";
 const VERSION: u16 = 1;
 /// Catalog chain page: next-page pointer + chunk length + payload.
@@ -66,24 +68,14 @@ pub struct IndexDef {
     /// Physical shard trees this index is partitioned across.
     pub shard_count: usize,
     /// First WAL store tag of this index's segments (two per shard,
-    /// contiguous). Tags are assigned at creation and never reused, so
-    /// log records written before any later DDL keep replaying onto the
-    /// right files.
+    /// contiguous): the number of segments of the indexes created before
+    /// it. Indexes are never dropped, so log records written before any
+    /// later DDL keep replaying onto the right files.
     pub(crate) base_tag: u8,
     /// U-catalog values shared by every shard.
     pub catalog: Vec<f64>,
     /// R* tuning shared by every shard.
     pub cfg: TreeConfig,
-}
-
-/// Per-shard superstructure as carried by the catalog records (the
-/// multi-index analogue of `meta.bin`).
-#[derive(Debug, Clone, Copy)]
-struct ShardMeta {
-    root: PageId,
-    height: usize,
-    len: usize,
-    heap_open_page: Option<PageId>,
 }
 
 struct CatalogEntry<const D: usize> {
@@ -99,7 +91,6 @@ pub struct IndexCatalog<const D: usize> {
     wal: Arc<Mutex<Wal>>,
     entries: Vec<CatalogEntry<D>>,
     next_id: u32,
-    next_tag: u32,
     buffer_pages: usize,
 }
 
@@ -128,14 +119,13 @@ impl<const D: usize> IndexCatalog<D> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let file = DiskPageFile::create(dir.join(CATALOG_FILE))?;
-        let wal = Wal::create(dir.join(WAL_FILE))?;
+        let wal = Wal::create(dir.join(persist::WAL_FILE))?;
         let mut catalog = Self {
             dir,
             file,
             wal: Arc::new(Mutex::new(wal)),
             entries: Vec::new(),
             next_id: 0,
-            next_tag: 0,
             buffer_pages,
         };
         catalog.persist_catalog()?;
@@ -147,42 +137,23 @@ impl<const D: usize> IndexCatalog<D> {
     /// log's last committed catalog record supersedes `catalog.pg`'s
     /// superstructure for the indexes it names.
     pub fn open<P: AsRef<Path>>(dir: P, buffer_pages: usize) -> io::Result<Self> {
-        persist::validate_pool_params(buffer_pages)?;
         let dir = dir.as_ref().to_path_buf();
         let file = DiskPageFile::open(dir.join(CATALOG_FILE))?;
         let blob = read_chain(&file, &dir)?;
-        let (mut defs, mut metas, next_id) = decode_catalog::<D>(&blob, &dir)?;
+        let (defs, mut shapes, next_id) = decode_catalog::<D>(&blob, &dir)?;
 
-        // Recover the shared log and replay committed batches onto every
-        // segment in tag order. Records for tags the current catalog does
-        // not know are ignored by `replay` — they cannot exist unless the
-        // directory is corrupt, and the superstructure check below
-        // catches that case.
-        let recovery = Wal::recover(dir.join(WAL_FILE))?;
-        let mut replay_files: Vec<ReplayFile> = Vec::new();
-        for def in &defs {
-            debug_assert_eq!(def.base_tag as usize, replay_files.len());
-            for shard in 0..def.shard_count {
-                for kind in ["idx", "heap"] {
-                    let path = seg_path(&dir, kind, def.id, shard);
-                    replay_files.push(ReplayFile::new(DiskPageFile::open(path)?));
-                }
-            }
-        }
-        let wal_meta = {
-            let mut targets: Vec<&mut dyn wal::ReplayTarget> = replay_files
-                .iter_mut()
-                .map(|rf| rf as &mut dyn wal::ReplayTarget)
-                .collect();
-            wal::replay(&recovery.batches, &mut targets)?
-        };
+        let segments: Vec<PathBuf> = defs
+            .iter()
+            .flat_map(|def| seg_paths(&dir, def))
+            .flatten()
+            .collect();
+        let recovered = persist::recover(&dir, &segments, buffer_pages)?;
         // The log's catalog record is authoritative for the indexes it
         // names (it belongs to the replayed page state); indexes created
         // after the last commit keep their `catalog.pg` superstructure.
-        if let Some(bytes) = wal_meta {
-            let (wal_defs, wal_metas, wal_next_id) = decode_catalog::<D>(&bytes, &dir)?;
-            let _ = wal_next_id;
-            for (wdef, wmeta) in wal_defs.iter().zip(&wal_metas) {
+        if let Some(bytes) = recovered.meta {
+            let (wal_defs, wal_shapes, _) = decode_catalog::<D>(&bytes, &dir)?;
+            for (wdef, wshapes) in wal_defs.iter().zip(wal_shapes) {
                 let Some(pos) = defs.iter().position(|d| d.id == wdef.id) else {
                     return Err(persist::invalid_data(format!(
                         "{}: log names index id {} missing from catalog.pg",
@@ -197,58 +168,22 @@ impl<const D: usize> IndexCatalog<D> {
                         wdef.name
                     )));
                 }
-                metas[pos] = wmeta.clone();
+                shapes[pos] = wshapes;
             }
         }
 
-        let wal = Arc::new(Mutex::new(recovery.wal));
-        let mut next_tag = 0u32;
+        let mut stores = recovered.stores.into_iter();
         let mut entries = Vec::with_capacity(defs.len());
-        let mut files = replay_files.into_iter();
-        for (def, shard_metas) in defs.drain(..).zip(metas) {
-            let ucat =
-                Arc::new(UCatalog::try_new(def.catalog.clone()).map_err(persist::invalid_data)?);
-            let mut shards = Vec::with_capacity(def.shard_count);
-            for (shard, sm) in shard_metas.iter().enumerate() {
-                let tag = def.base_tag as u32 + 2 * shard as u32;
-                // xlint: allow(panic-freedom) -- invariant: one replay file per tag
-                let index_rf = files.next().expect("one replay file per tag");
-                // xlint: allow(panic-freedom) -- invariant: one replay file per tag
-                let heap_rf = files.next().expect("one replay file per tag");
-                let index = persist::wrap_store(index_rf, &wal, tag as u8, buffer_pages);
-                let heap_store = persist::wrap_store(heap_rf, &wal, (tag + 1) as u8, buffer_pages);
-                let meta = persist::SavedMeta {
-                    kind: persist::KIND_UTREE,
-                    dims: D as u8,
-                    catalog: def.catalog.clone(),
-                    cfg: def.cfg,
-                    root: sm.root,
-                    height: sm.height,
-                    len: sm.len,
-                    heap_open_page: sm.heap_open_page,
-                };
-                check_segment(&dir, &def, shard, &meta, &index, &heap_store)?;
-                let heap = ObjectHeap::from_raw_parts(heap_store, sm.heap_open_page);
-                shards.push(UTree::from_opened_parts(persist::OpenedParts {
-                    meta,
-                    catalog: Arc::clone(&ucat),
-                    index,
-                    heap,
-                }));
-            }
-            next_tag = next_tag.max(def.base_tag as u32 + 2 * def.shard_count as u32);
-            entries.push(CatalogEntry {
-                index: ShardedIndex::from_trees(shards),
-                def,
-            });
+        for (def, shard_shapes) in defs.into_iter().zip(shapes) {
+            let index = assemble_index(&dir, &def, &shard_shapes, &mut stores)?;
+            entries.push(CatalogEntry { def, index });
         }
         Ok(Self {
             dir,
             file,
-            wal,
+            wal: recovered.wal,
             entries,
             next_id,
-            next_tag,
             buffer_pages,
         })
     }
@@ -271,11 +206,12 @@ impl<const D: usize> IndexCatalog<D> {
         if shard_count == 0 {
             return Err(invalid_input("an index needs at least one shard"));
         }
+        // Two store tags per shard, handed out in creation order.
+        let next_tag: u32 = self.defs().map(|d| 2 * d.shard_count as u32).sum();
         let tags_needed = 2 * shard_count as u32;
-        if self.next_tag + tags_needed > MAX_TAGS {
+        if next_tag + tags_needed > MAX_TAGS {
             return Err(invalid_input(format!(
-                "catalog is out of WAL store tags ({} used of {MAX_TAGS}, {tags_needed} more needed)",
-                self.next_tag
+                "catalog is out of WAL store tags ({next_tag} used of {MAX_TAGS}, {tags_needed} more needed)"
             )));
         }
 
@@ -283,7 +219,7 @@ impl<const D: usize> IndexCatalog<D> {
             name: name.to_string(),
             id: self.next_id,
             shard_count,
-            base_tag: self.next_tag as u8,
+            base_tag: next_tag as u8,
             catalog: catalog.values().to_vec(),
             cfg,
         };
@@ -291,44 +227,21 @@ impl<const D: usize> IndexCatalog<D> {
         // its segment files — crash-ordered ahead of the catalog rewrite,
         // so `catalog.pg` never names files that don't exist.
         let template: UTree<D> = UTree::with_config(catalog, cfg);
-        let meta = template.saved_meta();
-        let ucat = Arc::new(UCatalog::try_new(def.catalog.clone()).map_err(persist::invalid_data)?);
-        let mut shards = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let idx_path = seg_path(&self.dir, "idx", def.id, shard);
-            let heap_path = seg_path(&self.dir, "heap", def.id, shard);
-            persist::dump_store(template.node_store(), &idx_path)?;
-            persist::dump_store(template.heap().file(), &heap_path)?;
-            let tag = def.base_tag as u32 + 2 * shard as u32;
-            let index = persist::wrap_store(
-                ReplayFile::new(DiskPageFile::open(&idx_path)?),
-                &self.wal,
-                tag as u8,
-                self.buffer_pages,
-            );
-            let heap_store = persist::wrap_store(
-                ReplayFile::new(DiskPageFile::open(&heap_path)?),
-                &self.wal,
-                (tag + 1) as u8,
-                self.buffer_pages,
-            );
-            let heap = ObjectHeap::from_raw_parts(heap_store, meta.heap_open_page);
-            shards.push(UTree::from_opened_parts(persist::OpenedParts {
-                meta: persist::SavedMeta {
-                    catalog: def.catalog.clone(),
-                    ..template.saved_meta()
-                },
-                catalog: Arc::clone(&ucat),
-                index,
-                heap,
-            }));
+        let pairs: Vec<_> = seg_paths(&self.dir, &def).collect();
+        for pair in &pairs {
+            dump_shard(&template, pair)?;
         }
+        let segments: Vec<PathBuf> = pairs.into_iter().flatten().collect();
+        let stores = persist::wrap_segments(
+            persist::open_segments(&segments)?,
+            &self.wal,
+            next_tag as usize,
+            self.buffer_pages,
+        )?;
+        let shapes = vec![template.saved_meta().shape; shard_count];
+        let index = assemble_index(&self.dir, &def, &shapes, &mut stores.into_iter())?;
         self.next_id += 1;
-        self.next_tag += tags_needed;
-        self.entries.push(CatalogEntry {
-            index: ShardedIndex::from_trees(shards),
-            def,
-        });
+        self.entries.push(CatalogEntry { def, index });
         self.persist_catalog()
     }
 
@@ -378,30 +291,13 @@ impl<const D: usize> IndexCatalog<D> {
 
     fn commit_inner(&mut self, force_sync: bool) -> io::Result<CommitReceipt> {
         let blob = encode_catalog(self.next_id, self.entries.iter());
-        let (receipt, durable) = {
-            let wal = Arc::clone(&self.wal);
-            let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-            for entry in &mut self.entries {
-                for tree in entry.index.shards_mut() {
-                    tree.stage_commit(&mut w)?;
-                }
-            }
-            w.append_meta(&blob);
-            let receipt = w.commit()?;
-            if force_sync && !receipt.durable {
-                w.sync()?;
-            }
-            (receipt, w.durable_lsn())
-        };
+        let mut stores = Vec::new();
         for entry in &mut self.entries {
             for tree in entry.index.shards_mut() {
-                tree.finish_commit(receipt.lsn, durable)?;
+                stores.extend(tree.journals()?);
             }
         }
-        Ok(CommitReceipt {
-            lsn: receipt.lsn,
-            durable: durable >= receipt.lsn,
-        })
+        commit_group(&self.wal, &mut stores, Some(&blob), force_sync)
     }
 
     /// Sets the group-commit window of the shared log (see
@@ -409,42 +305,24 @@ impl<const D: usize> IndexCatalog<D> {
     pub fn set_group_commit(&mut self, every: u64) {
         self.wal
             .lock()
-            // xlint: allow(panic-freedom) -- invariant: wal poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-            .expect("wal poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .set_group_commit(every);
     }
 
     /// Durably commits, rewrites every segment snapshot and the page-file
     /// catalog, and truncates the shared log — bounding recovery time for
-    /// the whole directory at once.
+    /// the whole directory at once (`persist::checkpoint`).
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.flush()?;
-        for entry in &mut self.entries {
-            for tree in entry.index.shards_mut() {
-                if tree.has_deferred_commits() {
-                    return Err(io::Error::other(
-                        "checkpoint: deferred group commits survived the forced sync",
-                    ));
+        let wal = Arc::clone(&self.wal);
+        persist::checkpoint(self, &wal, Self::flush, |cat| {
+            for entry in &cat.entries {
+                let pairs = seg_paths(&cat.dir, &entry.def);
+                for (tree, pair) in entry.index.shards().iter().zip(pairs) {
+                    dump_shard(tree, &pair)?;
                 }
             }
-        }
-        for entry in &self.entries {
-            for (shard, tree) in entry.index.shards().iter().enumerate() {
-                persist::dump_store(
-                    tree.node_store(),
-                    &seg_path(&self.dir, "idx", entry.def.id, shard),
-                )?;
-                persist::dump_store(
-                    tree.heap().file(),
-                    &seg_path(&self.dir, "heap", entry.def.id, shard),
-                )?;
-            }
-        }
-        self.persist_catalog()?;
-        self.wal
-            .lock()
-            .map_err(|_| io::Error::other("wal poisoned"))?
-            .truncate()
+            cat.persist_catalog()
+        })
     }
 
     /// Rewrites the catalog record chain in `catalog.pg` and re-anchors
@@ -474,9 +352,43 @@ impl<const D: usize> IndexCatalog<D> {
     }
 }
 
-/// `idx-<id>-<shard>.pg` / `heap-<id>-<shard>.pg` under the catalog dir.
-fn seg_path(dir: &Path, kind: &str, id: u32, shard: usize) -> PathBuf {
-    dir.join(format!("{kind}-{id}-{shard}.pg"))
+/// The segment files of one index, per shard `[idx-<id>-<shard>.pg,
+/// heap-<id>-<shard>.pg]`; flattened, they are in WAL-store-tag order.
+fn seg_paths<'a>(dir: &'a Path, def: &'a IndexDef) -> impl Iterator<Item = [PathBuf; 2]> + 'a {
+    (0..def.shard_count)
+        .map(|shard| ["idx", "heap"].map(|kind| dir.join(format!("{kind}-{}-{shard}.pg", def.id))))
+}
+
+/// Snapshots one shard tree into its segment pair.
+fn dump_shard<const D: usize, S: PageStore>(
+    tree: &UTree<D, S>,
+    [idx, heap]: &[PathBuf; 2],
+) -> io::Result<()> {
+    persist::dump_store(tree.node_store(), idx)?;
+    persist::dump_store(tree.heap().file(), heap)
+}
+
+/// Assembles one index's shard trees from `stores` — its segments' stores
+/// in tag order — checking every shard's shape against its files.
+fn assemble_index<const D: usize>(
+    dir: &Path,
+    def: &IndexDef,
+    shapes: &[TreeShape],
+    stores: &mut impl Iterator<Item = DiskStore>,
+) -> io::Result<ShardedIndex<D, DiskStore>> {
+    let ucat = Arc::new(UCatalog::try_new(def.catalog.clone()).map_err(persist::invalid_data)?);
+    let mut shards = Vec::with_capacity(shapes.len());
+    for (shard, shape) in shapes.iter().enumerate() {
+        let origin = format!("{} (index {:?} shard {shard})", dir.display(), def.name);
+        let (Some(index), Some(heap)) = (stores.next(), stores.next()) else {
+            return Err(persist::invalid_data(format!("{origin}: segment missing")));
+        };
+        let catalog = Arc::clone(&ucat);
+        shards.push(UTree::from_recovered(
+            def.cfg, *shape, catalog, index, heap, &origin,
+        )?);
+    }
+    Ok(ShardedIndex::from_trees(shards))
 }
 
 /// The pages of the anchored record chain, in chain order.
@@ -548,17 +460,14 @@ fn encode_catalog<'a, const D: usize>(
             w.put_f64(p);
         }
         for tree in entry.index.shards() {
-            let m = tree.saved_meta();
-            w.put_u64(m.root);
-            w.put_u64(m.height as u64);
-            w.put_u64(m.len as u64);
-            w.put_u64(m.heap_open_page.unwrap_or(u64::MAX));
+            tree.saved_meta().shape.put(&mut w);
         }
     }
     w.into_bytes()
 }
 
-type DecodedCatalog = (Vec<IndexDef>, Vec<Vec<ShardMeta>>, u32);
+/// Definitions, per-index shard shapes (same order), next index id.
+type DecodedCatalog = (Vec<IndexDef>, Vec<Vec<TreeShape>>, u32);
 
 fn decode_catalog<const D: usize>(bytes: &[u8], dir: &Path) -> io::Result<DecodedCatalog> {
     let bad = |msg: &str| persist::invalid_data(format!("{}: {msg}", dir.display()));
@@ -577,7 +486,8 @@ fn decode_catalog<const D: usize>(bytes: &[u8], dir: &Path) -> io::Result<Decode
     let next_id = r.get_u32();
     let n = r.get_u16() as usize;
     let mut defs = Vec::with_capacity(n);
-    let mut metas = Vec::with_capacity(n);
+    let mut shapes = Vec::with_capacity(n);
+    let mut tags = 0u32;
     for _ in 0..n {
         if r.remaining() < 2 {
             return Err(bad("truncated catalog record"));
@@ -598,27 +508,30 @@ fn decode_catalog<const D: usize>(bytes: &[u8], dir: &Path) -> io::Result<Decode
         }
         let base_tag = r.get_u8();
         let shard_count = r.get_u16() as usize;
+        // Recovery replays the log positionally — a segment's store tag is
+        // its position in the segment list — and later commits journal
+        // under the same numbering, so a record whose tags are not exactly
+        // the running segment count would cross-write indexes.
+        if shard_count == 0 || base_tag as u32 != tags {
+            return Err(bad(&format!(
+                "index {name:?} has {shard_count} shards at WAL tag {base_tag}, expected tag {tags}"
+            )));
+        }
+        tags += 2 * shard_count as u32;
+        if tags > MAX_TAGS {
+            return Err(bad("catalog record exceeds the 256 WAL store tags"));
+        }
         let cfg = TreeConfig {
             min_fill: r.get_f64(),
             reinsert_frac: r.get_f64(),
             covers_tolerance: r.get_f64(),
         };
         let m = r.get_u16() as usize;
-        if r.remaining() < m * 8 + shard_count * 4 * 8 {
+        if r.remaining() < m * 8 + shard_count * TreeShape::ENCODED_LEN {
             return Err(bad("truncated catalog record"));
         }
         let catalog = (0..m).map(|_| r.get_f64()).collect();
-        let shard_metas = (0..shard_count)
-            .map(|_| ShardMeta {
-                root: r.get_u64(),
-                height: r.get_u64() as usize,
-                len: r.get_u64() as usize,
-                heap_open_page: match r.get_u64() {
-                    u64::MAX => None,
-                    p => Some(p),
-                },
-            })
-            .collect();
+        let shard_shapes = (0..shard_count).map(|_| TreeShape::get(&mut r)).collect();
         defs.push(IndexDef {
             name,
             id,
@@ -627,42 +540,154 @@ fn decode_catalog<const D: usize>(bytes: &[u8], dir: &Path) -> io::Result<Decode
             catalog,
             cfg,
         });
-        metas.push(shard_metas);
+        shapes.push(shard_shapes);
     }
     if r.remaining() != 0 {
         return Err(bad("trailing bytes after catalog record"));
     }
-    Ok((defs, metas, next_id))
+    Ok((defs, shapes, next_id))
 }
 
-/// Root/open-page bounds checks for one reopened segment, mirroring the
-/// single-index `open_parts` validation.
-fn check_segment(
-    dir: &Path,
-    def: &IndexDef,
-    shard: usize,
-    meta: &persist::SavedMeta,
-    index: &DiskStore,
-    heap: &DiskStore,
-) -> io::Result<()> {
-    let label = || format!("{} (index {:?} shard {shard})", dir.display(), def.name);
-    if meta.height == 0 {
-        return Err(persist::invalid_data(format!("{}: zero height", label())));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::ProbIndex;
+    use uncertain_geom::Point;
+    use uncertain_pdf::{ObjectPdf, UncertainObject};
+
+    /// A well-formed catalog record naming `(name, first tag, shards)`
+    /// indexes with empty trees.
+    fn record(indexes: &[(&str, u8, u16)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for b in MAGIC {
+            w.put_u8(b);
+        }
+        w.put_u16(VERSION);
+        w.put_u8(2);
+        w.put_u32(indexes.len() as u32);
+        w.put_u16(indexes.len() as u16);
+        for (id, &(name, base_tag, shards)) in indexes.iter().enumerate() {
+            w.put_u16(name.len() as u16);
+            for b in name.bytes() {
+                w.put_u8(b);
+            }
+            w.put_u32(id as u32);
+            w.put_u8(persist::KIND_UTREE);
+            w.put_u8(base_tag);
+            w.put_u16(shards);
+            for tuning in [0.4, 0.3, 0.05] {
+                w.put_f64(tuning);
+            }
+            w.put_u16(0);
+            let empty = TreeShape {
+                root: 0,
+                height: 1,
+                len: 0,
+                heap_open_page: None,
+            };
+            for _ in 0..shards {
+                empty.put(&mut w);
+            }
+        }
+        w.into_bytes()
     }
-    if meta.root as usize >= index.capacity_pages() {
-        return Err(persist::invalid_data(format!(
-            "{}: root page {} outside the index file",
-            label(),
-            meta.root
-        )));
-    }
-    if let Some(p) = meta.heap_open_page {
-        if p as usize >= heap.capacity_pages() {
-            return Err(persist::invalid_data(format!(
-                "{}: open heap page {p} outside the heap file",
-                label()
-            )));
+
+    /// Store tags are positions in the segment list: a record decodes only
+    /// when every index's tags start where the previous index's end, and
+    /// the total fits the `u8` tag space.
+    #[test]
+    fn catalog_records_must_tile_the_tag_space() {
+        let decode = |indexes| decode_catalog::<2>(&record(indexes), Path::new("test"));
+        let (defs, shapes, next_id) = decode(&[("aa", 0, 2), ("bb", 4, 1)]).unwrap();
+        assert_eq!((defs.len(), shapes[0].len(), next_id), (2, 2, 2));
+        assert_eq!(defs[1].base_tag, 4);
+        // Exactly 256 tags is the budget...
+        decode(&[("aa", 0, 127), ("bb", 254, 1)]).unwrap();
+        // ...one shard more overflows `u8`, and gaps, overlaps and empty
+        // indexes would all replay onto the wrong files.
+        for bad in [
+            &[("aa", 0, 127), ("bb", 254, 2)][..],
+            &[("aa", 0, 2), ("bb", 0, 1)],
+            &[("aa", 0, 2), ("bb", 6, 1)],
+            &[("aa", 2, 2)],
+            &[("aa", 0, 0), ("bb", 0, 1)],
+        ] {
+            let err = decode(bad).map(|_| ()).expect_err("must not decode");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}: {err}");
         }
     }
-    Ok(())
+
+    /// The catalog record `catalog.pg` and every catalog commit carry,
+    /// pinned for two indexes over three shards.
+    #[test]
+    fn catalog_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("utree-catalog-pin-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cat = IndexCatalog::<2>::create(&dir, 8).unwrap();
+        cat.create_index("aa", UCatalog::uniform(3), TreeConfig::default(), 2)
+            .unwrap();
+        cat.create_index("bb", UCatalog::uniform(4), TreeConfig::default(), 1)
+            .unwrap();
+        for id in 0..200u64 {
+            let name = if id % 4 == 0 { "bb" } else { "aa" };
+            cat.get_mut(name).unwrap().insert(&UncertainObject::new(
+                id,
+                ObjectPdf::UniformBall {
+                    center: Point::new([45.0 * id as f64 + 100.0, 9500.0 - 40.0 * id as f64]),
+                    radius: 40.0,
+                },
+            ));
+        }
+        let blob = encode_catalog(cat.next_id, cat.entries.iter());
+        let tuning = "9a9999999999d93f333333333333d33f9a9999999999a93f";
+        let pinned = [
+            // magic, version, dims, next id, index count
+            "55434154",
+            "0100",
+            "02",
+            "02000000",
+            "0200",
+            // "aa": id 0, kind 0, base tag 0, 2 shards, tuning, U-catalog
+            "0200",
+            "6161",
+            "00000000",
+            "00",
+            "00",
+            "0200",
+            tuning,
+            "0300",
+            "0000000000000000",
+            "000000000000d03f",
+            "000000000000e03f",
+            // per shard: root, height, len, open heap page
+            "0200000000000000",
+            "0200000000000000",
+            "4900000000000000",
+            "0000000000000000",
+            "0200000000000000",
+            "0200000000000000",
+            "4d00000000000000",
+            "0000000000000000",
+            // "bb": id 1, kind 0, base tag 4, 1 shard, tuning, U-catalog
+            "0200",
+            "6262",
+            "01000000",
+            "00",
+            "04",
+            "0100",
+            tuning,
+            "0400",
+            "0000000000000000",
+            "555555555555c53f",
+            "555555555555d53f",
+            "000000000000e03f",
+            "0200000000000000",
+            "0200000000000000",
+            "3200000000000000",
+            "0000000000000000",
+        ]
+        .concat();
+        assert_eq!(persist::hex(&blob), pinned);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

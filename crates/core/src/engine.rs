@@ -56,7 +56,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::api::{ProbIndex, Query, QueryOutcome, RankOutcome, RankQuery};
+use crate::api::{sealed, ProbIndex, Query, QueryOutcome, RankOutcome, RankQuery};
 use crate::query::{QueryCtx, QueryStats};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -185,14 +185,7 @@ impl BatchExecutor {
     where
         I: ProbIndex<D> + Sync + ?Sized,
     {
-        let workers = self.workers.min(queries.len().max(1));
-        if workers <= 1 {
-            return Self::run_with_workers(index, queries, workers);
-        }
-
-        let t0 = Instant::now();
-        let outcomes = fan_out(workers, queries, |q, ctx| index.execute_with(q, ctx));
-        BatchOutcome::assemble(outcomes, workers, t0.elapsed().as_nanos())
+        self.run_batch(queries, |q, ctx| index.execute_with(q, ctx))
     }
 
     /// Runs a batch of **top-k ranking queries** against the shared
@@ -209,18 +202,7 @@ impl BatchExecutor {
     where
         I: ProbIndex<D> + Sync + ?Sized,
     {
-        let workers = self.workers.min(queries.len().max(1));
-        let t0 = Instant::now();
-        let outcomes = if workers <= 1 {
-            let mut ctx = QueryCtx::new();
-            queries
-                .iter()
-                .map(|q| index.rank_topk_with(q, &mut ctx))
-                .collect()
-        } else {
-            fan_out(workers, queries, |q, ctx| index.rank_topk_with(q, ctx))
-        };
-        RankBatchOutcome::assemble(outcomes, workers.max(1), t0.elapsed().as_nanos())
+        self.run_batch(queries, |q, ctx| index.rank_topk_with(q, ctx))
     }
 
     /// Runs a ranking batch on the calling thread, in order, with one
@@ -233,13 +215,7 @@ impl BatchExecutor {
     where
         I: ProbIndex<D> + ?Sized,
     {
-        let t0 = Instant::now();
-        let mut ctx = QueryCtx::new();
-        let outcomes: Vec<RankOutcome> = queries
-            .iter()
-            .map(|q| index.rank_topk_with(q, &mut ctx))
-            .collect();
-        RankBatchOutcome::assemble(outcomes, 1, t0.elapsed().as_nanos())
+        Self::run_batch_sequential(queries, |q, ctx| index.rank_topk_with(q, ctx))
     }
 
     /// Runs the batch on the calling thread, in order, with one reused
@@ -250,37 +226,73 @@ impl BatchExecutor {
     where
         I: ProbIndex<D> + ?Sized,
     {
-        Self::run_with_workers(index, queries, 1)
+        Self::run_batch_sequential(queries, |q, ctx| index.execute_with(q, ctx))
     }
 
-    fn run_with_workers<const D: usize, I>(
-        index: &I,
-        queries: &[Query<D>],
-        workers: usize,
-    ) -> BatchOutcome
+    fn run_batch<Q, O, F>(&self, items: &[Q], exec: F) -> Batch<O>
     where
-        I: ProbIndex<D> + ?Sized,
+        Q: Sync,
+        O: Outcome + Send,
+        F: Fn(&Q, &mut QueryCtx) -> O + Sync,
     {
+        let workers = self.workers.min(items.len());
+        if workers <= 1 {
+            return Self::run_batch_sequential(items, exec);
+        }
+        let t0 = Instant::now();
+        let outcomes = fan_out(workers, items, exec);
+        Batch::assemble(outcomes, workers, t0.elapsed().as_nanos())
+    }
+
+    fn run_batch_sequential<Q, O: Outcome>(
+        items: &[Q],
+        exec: impl Fn(&Q, &mut QueryCtx) -> O,
+    ) -> Batch<O> {
         let t0 = Instant::now();
         let mut ctx = QueryCtx::new();
-        let outcomes: Vec<QueryOutcome> = queries
-            .iter()
-            .map(|q| index.execute_with(q, &mut ctx))
-            .collect();
-        BatchOutcome::assemble(outcomes, workers.max(1), t0.elapsed().as_nanos())
+        let outcomes = items.iter().map(|q| exec(q, &mut ctx)).collect();
+        Batch::assemble(outcomes, 1, t0.elapsed().as_nanos())
+    }
+}
+
+/// What a [`Batch`] needs from one query's outcome. Sealed: the two
+/// outcome kinds are [`QueryOutcome`] and [`RankOutcome`].
+pub trait Outcome: sealed::Sealed {
+    /// The query's cost counters.
+    fn stats(&self) -> &QueryStats;
+    /// True when both outcomes hold exactly the same matches (ids,
+    /// provenance or rank order, probabilities).
+    fn same_answer(&self, other: &Self) -> bool;
+}
+
+impl Outcome for QueryOutcome {
+    fn stats(&self) -> &QueryStats {
+        &self.stats
+    }
+    fn same_answer(&self, other: &Self) -> bool {
+        self.matches == other.matches
+    }
+}
+
+impl Outcome for RankOutcome {
+    fn stats(&self) -> &QueryStats {
+        &self.stats
+    }
+    fn same_answer(&self, other: &Self) -> bool {
+        self.matches == other.matches
     }
 }
 
 /// Result of one batch run: the per-query outcomes (in workload order) and
 /// the workload-level aggregates.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchOutcome {
-    /// One [`QueryOutcome`] per input query, in input order.
-    pub outcomes: Vec<QueryOutcome>,
-    /// All per-query [`QueryStats`] merged (`+=`), including the new
+pub struct Batch<O> {
+    /// One outcome per input query, in input order.
+    pub outcomes: Vec<O>,
+    /// All per-query [`QueryStats`] merged (`+=`), including the
     /// `visited` counter. The timing fields sum *CPU-side* work across
     /// workers and therefore exceed wall-clock under parallelism; use
-    /// [`BatchOutcome::wall_nanos`] for elapsed time.
+    /// [`Batch::wall_nanos`] for elapsed time.
     pub stats: QueryStats,
     /// Workers the batch actually used.
     pub workers: usize,
@@ -288,11 +300,17 @@ pub struct BatchOutcome {
     pub wall_nanos: u128,
 }
 
-impl BatchOutcome {
-    fn assemble(outcomes: Vec<QueryOutcome>, workers: usize, wall_nanos: u128) -> Self {
+/// Result of one range-query batch: a [`Batch`] of [`QueryOutcome`]s.
+pub type BatchOutcome = Batch<QueryOutcome>;
+
+/// Result of one ranking batch: a [`Batch`] of [`RankOutcome`]s.
+pub type RankBatchOutcome = Batch<RankOutcome>;
+
+impl<O: Outcome> Batch<O> {
+    fn assemble(outcomes: Vec<O>, workers: usize, wall_nanos: u128) -> Self {
         let mut stats = QueryStats::default();
         for o in &outcomes {
-            stats += &o.stats;
+            stats += o.stats();
         }
         Self {
             outcomes,
@@ -316,7 +334,8 @@ impl BatchOutcome {
     /// batch (no throughput to speak of — and `0.0` would read as a
     /// catastrophic regression to a qps floor), with the wall clock
     /// clamped to ≥ 1 ns so a sub-nanosecond reading cannot divide to
-    /// infinity.
+    /// infinity — so the result is finite exactly when the batch ran at
+    /// least one query.
     pub fn queries_per_sec(&self) -> f64 {
         if self.outcomes.is_empty() {
             return f64::NAN;
@@ -326,78 +345,16 @@ impl BatchOutcome {
 
     /// True when this batch did exactly the same work as `other` and
     /// produced exactly the same answers: per-query matches (ids,
-    /// provenance, probabilities) and per-query count statistics all
-    /// equal, wall-clock ignored. The equivalence the executor guarantees
-    /// between parallel and sequential runs of one workload.
-    pub fn same_results(&self, other: &BatchOutcome) -> bool {
+    /// provenance or rank, probabilities) and per-query count statistics
+    /// all equal, wall-clock ignored. The equivalence the executor
+    /// guarantees between parallel and sequential runs of one workload.
+    pub fn same_results(&self, other: &Self) -> bool {
         self.outcomes.len() == other.outcomes.len()
             && self
                 .outcomes
                 .iter()
                 .zip(&other.outcomes)
-                .all(|(a, b)| a.matches == b.matches && a.stats.same_counts(&b.stats))
-    }
-}
-
-/// Result of one ranking batch: per-query [`RankOutcome`]s in workload
-/// order and the workload-level aggregates (see [`BatchOutcome`] for the
-/// field semantics).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankBatchOutcome {
-    /// One [`RankOutcome`] per input query, in input order.
-    pub outcomes: Vec<RankOutcome>,
-    /// All per-query [`QueryStats`] merged (`+=`).
-    pub stats: QueryStats,
-    /// Workers the batch actually used.
-    pub workers: usize,
-    /// Wall-clock nanoseconds for the whole batch.
-    pub wall_nanos: u128,
-}
-
-impl RankBatchOutcome {
-    fn assemble(outcomes: Vec<RankOutcome>, workers: usize, wall_nanos: u128) -> Self {
-        let mut stats = QueryStats::default();
-        for o in &outcomes {
-            stats += &o.stats;
-        }
-        Self {
-            outcomes,
-            stats,
-            workers,
-            wall_nanos,
-        }
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// True for an empty batch.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Aggregate throughput in queries per second — same contract as
-    /// [`BatchOutcome::queries_per_sec`]: `NaN` for an empty batch, wall
-    /// clock clamped to ≥ 1 ns otherwise, so the result is finite exactly
-    /// when the batch ran at least one query.
-    pub fn queries_per_sec(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return f64::NAN;
-        }
-        self.outcomes.len() as f64 * 1e9 / self.wall_nanos.max(1) as f64
-    }
-
-    /// True when both batches produced identical ranked answers and did
-    /// the same counted work (wall-clock ignored).
-    pub fn same_results(&self, other: &RankBatchOutcome) -> bool {
-        self.outcomes.len() == other.outcomes.len()
-            && self
-                .outcomes
-                .iter()
-                .zip(&other.outcomes)
-                .all(|(a, b)| a.matches == b.matches && a.stats.same_counts(&b.stats))
+                .all(|(a, b)| a.same_answer(b) && a.stats().same_counts(b.stats()))
     }
 }
 

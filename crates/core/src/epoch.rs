@@ -6,9 +6,9 @@
 //! insert. [`EpochIndex`] removes the stall with the classic shadow-paging
 //! move (cf. the meta-page pointer swap of append-only B-tree stores):
 //!
-//! * pages live in a copy-on-write [`ShadowPageFile`], so cloning a tree
-//!   is O(pages) pointer bumps and a write after the clone copies only
-//!   that page;
+//! * the in-memory [`page_store::PageFile`] shares pages between clones
+//!   copy-on-write, so cloning a tree is O(pages) pointer bumps and a
+//!   write after the clone copies only that page;
 //! * the *published* tree sits behind an `Arc` that readers grab with
 //!   [`EpochIndex::snapshot`] — a consistent epoch they keep for as long
 //!   as they like, wholly unaffected by later writes;
@@ -29,7 +29,6 @@
 
 use crate::catalog::UCatalog;
 use crate::tree::{InsertStats, UTree};
-use page_store::ShadowPageFile;
 use rstar_base::TreeConfig;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -38,7 +37,7 @@ use uncertain_pdf::UncertainObject;
 /// A published epoch: a consistent, immutable, shareable U-tree. Queries
 /// run on it like on any `&UTree` — including through
 /// [`crate::engine::BatchExecutor`].
-pub type EpochSnapshot<const D: usize> = Arc<UTree<D, ShadowPageFile>>;
+pub type EpochSnapshot<const D: usize> = Arc<UTree<D>>;
 
 /// A U-tree served via epoch swaps: lock-free consistent snapshots for
 /// readers, batched copy-on-write commits for one writer at a time.
@@ -51,7 +50,7 @@ pub struct EpochIndex<const D: usize> {
     published: RwLock<(u64, EpochSnapshot<D>)>,
     /// The writer's private successor tree (COW fork of the published
     /// one). The mutex serialises writers; readers never touch it.
-    writer: Mutex<UTree<D, ShadowPageFile>>,
+    writer: Mutex<UTree<D>>,
 }
 
 impl<const D: usize> EpochIndex<D> {
@@ -62,16 +61,12 @@ impl<const D: usize> EpochIndex<D> {
 
     /// An empty epoch-served U-tree with explicit R* tuning.
     pub fn with_config(catalog: UCatalog, cfg: TreeConfig) -> Self {
-        Self::from_tree(UTree::with_stores(
-            catalog,
-            cfg,
-            ShadowPageFile::new(),
-            ShadowPageFile::new(),
-        ))
+        Self::from_tree(UTree::with_config(catalog, cfg))
     }
 
-    /// Starts serving an existing shadow-paged tree as epoch 0.
-    pub fn from_tree(tree: UTree<D, ShadowPageFile>) -> Self {
+    /// Starts serving an existing in-memory tree — builder-, insert- or
+    /// bulk-built — as epoch 0.
+    pub fn from_tree(tree: UTree<D>) -> Self {
         Self {
             published: RwLock::new((0, Arc::new(tree.clone()))),
             writer: Mutex::new(tree),
@@ -133,7 +128,7 @@ impl<const D: usize> EpochIndex<D> {
     /// none of the half-applied updates survive), the panic is re-raised
     /// to the caller, and the index keeps serving — readers and later
     /// commits are unaffected.
-    pub fn commit_with<R>(&self, f: impl FnOnce(&mut UTree<D, ShadowPageFile>) -> R) -> (u64, R) {
+    pub fn commit_with<R>(&self, f: impl FnOnce(&mut UTree<D>) -> R) -> (u64, R) {
         let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         match catch_unwind(AssertUnwindSafe(|| f(&mut writer))) {
             Ok(result) => {

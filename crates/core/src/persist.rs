@@ -1,5 +1,6 @@
 //! On-disk index persistence: page-image snapshots + a write-ahead log +
-//! a small metadata file.
+//! a small metadata file — and the **one** recovery and checkpoint path
+//! every disk-backed structure goes through.
 //!
 //! [`crate::UTree::save`] / [`crate::UPcrTree::save`] write a directory of
 //! three files:
@@ -9,8 +10,8 @@
 //!   snapshot *is* the serialized tree);
 //! * `heap.pg`  — the object-detail heap pages, likewise;
 //! * `meta.bin` — everything that lives outside the page space: structure
-//!   kind, dimensionality, the U-catalog, R* tuning, root page, height,
-//!   record count, and the heap's open page.
+//!   kind, dimensionality, the U-catalog, R* tuning, and the tree's
+//!   [`TreeShape`] (root page, height, record count, the heap's open page).
 //!
 //! A directory that has seen post-open commits additionally holds
 //!
@@ -18,30 +19,33 @@
 //!   since the last snapshot/checkpoint as CRC-framed page images,
 //!   allocation records and a metadata blob, sealed by commit markers.
 //!
-//! `open` reverses the process — **with crash recovery**. The log is
-//! scanned, a torn or uncommitted tail is discarded, and every committed
-//! batch is replayed onto the snapshot files (full page images make the
-//! replay idempotent over any partially-applied base, so a crash at any
-//! point — mid-append, mid-apply, even mid-checkpoint — lands on some
-//! committed prefix). The authoritative superstructure is the log's last
-//! committed metadata record when the log is non-empty, `meta.bin`
-//! otherwise; the page files are then wrapped in
-//! [`WalStore`]s sharing one log (so an index+heap commit is a single
-//! atomic batch) behind [`page_store::BufferPool`]s.
+//! The multi-index catalog ([`crate::catalog_store`]) lays out more files
+//! around the same log but owns none of the durability decisions. There
+//! are three, each written once:
 //!
-//! All replacement writes here are crash-ordered: temp file → fsync →
-//! rename → **fsync the parent directory** (a rename is atomic but not
-//! durable until the directory entry itself is synced).
+//! * **commit** is [`page_store::wal::commit_group`] (the write-ahead
+//!   rule);
+//! * **recovery on open** is [`recover`]: scan the log, discard a torn or
+//!   uncommitted tail, replay every committed batch onto the snapshot
+//!   files (store tag = position in the segment list), and hand back the
+//!   journaled, pool-wrapped stores plus the log's last metadata blob —
+//!   which, when present, is authoritative over the metadata file. Full
+//!   page images make the replay idempotent over any partially-applied
+//!   base, so a crash at any point — mid-append, mid-apply, even
+//!   mid-checkpoint — lands on some committed prefix;
+//! * **checkpoint** is [`checkpoint`]: forced commit, deferred-commit
+//!   audit, snapshot, log truncation, in that order.
+//!
+//! Every replacement write goes through [`page_store::replace_file`]
+//! (temp file → fsync → rename → fsync the parent directory).
 
-use crate::catalog::UCatalog;
 use page_store::wal::{self, Wal, WalStore};
 use page_store::{
-    fsync_dir, BufferPool, ByteReader, ByteWriter, DiskPageFile, ObjectHeap, PageId, PageStore,
-    PAGE_SIZE,
+    replace_file, BufferPool, ByteReader, ByteWriter, DiskPageFile, PageId, PageStore, PAGE_SIZE,
 };
 use rstar_base::TreeConfig;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 /// File names inside a saved-index directory.
@@ -49,10 +53,6 @@ pub(crate) const META_FILE: &str = "meta.bin";
 pub(crate) const INDEX_FILE: &str = "index.pg";
 pub(crate) const HEAP_FILE: &str = "heap.pg";
 pub(crate) const WAL_FILE: &str = "wal.log";
-
-/// WAL store tags: which [`WalStore`] a log record belongs to.
-pub(crate) const WAL_TAG_INDEX: u8 = 0;
-pub(crate) const WAL_TAG_HEAP: u8 = 1;
 
 /// Structure tags stored in the metadata.
 pub(crate) const KIND_UTREE: u8 = 0;
@@ -65,52 +65,96 @@ const VERSION: u16 = 1;
 /// journaling wrapper over the snapshot file.
 pub(crate) type DiskStore = BufferPool<WalStore<DiskPageFile>>;
 
-/// The superstructure a saved index needs besides its page images.
-pub(crate) struct SavedMeta {
-    pub kind: u8,
-    pub dims: u8,
-    pub catalog: Vec<f64>,
-    pub cfg: TreeConfig,
+/// The part of a tree's superstructure that every update moves: where the
+/// root is, how tall and how full the tree is, and which heap page inserts
+/// are filling. `meta.bin`, the catalog record and every WAL commit carry
+/// it in the same 32 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TreeShape {
     pub root: PageId,
     pub height: usize,
     pub len: usize,
     pub heap_open_page: Option<PageId>,
 }
 
+impl TreeShape {
+    /// Encoded size in bytes.
+    pub(crate) const ENCODED_LEN: usize = 4 * 8;
+
+    pub(crate) fn put(&self, w: &mut ByteWriter) {
+        w.put_u64(self.root);
+        w.put_u64(self.height as u64);
+        w.put_u64(self.len as u64);
+        w.put_u64(self.heap_open_page.unwrap_or(u64::MAX));
+    }
+
+    /// Reads what [`put`](Self::put) wrote; the caller has checked that
+    /// [`ENCODED_LEN`](Self::ENCODED_LEN) bytes remain.
+    pub(crate) fn get(r: &mut ByteReader) -> Self {
+        Self {
+            root: r.get_u64(),
+            height: r.get_u64() as usize,
+            len: r.get_u64() as usize,
+            heap_open_page: match r.get_u64() {
+                u64::MAX => None,
+                p => Some(p),
+            },
+        }
+    }
+
+    /// Refuses a shape that points outside the files it was opened with:
+    /// height at least one, the root inside the index file, the open heap
+    /// page inside the heap file. `origin` labels the error.
+    pub(crate) fn check(
+        &self,
+        index: &DiskStore,
+        heap: &DiskStore,
+        origin: &dyn std::fmt::Display,
+    ) -> io::Result<()> {
+        if self.height == 0 {
+            return Err(invalid_data(format!("{origin}: zero height")));
+        }
+        if self.root as usize >= index.capacity_pages() {
+            return Err(invalid_data(format!(
+                "{origin}: root page {} outside the index file",
+                self.root
+            )));
+        }
+        match self.heap_open_page {
+            Some(p) if p as usize >= heap.capacity_pages() => Err(invalid_data(format!(
+                "{origin}: open heap page {p} outside the heap file"
+            ))),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The superstructure a saved index needs besides its page images: what
+/// the index *is* (fixed at creation) and its current [`TreeShape`].
+pub(crate) struct SavedMeta {
+    pub kind: u8,
+    pub dims: u8,
+    pub catalog: Vec<f64>,
+    pub cfg: TreeConfig,
+    pub shape: TreeShape,
+}
+
 pub(crate) fn invalid_data(msg: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Sibling scratch path for write-then-rename replacement.
-fn tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Makes a just-renamed directory entry durable.
-fn fsync_parent(path: &Path) -> io::Result<()> {
-    match path.parent() {
-        Some(dir) if !dir.as_os_str().is_empty() => fsync_dir(dir),
-        _ => Ok(()),
-    }
 }
 
 /// Copies every page of `src` (live and freed alike, so page ids are
 /// preserved verbatim) into a fresh [`DiskPageFile`] at `path`, replicating
 /// the free list, and flushes.
 ///
-/// The snapshot is written to a sibling `.tmp` file and renamed into place
-/// only when complete, so saving **over** the directory a disk-backed
-/// index was opened from never truncates the file that index is still
-/// reading (the open store keeps its pre-save inode; reopen to pick up
-/// the new snapshot), and a crash mid-save never leaves a torn file
-/// behind. The parent directory is fsynced after the rename — without it
-/// the rename itself is not crash-durable.
+/// The snapshot replaces `path` crash-ordered ([`replace_file`]), so saving
+/// **over** the directory a disk-backed index was opened from never
+/// truncates the file that index is still reading (the open store keeps
+/// its pre-save inode; reopen to pick up the new snapshot), and a crash
+/// mid-save never leaves a torn file behind.
 pub(crate) fn dump_store<S: PageStore>(src: &S, path: &Path) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    {
-        let mut dst = DiskPageFile::create(&tmp)?;
+    replace_file(path, |tmp| {
+        let mut dst = DiskPageFile::create(tmp)?;
         let mut buf = [0u8; PAGE_SIZE];
         for id in 0..src.capacity_pages() as PageId {
             let did = dst.allocate()?;
@@ -123,10 +167,8 @@ pub(crate) fn dump_store<S: PageStore>(src: &S, path: &Path) -> io::Result<()> {
         for id in src.free_list() {
             dst.release(id);
         }
-        dst.flush()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)
+        dst.flush()
+    })
 }
 
 /// Serializes the metadata to its on-disk/WAL byte form.
@@ -141,10 +183,7 @@ pub(crate) fn encode_meta(meta: &SavedMeta) -> Vec<u8> {
     w.put_f64(meta.cfg.min_fill);
     w.put_f64(meta.cfg.reinsert_frac);
     w.put_f64(meta.cfg.covers_tolerance);
-    w.put_u64(meta.root);
-    w.put_u64(meta.height as u64);
-    w.put_u64(meta.len as u64);
-    w.put_u64(meta.heap_open_page.unwrap_or(u64::MAX));
+    meta.shape.put(&mut w);
     w.put_u16(meta.catalog.len() as u16);
     for &p in &meta.catalog {
         w.put_f64(p);
@@ -155,7 +194,7 @@ pub(crate) fn encode_meta(meta: &SavedMeta) -> Vec<u8> {
 /// Parses [`encode_meta`] bytes; `origin` labels error messages.
 pub(crate) fn decode_meta(bytes: &[u8], origin: &dyn std::fmt::Display) -> io::Result<SavedMeta> {
     // Fixed header + the catalog length field.
-    const FIXED: usize = 4 + 2 + 1 + 1 + 3 * 8 + 4 * 8 + 2;
+    const FIXED: usize = 4 + 2 + 1 + 1 + 3 * 8 + TreeShape::ENCODED_LEN + 2;
     if bytes.len() < FIXED {
         return Err(invalid_data(format!("{origin}: truncated metadata")));
     }
@@ -176,13 +215,7 @@ pub(crate) fn decode_meta(bytes: &[u8], origin: &dyn std::fmt::Display) -> io::R
         reinsert_frac: r.get_f64(),
         covers_tolerance: r.get_f64(),
     };
-    let root = r.get_u64();
-    let height = r.get_u64() as usize;
-    let len = r.get_u64() as usize;
-    let heap_open_page = match r.get_u64() {
-        u64::MAX => None,
-        p => Some(p),
-    };
+    let shape = TreeShape::get(&mut r);
     let m = r.get_u16() as usize;
     if r.remaining() != m * 8 {
         return Err(invalid_data(format!("{origin}: catalog length mismatch")));
@@ -193,26 +226,18 @@ pub(crate) fn decode_meta(bytes: &[u8], origin: &dyn std::fmt::Display) -> io::R
         dims,
         catalog,
         cfg,
-        root,
-        height,
-        len,
-        heap_open_page,
+        shape,
     })
 }
 
+/// Rewrites the metadata file; it is rewritten by every checkpoint and
+/// must never be observable half-written.
 pub(crate) fn write_meta(path: &Path, meta: &SavedMeta) -> io::Result<()> {
-    // Write-then-rename, like the page snapshots: the metadata file is
-    // rewritten by every checkpoint and must never be observable
-    // half-written. The temp file is fsynced before the rename and the
-    // directory after it — the full crash-durable replacement sequence.
-    let tmp = tmp_path(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
+    replace_file(path, |tmp| {
+        let mut f = std::fs::File::create(tmp)?;
         io::Write::write_all(&mut f, &encode_meta(meta))?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)
+        f.sync_all()
+    })
 }
 
 pub(crate) fn read_meta(path: &Path) -> io::Result<SavedMeta> {
@@ -272,7 +297,7 @@ pub(crate) struct ReplayFile {
 }
 
 impl ReplayFile {
-    pub(crate) fn new(file: DiskPageFile) -> Self {
+    fn new(file: DiskPageFile) -> Self {
         let n_pages = file.capacity_pages() as u64;
         let free = file.free_list();
         Self {
@@ -312,8 +337,7 @@ impl wal::ReplayTarget for ReplayFile {
     }
 }
 
-/// Validates buffer-pool sizing parameters (shared by single-index open
-/// and the multi-index catalog open).
+/// Validates buffer-pool sizing parameters.
 pub(crate) fn validate_pool_params(buffer_pages: usize) -> io::Result<()> {
     if buffer_pages == 0 {
         return Err(io::Error::new(
@@ -324,88 +348,115 @@ pub(crate) fn validate_pool_params(buffer_pages: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Wraps a replayed snapshot file in its journaling [`WalStore`] (sharing
-/// `wal` under `tag`) behind a `buffer_pages` LRU pool — the standard
-/// [`DiskStore`] assembly, shared by single-index open and the catalog.
-pub(crate) fn wrap_store(
-    rf: ReplayFile,
+/// Opens snapshot files for replay, in order.
+pub(crate) fn open_segments(segments: &[PathBuf]) -> io::Result<Vec<ReplayFile>> {
+    segments
+        .iter()
+        .map(|path| DiskPageFile::open(path).map(ReplayFile::new))
+        .collect()
+}
+
+/// Wraps each (replayed) snapshot file in its journaling [`WalStore`] —
+/// file `i` under store tag `first_tag + i` of the shared `wal` — behind a
+/// `buffer_pages` LRU pool: the one [`DiskStore`] assembly.
+pub(crate) fn wrap_segments(
+    files: Vec<ReplayFile>,
     wal: &Arc<Mutex<Wal>>,
-    tag: u8,
+    first_tag: usize,
     buffer_pages: usize,
-) -> DiskStore {
-    let store = WalStore::attach(rf.file, Arc::clone(wal), tag, rf.n_pages, rf.free);
-    BufferPool::new(store, buffer_pages)
+) -> io::Result<Vec<DiskStore>> {
+    files
+        .into_iter()
+        .enumerate()
+        .map(|(i, rf)| {
+            let tag = u8::try_from(first_tag + i)
+                .map_err(|_| invalid_data("more than 256 segments behind one log"))?;
+            let store = WalStore::attach(rf.file, Arc::clone(wal), tag, rf.n_pages, rf.free);
+            Ok(BufferPool::new(store, buffer_pages))
+        })
+        .collect()
 }
 
-/// Everything `open` reconstructs before the tree-specific metrics/codec
-/// are attached: validated (possibly log-recovered) metadata, the shared
-/// catalog, and the two journaled, pool-wrapped page files.
-pub(crate) struct OpenedParts {
-    pub meta: SavedMeta,
-    pub catalog: Arc<UCatalog>,
-    pub index: DiskStore,
-    pub heap: ObjectHeap<DiskStore>,
+/// What [`recover`] hands back: the segment stores in the order their
+/// paths were given (store tag = position), the log they share, and the
+/// log's last committed metadata blob, if it held one.
+pub(crate) struct Recovered {
+    pub stores: Vec<DiskStore>,
+    pub wal: Arc<Mutex<Wal>>,
+    pub meta: Option<Vec<u8>>,
 }
 
-/// Reads and validates a saved-index directory (structure kind,
-/// dimensionality, catalog, and that the root / open heap page actually
-/// lie inside their files), **recovering any write-ahead log first**, then
-/// wrapping each page file in a journaling [`WalStore`] (both sharing one
-/// log, so index+heap commits stay atomic) behind a `buffer_pages` LRU
-/// pool (latch striping chosen by `BufferPool::new`). Shared by every
-/// tree's `open`.
+/// Recovery on open, once (see the module docs): `dir`'s log is scanned
+/// and every committed batch replayed onto `segments` before any of them
+/// is wrapped for use.
+pub(crate) fn recover(
+    dir: &Path,
+    segments: &[PathBuf],
+    buffer_pages: usize,
+) -> io::Result<Recovered> {
+    validate_pool_params(buffer_pages)?;
+    let recovery = Wal::recover(dir.join(WAL_FILE))?;
+    let mut files = open_segments(segments)?;
+    let meta = {
+        let mut targets: Vec<&mut dyn wal::ReplayTarget> = files
+            .iter_mut()
+            .map(|rf| rf as &mut dyn wal::ReplayTarget)
+            .collect();
+        wal::replay(&recovery.batches, &mut targets)?
+    };
+    let wal = Arc::new(Mutex::new(recovery.wal));
+    let stores = wrap_segments(files, &wal, 0, buffer_pages)?;
+    Ok(Recovered { stores, wal, meta })
+}
+
+/// The checkpoint sequence, once: `flush` (the owner's forced commit),
+/// then the write-ahead audit, then `snapshot` (the owner rewriting its
+/// snapshot files), then the log truncation. The audit is what keeps the
+/// snapshot renames from overtaking the log: under a group-commit window
+/// commits may have returned `durable: false`, and `flush` has just forced
+/// the fsync, so a deferred commit surviving to that point is a protocol
+/// bug — refuse to snapshot rather than publish a snapshot ahead of the
+/// log. The log stays locked from the audit to the truncation.
+pub(crate) fn checkpoint<T>(
+    owner: &mut T,
+    wal: &Mutex<Wal>,
+    flush: impl FnOnce(&mut T) -> io::Result<()>,
+    snapshot: impl FnOnce(&mut T) -> io::Result<()>,
+) -> io::Result<()> {
+    flush(owner)?;
+    let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
+    if w.has_deferred_commits() {
+        return Err(io::Error::other(
+            "checkpoint: deferred group commits survived the forced sync",
+        ));
+    }
+    snapshot(owner)?;
+    w.truncate()
+}
+
+/// Opens a saved-index directory through [`recover`] and checks that it
+/// holds the structure kind and dimensionality the caller is about to
+/// construct, returning the (possibly log-recovered) metadata with the
+/// index and heap stores. Shared by every tree's `open`.
 pub(crate) fn open_parts(
     dir: &Path,
     kind: u8,
     dims: usize,
     buffer_pages: usize,
-) -> io::Result<OpenedParts> {
-    validate_pool_params(buffer_pages)?;
-
-    // Crash recovery: scan the log (discarding a torn/uncommitted tail)
-    // and replay every committed batch onto the snapshot files. Full page
-    // images make this idempotent whatever prefix of the batches a
-    // pre-crash apply already flushed.
-    let recovery = Wal::recover(dir.join(WAL_FILE))?;
-    let mut index_rf = ReplayFile::new(DiskPageFile::open(dir.join(INDEX_FILE))?);
-    let mut heap_rf = ReplayFile::new(DiskPageFile::open(dir.join(HEAP_FILE))?);
-    let wal_meta = wal::replay(&recovery.batches, &mut [&mut index_rf, &mut heap_rf])?;
-
-    // The log's last committed metadata is authoritative (it belongs to
-    // the replayed page state); `meta.bin` covers the snapshot-only case.
+) -> io::Result<(SavedMeta, DiskStore, DiskStore)> {
+    let segments = [dir.join(INDEX_FILE), dir.join(HEAP_FILE)];
+    let recovered = recover(dir, &segments, buffer_pages)?;
     let meta_path = dir.join(META_FILE);
-    let meta = match wal_meta {
+    let meta = match recovered.meta {
         Some(bytes) => decode_meta(&bytes, &format!("{} (wal)", dir.display()))?,
         None => read_meta(&meta_path)?,
     };
     expect(&meta, kind, dims, &meta_path)?;
-    let catalog = Arc::new(UCatalog::try_new(meta.catalog.clone()).map_err(invalid_data)?);
-
-    let wal = Arc::new(Mutex::new(recovery.wal));
-    let index = wrap_store(index_rf, &wal, WAL_TAG_INDEX, buffer_pages);
-    if meta.root as usize >= index.capacity_pages() {
-        return Err(invalid_data(format!(
-            "{}: root page {} outside the index file",
-            dir.display(),
-            meta.root
-        )));
-    }
-    let heap_store = wrap_store(heap_rf, &wal, WAL_TAG_HEAP, buffer_pages);
-    if let Some(p) = meta.heap_open_page {
-        if p as usize >= heap_store.capacity_pages() {
-            return Err(invalid_data(format!(
-                "{}: open heap page {p} outside the heap file",
-                dir.display()
-            )));
-        }
-    }
-    let heap = ObjectHeap::from_raw_parts(heap_store, meta.heap_open_page);
-    Ok(OpenedParts {
-        meta,
-        catalog,
-        index,
-        heap,
-    })
+    let [index, heap]: [DiskStore; 2] = recovered
+        .stores
+        .try_into()
+        .map_err(|_| invalid_data("recovery returned the wrong number of stores"))?;
+    Ok((meta, index, heap))
 }
 
 /// Validates the metadata against what the caller is about to construct.
@@ -424,15 +475,19 @@ pub(crate) fn expect(meta: &SavedMeta, kind: u8, dims: usize, path: &Path) -> io
             meta.dims
         )));
     }
-    if meta.height == 0 {
-        return Err(invalid_data(format!("{}: zero height", path.display())));
-    }
     Ok(())
+}
+
+/// Lower-case hex of `bytes` (byte-exact format pins).
+#[cfg(test)]
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::UCatalog;
     use page_store::PageFile;
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -456,10 +511,12 @@ mod tests {
                 reinsert_frac: 0.25,
                 covers_tolerance: 0.01,
             },
-            root: 42,
-            height: 3,
-            len: 1234,
-            heap_open_page: Some(7),
+            shape: TreeShape {
+                root: 42,
+                height: 3,
+                len: 1234,
+                heap_open_page: Some(7),
+            },
         };
         write_meta(&path, &meta).unwrap();
         let back = read_meta(&path).unwrap();
@@ -467,18 +524,56 @@ mod tests {
         assert_eq!(back.dims, meta.dims);
         assert_eq!(back.catalog, meta.catalog);
         assert_eq!(back.cfg.min_fill, meta.cfg.min_fill);
-        assert_eq!(back.root, 42);
-        assert_eq!(back.height, 3);
-        assert_eq!(back.len, 1234);
-        assert_eq!(back.heap_open_page, Some(7));
+        assert_eq!(back.shape, meta.shape);
         assert!(expect(&back, KIND_UPCR, 3, &path).is_ok());
         assert!(expect(&back, KIND_UTREE, 3, &path).is_err());
         assert!(expect(&back, KIND_UPCR, 2, &path).is_err());
         // The WAL carries the identical byte form.
         let via_wal = decode_meta(&encode_meta(&meta), &"wal").unwrap();
-        assert_eq!(via_wal.root, meta.root);
+        assert_eq!(via_wal.shape, meta.shape);
         assert_eq!(via_wal.catalog, meta.catalog);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The byte form `meta.bin` and every WAL commit carry, pinned for a
+    /// tree without an open heap page (empty) and with one.
+    #[test]
+    fn meta_bytes_are_pinned() {
+        let mut tree = crate::UTree::<2>::new(UCatalog::uniform(3));
+        let head = concat!(
+            "55494458",
+            "0100",
+            "00",
+            "02", // magic, version, kind, dims
+            "9a9999999999d93f",
+            "333333333333d33f",
+            "9a9999999999a93f", // R* tuning
+        );
+        let ucat = concat!(
+            "0300",
+            "0000000000000000",
+            "000000000000d03f",
+            "000000000000e03f"
+        );
+        // root 0, height 1, len 0, no open heap page
+        let shape = "000000000000000001000000000000000000000000000000ffffffffffffffff";
+        assert_eq!(
+            hex(&encode_meta(&tree.saved_meta())),
+            head.to_string() + shape + ucat
+        );
+        tree.insert(&uncertain_pdf::UncertainObject::new(
+            7,
+            uncertain_pdf::ObjectPdf::UniformBall {
+                center: uncertain_geom::Point::new([500.0, 500.0]),
+                radius: 50.0,
+            },
+        ));
+        // root 0, height 1, len 1, open heap page 0
+        let shape = "0000000000000000010000000000000001000000000000000000000000000000";
+        assert_eq!(
+            hex(&encode_meta(&tree.saved_meta())),
+            head.to_string() + shape + ucat
+        );
     }
 
     #[test]

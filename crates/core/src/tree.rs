@@ -19,7 +19,8 @@ use crate::persist;
 use crate::query::{refine_ctx, QueryCtx};
 use crate::rank::RankLeaf;
 use page_store::{
-    f32_round_down, f32_round_up, CommitReceipt, ObjectHeap, PageFile, PageStore, RecordAddr,
+    commit_group, f32_round_down, f32_round_up, CommitReceipt, DiskPageFile, ObjectHeap, PageFile,
+    PageStore, RecordAddr, Wal, WalStore,
 };
 use rstar_base::{
     str_order_by, KeyMetrics, LeafRecord, NodeCodec, RStarTreeBase, TreeConfig, TreeStats,
@@ -28,7 +29,7 @@ use std::borrow::Borrow;
 use std::io;
 use std::ops::AddAssign;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 use uncertain_geom::Rect;
 use uncertain_pdf::{ObjectPdf, UncertainObject};
@@ -264,8 +265,7 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P> {
 }
 
 impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
-    /// An empty tree over caller-supplied node and heap stores (the epoch
-    /// layer builds its copy-on-write trees through this).
+    /// An empty tree over caller-supplied node and heap stores.
     pub fn with_stores(catalog: UCatalog, cfg: TreeConfig, node_store: S, heap_store: S) -> Self {
         let catalog = Arc::new(catalog);
         let metrics = P::metrics(catalog.clone());
@@ -281,10 +281,11 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
 }
 
 impl<const D: usize, P: FilterPayload<D>, S: PageStore + Clone> Clone for ProbTree<D, P, S> {
-    /// Clones the tree *structure and pages*; on a copy-on-write store
-    /// (`ShadowPageFile`) this is the cheap epoch fork — shared pages,
-    /// private superstructure. I/O counters of the clone's stores follow
-    /// the store's own `Clone` semantics.
+    /// Clones the tree *structure and pages*; on the in-memory
+    /// [`PageFile`], whose clones share pages copy-on-write, this is the
+    /// cheap epoch fork — shared pages, private superstructure. I/O
+    /// counters of the clone's stores follow the store's own `Clone`
+    /// semantics.
     fn clone(&self) -> Self {
         Self {
             tree: self.tree.clone(),
@@ -308,29 +309,40 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
     /// Pool latching is automatic (small pools exact-LRU, large pools
     /// striped for concurrent readers).
     pub fn open<Q: AsRef<Path>>(dir: Q, buffer_pages: usize) -> io::Result<Self> {
-        let parts = persist::open_parts(dir.as_ref(), P::KIND, D, buffer_pages)?;
-        Ok(Self::from_opened_parts(parts))
+        let dir = dir.as_ref();
+        let (meta, index, heap) = persist::open_parts(dir, P::KIND, D, buffer_pages)?;
+        let catalog = Arc::new(UCatalog::try_new(meta.catalog).map_err(persist::invalid_data)?);
+        Self::from_recovered(meta.cfg, meta.shape, catalog, index, heap, &dir.display())
     }
 
-    /// Assembles a disk-backed tree from already-recovered parts — the
-    /// tail of `open`, shared with the multi-index catalog (which recovers
-    /// many segments against one log before assembling any tree).
-    pub(crate) fn from_opened_parts(parts: persist::OpenedParts) -> Self {
-        let metrics = P::metrics(parts.catalog.clone());
-        let codec = P::codec(parts.catalog.clone());
-        Self {
+    /// Assembles a disk-backed tree over recovered stores — the tail of
+    /// `open`, shared with the multi-index catalog (which recovers many
+    /// segments against one log before assembling any tree) — refusing a
+    /// shape that points outside them (`origin` labels the error).
+    pub(crate) fn from_recovered(
+        cfg: TreeConfig,
+        shape: persist::TreeShape,
+        catalog: Arc<UCatalog>,
+        index: persist::DiskStore,
+        heap: persist::DiskStore,
+        origin: &dyn std::fmt::Display,
+    ) -> io::Result<Self> {
+        shape.check(&index, &heap, origin)?;
+        let metrics = P::metrics(catalog.clone());
+        let codec = P::codec(catalog.clone());
+        Ok(Self {
             tree: RStarTreeBase::from_raw_parts(
-                parts.index,
-                parts.meta.root,
-                parts.meta.height,
-                parts.meta.len,
+                index,
+                shape.root,
+                shape.height,
+                shape.len,
                 metrics,
                 codec,
-                parts.meta.cfg,
+                cfg,
             ),
-            heap: parts.heap,
-            catalog: parts.catalog,
-        }
+            heap: ObjectHeap::from_raw_parts(heap, shape.heap_open_page),
+            catalog,
+        })
     }
 
     /// Commits every update since the last commit as **one atomic WAL
@@ -352,75 +364,35 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
 
     fn commit_inner(&mut self, force_sync: bool) -> io::Result<CommitReceipt> {
         let meta = persist::encode_meta(&self.saved_meta());
-        let wal = self.tree.store_mut().backend_mut().wal_handle();
-        let (receipt, durable) = {
-            let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-            self.stage_commit(&mut w)?;
-            w.append_meta(&meta);
-            let receipt = w.commit()?;
-            if force_sync && !receipt.durable {
-                w.sync()?;
-            }
-            (receipt, w.durable_lsn())
-        };
-        self.finish_commit(receipt.lsn, durable)?;
-        Ok(CommitReceipt {
-            lsn: receipt.lsn,
-            durable: durable >= receipt.lsn,
-        })
+        let wal = self.wal_handle();
+        commit_group(&wal, &mut self.journals()?, Some(&meta), force_sync)
     }
 
-    /// Stages this tree's share of one WAL batch: pool frames →
-    /// journaling stores (nothing reaches the backing files here), then
-    /// both stores' pending records into the log. The caller appends its
-    /// own metadata and the commit marker — the multi-index catalog stages
-    /// *every* tree this way and seals them under a single marker, so an
-    /// all-indexes commit recovers atomically.
-    pub(crate) fn stage_commit(&mut self, wal: &mut page_store::wal::Wal) -> io::Result<()> {
+    /// This tree's share of a WAL batch, ready for [`commit_group`]: pool
+    /// frames are written back into the journaling stores (nothing reaches
+    /// the backing files here) and the two stores are handed out, index
+    /// first. The multi-index catalog collects *every* tree's pair and
+    /// commits them under a single marker, so an all-indexes commit
+    /// recovers atomically.
+    pub(crate) fn journals(&mut self) -> io::Result<[&mut WalStore<DiskPageFile>; 2]> {
         self.tree.store_mut().write_back()?;
         self.heap.file_mut().write_back()?;
-        self.tree.store_mut().backend_mut().stage(wal);
-        self.heap.file_mut().backend_mut().stage(wal);
-        Ok(())
+        Ok([
+            self.tree.store_mut().backend_mut(),
+            self.heap.file_mut().backend_mut(),
+        ])
     }
 
-    /// Completes a commit this tree was staged into: records the batch's
-    /// LSN and applies every batch the log has made durable onto the
-    /// snapshot files (only durable batches may touch them — the
-    /// write-ahead rule; deferred ones apply when a later sync covers
-    /// them).
-    pub(crate) fn finish_commit(&mut self, lsn: u64, durable: u64) -> io::Result<()> {
-        let index = self.tree.store_mut().backend_mut();
-        index.note_commit(lsn);
-        index.apply_through(durable)?;
-        let heap = self.heap.file_mut().backend_mut();
-        heap.note_commit(lsn);
-        heap.apply_through(durable)
-    }
-
-    /// True while a group-commit window still holds batches that were
-    /// committed but not yet fsynced (checkpoint audit).
-    pub(crate) fn has_deferred_commits(&mut self) -> bool {
-        self.tree.store_mut().backend_mut().has_deferred_commits()
-            || self.heap.file_mut().backend_mut().has_deferred_commits()
+    fn wal_handle(&mut self) -> Arc<Mutex<Wal>> {
+        self.tree.store_mut().backend_mut().wal_handle()
     }
 
     /// Durably commits, rewrites the full snapshot (`index.pg`, `heap.pg`,
     /// `meta.bin`) of this tree's own directory, and truncates the log —
-    /// bounding recovery time and log growth. Readers of the old snapshot
-    /// files keep their inodes; this tree continues on the log as usual.
+    /// bounding recovery time and log growth (`persist::checkpoint`).
+    /// Readers of the old snapshot files keep their inodes; this tree
+    /// continues on the log as usual.
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.flush()?;
-        // Write-ahead audit: under a group-commit window, commits may have
-        // returned `durable: false`; the snapshot rename below must never
-        // overtake them. `flush()` just forced the fsync, so a deferred
-        // commit surviving to this point is a protocol bug — refuse to
-        // snapshot rather than publish a snapshot ahead of the log.
-        if self.has_deferred_commits() {
-            return Err(io::Error::other(
-                "checkpoint: deferred group commits survived the forced sync",
-            ));
-        }
         let dir = self
             .tree
             .store()
@@ -429,15 +401,10 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "tree has no backing directory")
             })?;
-        persist::save_index(
-            &dir,
-            &self.saved_meta(),
-            self.tree.store(),
-            self.heap.file(),
-        )?;
-        let wal = self.tree.store_mut().backend_mut().wal_handle();
-        let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-        w.truncate()
+        let wal = self.wal_handle();
+        persist::checkpoint(self, &wal, Self::flush, |t| {
+            persist::save_index(&dir, &t.saved_meta(), t.tree.store(), t.heap.file())
+        })
     }
 
     /// Sets the group-commit window: fsync every `every`-th commit
@@ -445,17 +412,20 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
     /// fsync cost across commits; a crash can lose the unsynced tail of
     /// whole batches, never tear one.
     pub fn set_group_commit(&mut self, every: u64) {
-        let wal = self.tree.store_mut().backend_mut().wal_handle();
-        // xlint: allow(panic-freedom) -- invariant: wal poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-        wal.lock().expect("wal poisoned").set_group_commit(every);
+        // A poisoned log still takes a window: it cannot corrupt anything,
+        // and every append or sync keeps refusing with the typed error.
+        self.wal_handle()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .set_group_commit(every);
     }
 
     /// Number of log fsyncs since open (group-commit diagnostics).
     pub fn wal_sync_count(&mut self) -> u64 {
-        let wal = self.tree.store_mut().backend_mut().wal_handle();
-        // xlint: allow(panic-freedom) -- invariant: wal poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-        let guard = wal.lock().expect("wal poisoned");
-        guard.sync_count()
+        self.wal_handle()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .sync_count()
     }
 }
 
@@ -480,10 +450,12 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
             dims: D as u8,
             catalog: self.catalog.values().to_vec(),
             cfg: self.tree.config(),
-            root: self.tree.root_page(),
-            height: self.tree.height(),
-            len: self.tree.len(),
-            heap_open_page: self.heap.open_page(),
+            shape: persist::TreeShape {
+                root: self.tree.root_page(),
+                height: self.tree.height(),
+                len: self.tree.len(),
+                heap_open_page: self.heap.open_page(),
+            },
         }
     }
 

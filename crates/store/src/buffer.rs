@@ -137,8 +137,8 @@ pub struct BufferPool<S: PageStore> {
 impl<S: PageStore> BufferPool<S> {
     /// Wraps `backend` with an LRU cache of `capacity` pages (>= 1),
     /// choosing the shard count automatically: pools of fewer than
-    /// 2 × [`FRAMES_PER_SHARD`] frames stay single-sharded (exact LRU),
-    /// larger ones stripe into up to [`MAX_SHARDS`] latches.
+    /// 2 × `FRAMES_PER_SHARD` frames stay single-sharded (exact LRU),
+    /// larger ones stripe into up to `MAX_SHARDS` latches.
     pub fn new(backend: S, capacity: usize) -> Self {
         let shards = (capacity / FRAMES_PER_SHARD).clamp(1, MAX_SHARDS);
         Self::with_shards(backend, capacity, shards)

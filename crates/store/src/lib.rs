@@ -7,7 +7,8 @@
 //!
 //! * [`PageFile`] — the in-memory reference backend where every counted
 //!   read/write bumps simulated counters (one tree node = one page,
-//!   exactly like the paper's setup);
+//!   exactly like the paper's setup); its clones share pages
+//!   copy-on-write, which is what epoch-swap serving forks;
 //! * [`DiskPageFile`] — the same page space on a real file
 //!   (positional I/O, free list persisted in a superblock), so indexes can
 //!   be saved and reopened cold;
@@ -58,7 +59,6 @@ mod fault;
 mod heap;
 mod iostats;
 mod pagefile;
-mod shadow;
 
 pub use buffer::BufferPool;
 pub use codec::{byte_array, f32_round_down, f32_round_up, ByteReader, ByteWriter};
@@ -67,5 +67,6 @@ pub use fault::{FaultCounters, FaultMode, FaultStore};
 pub use heap::{ObjectHeap, RecordAddr};
 pub use iostats::IoStats;
 pub use pagefile::{PageFile, PageId, PageStore, PAGE_SIZE};
-pub use shadow::ShadowPageFile;
-pub use wal::{fsync_dir, CommitReceipt, ReplayTarget, Wal, WalRecord, WalStore};
+pub use wal::{
+    commit_group, fsync_dir, replace_file, CommitReceipt, ReplayTarget, Wal, WalRecord, WalStore,
+};

@@ -27,9 +27,11 @@
 //!   images), so a crash at any point — including mid-apply — recovers by
 //!   replaying the log over whatever the backend file holds.
 //!
-//! Checkpointing is layered above (see `utree::persist`): force a synced
-//! commit, snapshot the stores via the existing page-image dump, then
-//! [`Wal::truncate`] the log.
+//! [`commit_group`] is the **only** commit path: it stages any number of
+//! stores sharing one log into one batch, seals it, and applies what the
+//! log has made durable. Checkpointing is layered above (see
+//! `utree::persist`): force a synced commit, snapshot the stores via the
+//! existing page-image dump, then [`Wal::truncate`] the log.
 
 use crate::codec::byte_array;
 use crate::pagefile::{PageId, PageStore, PAGE_SIZE};
@@ -102,6 +104,21 @@ fn fsync_parent(path: &Path) -> io::Result<()> {
         Some(dir) if !dir.as_os_str().is_empty() => fsync_dir(dir),
         _ => Ok(()),
     }
+}
+
+/// Crash-ordered replacement of the file at `path`: `write` receives a
+/// sibling `<name>.tmp` path, fills it and **fsyncs it** before returning;
+/// the temp file is then renamed over `path` and the parent directory is
+/// fsynced. A reader (or a crash) sees the old file or the complete new
+/// one, never a torn mix, and an open handle on the old file keeps its
+/// inode.
+pub fn replace_file(path: &Path, write: impl FnOnce(&Path) -> io::Result<()>) -> io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    write(&tmp)?;
+    std::fs::rename(&tmp, path)?;
+    fsync_parent(path)
 }
 
 /// A decoded log record (the replay-side view; appends go through the
@@ -574,6 +591,9 @@ enum PendingOp {
     Write(PageId),
 }
 
+/// A page image bound for the backend once its commit is durable.
+type StagedImage = (PageId, Arc<[u8; PAGE_SIZE]>);
+
 /// A journaling [`PageStore`] wrapper: every mutation is logged to a
 /// shared [`Wal`] *before* it reaches the wrapped backend.
 ///
@@ -583,22 +603,10 @@ enum PendingOp {
 /// first), allocation state lives in a shadow free list seeded from the
 /// backend at attach time — the backend's own `allocate`/`release` are
 /// never called, so its on-disk allocation state stays frozen at the last
-/// snapshot. A commit then proceeds in write-ahead order:
-///
-/// 1. [`stage`](Self::stage) serializes the pending ops into the log;
-/// 2. the caller appends a commit marker ([`Wal::commit`]) — several
-///    stores sharing one log stage into the *same batch*, which is what
-///    makes a tree's index + heap commit atomic;
-/// 3. [`note_commit`](Self::note_commit) tags the staged images with the
-///    batch's LSN, and [`apply_through`](Self::apply_through) copies the
-///    images of *durable* batches into the backend, retiring their shadow
-///    entries.
-///
-/// Step 3's durability gate is load-bearing: under group commit a marker
-/// may not be synced yet, and applying its images early would corrupt the
-/// recovery base (the backend file would contain state the truncated log
-/// cannot reproduce). [`commit`](Self::commit) bundles the three steps
-/// for a store that owns its log alone.
+/// snapshot. [`commit_group`] then moves the pending ops of every store
+/// sharing the log to disk in write-ahead order — one batch, one marker,
+/// which is what makes a tree's index + heap commit atomic — and copies
+/// the images of *durable* batches into the backends.
 ///
 /// `flush` (the [`PageStore`] hook, e.g. from a dropping buffer pool)
 /// deliberately does **not** commit: it stages and syncs the bytes, but
@@ -609,12 +617,6 @@ enum PendingOp {
 /// The backend must tolerate writes past its current extent by growing
 /// (as [`crate::DiskPageFile`] does): committed allocations reach it only
 /// as page images.
-/// A page image bound for the backend once its commit is durable.
-type StagedImage = (PageId, Arc<[u8; PAGE_SIZE]>);
-
-/// A write-ahead-logged [`PageStore`]: every mutation is staged in the
-/// shared [`Wal`] first and reaches the wrapped backend only after its
-/// commit marker is durable (see the module docs for the protocol).
 pub struct WalStore<S: PageStore> {
     inner: S,
     wal: Arc<Mutex<Wal>>,
@@ -696,7 +698,7 @@ impl<S: PageStore> WalStore<S> {
 
     /// Serializes every pending op into the log, in mutation order. The
     /// caller holds the log lock and decides when to seal the batch.
-    pub fn stage(&mut self, wal: &mut Wal) {
+    fn stage(&mut self, wal: &mut Wal) {
         for op in self.pending.drain(..) {
             match op {
                 PendingOp::Alloc(id) => {
@@ -721,7 +723,7 @@ impl<S: PageStore> WalStore<S> {
     }
 
     /// Seals the staged images into the batch committed as `lsn`.
-    pub fn note_commit(&mut self, lsn: u64) {
+    fn note_commit(&mut self, lsn: u64) {
         if !self.staged.is_empty() {
             self.unapplied
                 .push_back((lsn, std::mem::take(&mut self.staged)));
@@ -736,7 +738,7 @@ impl<S: PageStore> WalStore<S> {
     /// recovery replaying the durable log — lands the same state) and the
     /// error surfaces to the caller. Reads remain coherent meanwhile: any
     /// unretired page is still served from the shadow table.
-    pub fn apply_through(&mut self, durable_lsn: u64) -> io::Result<()> {
+    fn apply_through(&mut self, durable_lsn: u64) -> io::Result<()> {
         while let Some(&(lsn, _)) = self.unapplied.front() {
             if lsn > durable_lsn {
                 break;
@@ -759,40 +761,60 @@ impl<S: PageStore> WalStore<S> {
         }
         Ok(())
     }
+}
 
-    /// Stage + commit + apply for a store that owns its log alone (the
-    /// tree layer orchestrates the multi-store version by hand so index
-    /// and heap share one batch). `force_sync` overrides a deferred group
-    /// commit.
-    pub fn commit(&mut self, force_sync: bool) -> io::Result<CommitReceipt> {
-        let wal = Arc::clone(&self.wal);
+/// The commit protocol — the write-ahead rule — for any number of stores
+/// journaling to one log. Under a single hold of the log lock: every
+/// store's pending ops are staged in slice order, `meta` (the caller's
+/// superstructure blob; the last committed one wins at recovery) is
+/// appended, and one commit marker seals it all into **one atomic batch**,
+/// fsynced per the group-commit window or unconditionally with
+/// `force_sync`. With the lock released, every store learns the batch's
+/// LSN and copies the images of *durable* batches — and only those — into
+/// its backend.
+///
+/// That durability gate is load-bearing: under group commit a marker may
+/// not be synced yet, and applying its images early would corrupt the
+/// recovery base (the backend file would contain state the truncated log
+/// cannot reproduce); deferred batches apply when a later sync covers
+/// them.
+///
+/// A backend that fails its apply does not stop the others, and loses
+/// nothing: the batch is in the log, the store keeps the unapplied images
+/// queued (and serves them to readers), and the first such error is
+/// returned so the caller hears about the sick backend. Every store must
+/// have been attached to `wal`.
+pub fn commit_group<S: PageStore>(
+    wal: &Mutex<Wal>,
+    stores: &mut [&mut WalStore<S>],
+    meta: Option<&[u8]>,
+    force_sync: bool,
+) -> io::Result<CommitReceipt> {
+    debug_assert!(stores.iter().all(|s| std::ptr::eq(&*s.wal, wal)));
+    let (lsn, durable_lsn) = {
         let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-        self.stage(&mut w);
+        for store in stores.iter_mut() {
+            store.stage(&mut w);
+        }
+        if let Some(meta) = meta {
+            w.append_meta(meta);
+        }
         let receipt = w.commit()?;
         if force_sync && !receipt.durable {
             w.sync()?;
         }
-        let durable = w.durable_lsn();
-        drop(w);
-        self.note_commit(receipt.lsn);
-        // The commit is in the durable log even if the backend apply
-        // fails here — recovery replays it — but the caller must hear
-        // about the sick backend.
-        self.apply_through(durable)?;
-        Ok(CommitReceipt {
-            lsn: receipt.lsn,
-            durable: durable >= receipt.lsn,
-        })
+        (receipt.lsn, w.durable_lsn())
+    };
+    let mut applied = Ok(());
+    for store in stores.iter_mut() {
+        store.note_commit(lsn);
+        applied = applied.and(store.apply_through(durable_lsn));
     }
-
-    /// Whether commits have been appended whose fsync was deferred by the
-    /// group-commit window — state a crash would lose.
-    pub fn has_deferred_commits(&self) -> bool {
-        match self.wal.lock() {
-            Ok(w) => w.durable_lsn() < w.last_commit_lsn(),
-            Err(_) => true,
-        }
-    }
+    applied?;
+    Ok(CommitReceipt {
+        lsn,
+        durable: durable_lsn >= lsn,
+    })
 }
 
 impl<S: PageStore> Drop for WalStore<S> {
@@ -804,7 +826,7 @@ impl<S: PageStore> Drop for WalStore<S> {
     /// the receipt already declared volatile.
     fn drop(&mut self) {
         if let Ok(mut w) = self.wal.lock() {
-            if w.durable_lsn() < w.last_commit_lsn() {
+            if w.has_deferred_commits() {
                 let _ = w.sync();
             }
         }
@@ -1103,13 +1125,13 @@ mod tests {
         {
             let inner = DiskPageFile::create(&data_path).unwrap();
             let wal = Arc::new(Mutex::new(Wal::create(&wal_path).unwrap()));
-            let mut store = WalStore::wrap(inner, wal, 0);
+            let mut store = WalStore::wrap(inner, Arc::clone(&wal), 0);
             let a = store.allocate().unwrap();
             store.write(a, b"committed").unwrap();
             expected_a = a;
             // Before commit: backend file does not see the page content.
             assert_eq!(store.unapplied_batches(), 0);
-            let r = store.commit(true).unwrap();
+            let r = commit_group(&wal, &mut [&mut store], None, true).unwrap();
             assert!(r.durable);
             assert_eq!(store.unapplied_batches(), 0, "durable commit applies");
             assert_eq!(&store.inner().peek_page(a).unwrap()[..9], b"committed");
@@ -1164,16 +1186,16 @@ mod tests {
         // apply path relies on) — that's the disk file, not PageFile.
         let inner = DiskPageFile::create(&data_path).unwrap();
         let wal = Arc::new(Mutex::new(wal));
-        let mut store = WalStore::wrap(inner, wal, 0);
+        let mut store = WalStore::wrap(inner, Arc::clone(&wal), 0);
         let a = store.allocate().unwrap();
         store.write(a, b"first life").unwrap();
-        store.commit(true).unwrap();
+        commit_group(&wal, &mut [&mut store], None, true).unwrap();
         // One batch: release a, reallocate it (same id), write new bytes.
         store.release(a);
         let b = store.allocate().unwrap();
         assert_eq!(b, a, "free list must hand the id back");
         store.write(b, b"second life").unwrap();
-        store.commit(true).unwrap();
+        commit_group(&wal, &mut [&mut store], None, true).unwrap();
         drop(store);
 
         let rec = Wal::recover(&path).unwrap();
@@ -1214,25 +1236,25 @@ mod tests {
         let inner = DiskPageFile::create(&data_path).unwrap();
         let wal = Arc::new(Mutex::new(Wal::create(&wal_path).unwrap()));
         wal.lock().unwrap().set_group_commit(2);
-        let mut store = WalStore::wrap(inner, wal, 0);
+        let mut store = WalStore::wrap(inner, Arc::clone(&wal), 0);
 
         let a = store.allocate().unwrap();
         store.write(a, b"deferred").unwrap();
-        let r1 = store.commit(false).unwrap();
+        let r1 = commit_group(&wal, &mut [&mut store], None, false).unwrap();
         assert!(!r1.durable, "first commit of the window is deferred");
         assert_eq!(store.unapplied_batches(), 1, "apply waits for the sync");
         assert!(
-            store.has_deferred_commits(),
+            wal.lock().unwrap().has_deferred_commits(),
             "window left a commit unsynced"
         );
         // The shadow still serves reads coherently meanwhile.
         assert_eq!(&store.read_page(a).unwrap()[..8], b"deferred");
 
         store.write(a, b"second").unwrap();
-        let r2 = store.commit(false).unwrap();
+        let r2 = commit_group(&wal, &mut [&mut store], None, false).unwrap();
         assert!(r2.durable, "second commit closes the group window");
         assert_eq!(store.unapplied_batches(), 0);
-        assert!(!store.has_deferred_commits());
+        assert!(!wal.lock().unwrap().has_deferred_commits());
         assert_eq!(&store.inner().peek_page(a).unwrap()[..6], b"second");
         let _ = std::fs::remove_file(&data_path);
         let _ = std::fs::remove_file(&wal_path);

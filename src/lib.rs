@@ -84,7 +84,7 @@ pub mod prelude {
     pub use datagen;
     pub use page_store::{
         BufferPool, CommitReceipt, DiskPageFile, FaultMode, FaultStore, PageFile, PageStore,
-        ShadowPageFile, WalStore,
+        WalStore,
     };
     pub use rstar_base::TreeConfig;
     pub use uncertain_geom::{Point, Rect};

@@ -3,6 +3,8 @@
 //! identical matches/provenance and identical *logical* I/O — only the
 //! physical cost model changes.
 
+mod common;
+
 use utree_repro::prelude::*;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -209,5 +211,46 @@ fn open_with_zero_frames_is_a_typed_error() {
         Ok(_) => panic!("opening with zero frames must fail"),
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The snapshot format, pinned: a seeded `save` writes these exact bytes
+/// (FNV-1a per file), for both payloads. A persistence refactor that moves
+/// a byte fails here before any reopen test can mask it.
+#[test]
+fn saved_files_are_byte_stable() {
+    fn digests(dir: &std::path::Path) -> [u64; 3] {
+        ["index.pg", "heap.pg", "meta.bin"].map(|f| common::file_fnv(&dir.join(f)))
+    }
+    let (mut utree, objs) = build_utree(300, 83);
+    for o in objs.iter().take(20) {
+        assert!(utree.delete(o));
+    }
+    let dir = temp_dir("pin-utree");
+    utree.save(&dir).unwrap();
+    assert_eq!(
+        digests(&dir),
+        [
+            1793127353182051292,
+            3408749193684308624,
+            6009326362445071125
+        ],
+        "u-tree snapshot bytes moved"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut upcr = UPcrTree::<2>::builder().build().expect("default catalog");
+    upcr.bulk_load(&objs);
+    let dir = temp_dir("pin-upcr");
+    upcr.save(&dir).unwrap();
+    assert_eq!(
+        digests(&dir),
+        [
+            4691626325121124082,
+            13712061788588561892,
+            15672814766999817401
+        ],
+        "u-pcr snapshot bytes moved"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

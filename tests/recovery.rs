@@ -4,12 +4,14 @@
 //! fault — and answer byte-identically to an in-memory oracle replaying
 //! that prefix.
 
+mod common;
+
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use utree_repro::index::{Cfbs, FilterPayload, Pcrs, ProbTree};
 use utree_repro::prelude::*;
-use utree_repro::store::wal::replay;
+use utree_repro::store::wal::{commit_group, replay};
 use utree_repro::store::{
     DiskPageFile, FaultMode, FaultStore, PageId, ReplayTarget, Wal, WalStore, PAGE_SIZE,
 };
@@ -263,6 +265,35 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
     }
 }
 
+/// The log format, pinned: the scripted session (snapshot, then every
+/// batch committed through the WAL) leaves a log of this exact length
+/// holding these exact records per batch — see [`common::wal_digest`] for
+/// why the records are compared as a sorted set.
+#[test]
+fn scripted_session_log_is_byte_stable() {
+    let base = base_objects();
+    let dir = temp_dir("pin-log");
+    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
+    {
+        let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
+        for batch in &scripted_batches(&base) {
+            apply_ops(&mut disk, batch);
+            disk.commit().unwrap();
+        }
+    }
+    let (len, batches) = common::wal_digest(&dir.join("wal.log"));
+    assert_eq!(len, 141_028, "log length moved");
+    let pinned = vec![
+        (10, 8297454792146040763),
+        (8, 898271317239314815),
+        (8, 16901269014737723773),
+        (7, 18160976746767590648),
+        (8, 10697198756919325137),
+    ];
+    assert_eq!(batches, pinned, "log records moved");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Updates that were never committed roll back on reopen: dropping the
 /// tree stages them into the log (no marker), and recovery discards the
 /// uncommitted tail — on either payload.
@@ -416,7 +447,10 @@ impl ReplayTarget for MemTarget {
 
 /// Injected backend faults during the apply phase cannot lose committed
 /// data: whatever the backend managed to absorb, replaying the log onto a
-/// fresh target reconstructs every committed page image.
+/// fresh target reconstructs every committed page image. Two stores share
+/// the log and commit as a group — a healthy one and one whose backend
+/// trips — so the sick backend is also shown not to hold the healthy one
+/// back, and to keep every batch it could not apply queued.
 #[test]
 fn committed_batches_survive_backend_write_faults() {
     for trip_at in 1..=6u64 {
@@ -426,43 +460,65 @@ fn committed_batches_survive_backend_write_faults() {
             let wal = std::sync::Arc::new(std::sync::Mutex::new(
                 Wal::create(dir.join("wal.log")).unwrap(),
             ));
-            let backend = FaultStore::new(
-                DiskPageFile::create(dir.join("data.pg")).unwrap(),
-                trip_at,
-                mode,
-            );
-            let mut store = WalStore::wrap(backend, wal, 0);
+            let open = |file: &str, tag: u8, nth_write: u64| {
+                let backend = FaultStore::new(
+                    DiskPageFile::create(dir.join(file)).unwrap(),
+                    nth_write,
+                    mode,
+                );
+                WalStore::wrap(backend, std::sync::Arc::clone(&wal), tag)
+            };
+            let mut stores = [open("healthy.pg", 0, 0), open("sick.pg", 1, trip_at)];
 
-            // Two committed batches of page writes; remember what each
-            // page must hold afterwards.
-            let mut expected: HashMap<PageId, [u8; PAGE_SIZE]> = HashMap::new();
+            // Two committed batches of three page writes per store;
+            // remember what each page must hold afterwards.
+            let mut expected: HashMap<(usize, PageId), [u8; PAGE_SIZE]> = HashMap::new();
             for batch in 0..2u8 {
-                for i in 0..3u8 {
-                    let id = store.allocate().unwrap();
-                    let mut img = [0u8; PAGE_SIZE];
-                    img[..2].copy_from_slice(&[batch + 1, i + 1]);
-                    store.write(id, &img[..]).unwrap();
-                    expected.insert(id, img);
+                for (tag, store) in stores.iter_mut().enumerate() {
+                    for i in 0..3u8 {
+                        let id = store.allocate().unwrap();
+                        let mut img = [0u8; PAGE_SIZE];
+                        img[..3].copy_from_slice(&[tag as u8 + 1, batch + 1, i + 1]);
+                        store.write(id, &img[..]).unwrap();
+                        expected.insert((tag, id), img);
+                    }
                 }
                 // The apply phase behind this commit is where the fault
-                // trips; the commit may now report the sick backend, but
+                // trips (the sick backend's `trip_at`-th write, three per
+                // batch); the commit then reports the sick backend, but
                 // the log write itself is unaffected — recovery below is
                 // what must not lose data.
-                let _ = store.commit(true);
+                let [healthy, sick] = &mut stores;
+                let committed = commit_group(&wal, &mut [healthy, sick], None, true);
+                assert_eq!(committed.is_err(), trip_at <= 3 * (batch as u64 + 1));
+            }
+            assert_eq!(stores[0].unapplied_batches(), 0, "healthy store held back");
+            assert_eq!(
+                stores[1].unapplied_batches(),
+                if trip_at <= 3 { 2 } else { 1 },
+                "every batch since the trip stays queued for a retry"
+            );
+            for ((tag, id), img) in &expected {
+                let page = stores[*tag].peek_page(*id).unwrap();
+                assert_eq!(page[..], img[..], "live read of store {tag} page {id} tore");
             }
 
             // "Crash": drop everything, then recover from the log alone.
-            drop(store);
+            drop(stores);
             let recovery = Wal::recover(dir.join("wal.log")).unwrap();
             assert_eq!(recovery.batches.len(), 2);
-            let mut target = MemTarget::default();
-            replay(&recovery.batches, &mut [&mut target]).unwrap();
-            assert_eq!(target.pages.len(), expected.len());
-            for (id, img) in &expected {
+            let mut targets = [MemTarget::default(), MemTarget::default()];
+            let [healthy, sick] = &mut targets;
+            replay(&recovery.batches, &mut [healthy, sick]).unwrap();
+            assert_eq!(
+                targets[0].pages.len() + targets[1].pages.len(),
+                expected.len()
+            );
+            for ((tag, id), img) in &expected {
                 assert_eq!(
-                    target.pages.get(id),
+                    targets[*tag].pages.get(id),
                     Some(img),
-                    "page {id} lost under fault at write {trip_at} ({mode:?})"
+                    "store {tag} page {id} lost under fault at write {trip_at} ({mode:?})"
                 );
             }
             let _ = std::fs::remove_dir_all(&dir);

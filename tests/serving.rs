@@ -4,6 +4,8 @@
 //! crash recovery at every log cut — and the resident query service must
 //! agree with direct execution.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
 use utree_repro::prelude::*;
@@ -296,6 +298,43 @@ fn catalog_recovery_equals_a_committed_prefix_at_every_crash_point() {
     }
 }
 
+/// The shared log's format, pinned: a two-index catalog session leaves a
+/// log of this exact length holding these exact records per batch (sorted —
+/// see [`common::wal_digest`]), every shard under its positional store tag
+/// and one catalog record per commit.
+#[test]
+fn catalog_session_log_is_byte_stable() {
+    let lb = lb_objects(48);
+    let ca = ca_objects(36);
+    let dir = temp_dir("pin-log");
+    {
+        let mut cat = IndexCatalog::<2>::create(&dir, 64).unwrap();
+        cat.create_index("lb", UCatalog::uniform(8), TreeConfig::default(), 3)
+            .unwrap();
+        cat.create_index("ca", UCatalog::uniform(8), TreeConfig::default(), 2)
+            .unwrap();
+        for b in 0..4 {
+            for o in &lb[b * 12..(b + 1) * 12] {
+                cat.get_mut("lb").unwrap().insert(o);
+            }
+            for o in &ca[b * 9..(b + 1) * 9] {
+                cat.get_mut("ca").unwrap().insert(o);
+            }
+            cat.flush().unwrap();
+        }
+    }
+    let (len, batches) = common::wal_digest(&dir.join("wal.log"));
+    assert_eq!(len, 166_662, "log length moved");
+    let pinned = vec![
+        (16, 2868566222603139398),
+        (11, 1297727419677099611),
+        (11, 1707270860996339490),
+        (11, 6937823675171571652),
+    ];
+    assert_eq!(batches, pinned, "log records moved");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// DDL is snapshot-ordered, not journaled: an index created *after* the
 /// last commit survives a crash as an empty index, while the committed
 /// data of the older index recovers from the log.
@@ -335,6 +374,63 @@ fn an_index_created_after_the_last_commit_survives_a_crash_empty() {
     assert_eq!(cat.get("late").unwrap().len(), 0, "uncommitted rolls back");
     assert_eq!(cat.get("lb").unwrap().len(), 60);
     assert_matches_oracle(cat.get("lb").unwrap(), &oracle, "lb after ddl crash");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment's WAL store tag is its position in the catalog's segment
+/// list; a `catalog.pg` claiming anything else — here one corrupted byte,
+/// the second index's first tag — must be refused. Opened as written, the
+/// next commit would journal `bb`'s pages under `aa`'s tags (or, for 255,
+/// wrap around the tag space onto them) and the open after that would
+/// replay them onto `aa`'s files.
+#[test]
+fn a_catalog_whose_wal_tags_do_not_tile_the_segment_list_is_refused() {
+    let dir = temp_dir("tags");
+    {
+        let mut cat = IndexCatalog::<2>::create(&dir, 64).unwrap();
+        cat.create_index("aa", UCatalog::uniform(8), TreeConfig::default(), 2)
+            .unwrap();
+        cat.create_index("bb", UCatalog::uniform(8), TreeConfig::default(), 1)
+            .unwrap();
+        for o in &lb_objects(200) {
+            cat.get_mut("aa").unwrap().insert(o);
+        }
+        for o in &ca_objects(200) {
+            cat.get_mut("bb").unwrap().insert(o);
+        }
+        cat.commit().unwrap();
+        // No log record is left to cross-check the catalog against.
+        cat.checkpoint().unwrap();
+    }
+    let healthy = std::fs::read(dir.join("catalog.pg")).unwrap();
+    // `bb`'s record up to its tag: name, id 1, kind 0, first tag 4 (after
+    // `aa`'s two shards). Checkpoints leave dead copies of the record in
+    // freed pages; patching those too is harmless.
+    let needle = b"\x02\x00bb\x01\x00\x00\x00\x00\x04";
+    let tag_bytes: Vec<usize> = healthy
+        .windows(needle.len())
+        .enumerate()
+        .filter(|(_, w)| w == needle)
+        .map(|(at, _)| at + needle.len() - 1)
+        .collect();
+    assert!(!tag_bytes.is_empty(), "catalog.pg must hold bb's record");
+
+    for bad_tag in [0u8, 255] {
+        let mut corrupt = healthy.clone();
+        for &at in &tag_bytes {
+            corrupt[at] = bad_tag;
+        }
+        std::fs::write(dir.join("catalog.pg"), &corrupt).unwrap();
+        match IndexCatalog::<2>::open(&dir, 64) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}"),
+            Ok(_) => panic!("first tag {bad_tag} for bb must not open"),
+        }
+    }
+
+    std::fs::write(dir.join("catalog.pg"), &healthy).unwrap();
+    let cat = IndexCatalog::<2>::open(&dir, 64).unwrap();
+    assert_matches_oracle(cat.get("aa").unwrap(), &oracle_tree(&lb_objects(200)), "aa");
+    assert_matches_oracle(cat.get("bb").unwrap(), &oracle_tree(&ca_objects(200)), "bb");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
