@@ -278,14 +278,6 @@ impl<const D: usize> Query<D> {
     pub fn options(&self) -> QueryOptions {
         self.options
     }
-
-    /// The `(r_q, p_q)` pair as the paper's query type.
-    pub fn prob_range(&self) -> ProbRangeQuery<D> {
-        ProbRangeQuery {
-            region: self.region,
-            threshold: self.threshold,
-        }
-    }
 }
 
 /// Fluent builder returned by [`Query::range`].

@@ -272,11 +272,6 @@ impl<const D: usize> IndexCatalog<D> {
         self.entries.iter().map(|e| &e.def)
     }
 
-    /// Number of named indexes.
-    pub fn index_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Commits every update to every index since the last commit as one
     /// atomic WAL batch: all indexes' dirty pages, allocation changes and
     /// the full catalog record, sealed by a single commit marker.

@@ -19,7 +19,10 @@
 //!
 //! Workers pull queries off a shared atomic cursor (work stealing by
 //! construction: an expensive query never blocks the rest of the batch
-//! behind one thread), and outcomes are returned in workload order.
+//! behind one thread), and outcomes are returned in workload order. That
+//! pool is `fan_out`, the only place this crate spawns threads:
+//! [`crate::service::QueryService::serve`] runs heterogeneous requests
+//! against a catalog on the same function.
 //!
 //! ```
 //! use utree::engine::BatchExecutor;
@@ -62,87 +65,75 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Fans `items` across `workers` scoped threads (shared atomic cursor,
-/// one reused [`QueryCtx`] per worker) and returns the outputs in input
-/// order. The generic core behind both the range-query and the ranking
-/// batch paths.
+/// The crate's one worker pool: fans `items` across `workers` scoped
+/// threads (shared atomic cursor, one reused [`QueryCtx`] per worker) and
+/// returns the outputs in input order. [`BatchExecutor`] batches and
+/// [`crate::service::QueryService::serve`] both run on it. With one worker
+/// (or none — an empty batch) the loop runs on the calling thread and
+/// nothing is spawned.
 ///
 /// A panic inside `f` is caught per item: the worker keeps draining the
 /// cursor (so every item is claimed exactly once and no sibling worker's
-/// finished output is torn down mid-batch), and the *original* panic
-/// payload is re-raised after all workers join. Without the per-item
-/// catch, one bad query would unwind its worker thread and turn the whole
-/// batch into a generic "worker panicked" join failure.
-fn fan_out<Q, T, F>(workers: usize, items: &[Q], f: F) -> Vec<T>
+/// finished output is torn down mid-batch), and the *original* payload of
+/// the first panic in input order is re-raised after all workers join.
+/// Without the per-item catch, one bad query would unwind its worker
+/// thread and turn the whole batch into a generic "worker panicked" join
+/// failure.
+pub(crate) fn fan_out<Q, T, F>(workers: usize, items: &[Q], f: F) -> Vec<T>
 where
     Q: Sync,
     T: Send,
     F: Fn(&Q, &mut QueryCtx) -> T + Sync,
 {
     let cursor = AtomicUsize::new(0);
-    type Panic = Box<dyn std::any::Any + Send + 'static>;
-    type WorkerResult<T> = (Vec<(usize, T)>, Option<Panic>);
-    let worker_results: Vec<WorkerResult<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut ctx = QueryCtx::new();
-                    let mut local = Vec::new();
-                    let mut first_panic: Option<Panic> = None;
-                    loop {
-                        // ordering: Relaxed suffices — the fetch_add
-                        // itself hands out each index exactly once, and
-                        // the scope join publishes the results.
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| f(item, &mut ctx))) {
-                            Ok(out) => local.push((i, out)),
-                            Err(payload) => {
-                                // The context may hold half-built query
-                                // state; start the next item fresh.
-                                ctx = QueryCtx::new();
-                                first_panic.get_or_insert(payload);
-                            }
-                        }
-                    }
-                    (local, first_panic)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // xlint: allow(panic-freedom) -- invariant: batch worker panicked
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
-    });
-    let mut first_panic: Option<Panic> = None;
-    let mut by_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(worker_results.len());
-    for (local, panic) in worker_results {
-        by_worker.push(local);
-        if let Some(p) = panic {
-            first_panic.get_or_insert(p);
+    type Caught<T> = Result<T, Box<dyn std::any::Any + Send + 'static>>;
+    let drain = || {
+        let mut ctx = QueryCtx::new();
+        let mut local: Vec<(usize, Caught<T>)> = Vec::new();
+        loop {
+            // ordering: Relaxed suffices — the fetch_add itself hands out
+            // each index exactly once, and the scope join publishes the
+            // results.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                break;
+            };
+            let out = catch_unwind(AssertUnwindSafe(|| f(item, &mut ctx)));
+            if out.is_err() {
+                // The context may hold half-built query state; start the
+                // next item fresh.
+                ctx = QueryCtx::new();
+            }
+            local.push((i, out));
         }
-    }
-    if let Some(payload) = first_panic {
-        resume_unwind(payload);
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    for (i, outcome) in by_worker.drain(..).flatten() {
-        debug_assert!(slots[i].is_none(), "item {i} executed twice");
-        slots[i] = Some(outcome);
-    }
-    slots
+        local
+    };
+    let mut outputs = if workers <= 1 {
+        drain()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                // xlint: allow(panic-freedom) -- invariant: batch worker panicked
+                .flat_map(|h| h.join().expect("batch worker panicked"))
+                .collect()
+        })
+    };
+    // The cursor hands out each index exactly once, so sorting by index
+    // restores input order — and makes "first" panic mean first in it.
+    assert_eq!(outputs.len(), items.len(), "an item went unclaimed");
+    outputs.sort_unstable_by_key(|&(i, _)| i);
+    outputs
         .into_iter()
-        // xlint: allow(panic-freedom) -- invariant: every item claimed exactly once
-        .map(|s| s.expect("every item claimed exactly once"))
+        .map(|(_, out)| out.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
 }
 
 /// Executes batches of queries over one shared index with a fixed number
-/// of workers (`std::thread::scope`; no queries outlive the call).
+/// of workers (scoped threads; no queries outlive the call). A query that
+/// panics does not tear the batch down mid-flight: the rest of the batch
+/// is drained, then the first panic is re-raised with its own payload.
 ///
 /// Construction is cheap and the executor is reusable; it holds no state
 /// beyond the worker count.
@@ -166,11 +157,6 @@ impl BatchExecutor {
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "batch executor needs at least one worker");
         Self { workers }
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Runs `queries` against the shared `index`, returning outcomes in
@@ -235,10 +221,7 @@ impl BatchExecutor {
         O: Outcome + Send,
         F: Fn(&Q, &mut QueryCtx) -> O + Sync,
     {
-        let workers = self.workers.min(items.len());
-        if workers <= 1 {
-            return Self::run_batch_sequential(items, exec);
-        }
+        let workers = self.workers.min(items.len()).max(1);
         let t0 = Instant::now();
         let outcomes = fan_out(workers, items, exec);
         Batch::assemble(outcomes, workers, t0.elapsed().as_nanos())
@@ -337,10 +320,7 @@ impl<O: Outcome> Batch<O> {
     /// infinity — so the result is finite exactly when the batch ran at
     /// least one query.
     pub fn queries_per_sec(&self) -> f64 {
-        if self.outcomes.is_empty() {
-            return f64::NAN;
-        }
-        self.outcomes.len() as f64 * 1e9 / self.wall_nanos.max(1) as f64
+        queries_per_sec(self.outcomes.len(), self.wall_nanos)
     }
 
     /// True when this batch did exactly the same work as `other` and
@@ -356,6 +336,16 @@ impl<O: Outcome> Batch<O> {
                 .zip(&other.outcomes)
                 .all(|(a, b)| a.same_answer(b) && a.stats().same_counts(b.stats()))
     }
+}
+
+/// `served` queries over `wall_nanos` as a rate: `NaN` when nothing was
+/// served, the wall clock clamped to ≥ 1 ns otherwise (see
+/// [`Batch::queries_per_sec`]).
+pub(crate) fn queries_per_sec(served: usize, wall_nanos: u128) -> f64 {
+    if served == 0 {
+        return f64::NAN;
+    }
+    served as f64 * 1e9 / wall_nanos.max(1) as f64
 }
 
 #[cfg(test)]

@@ -214,7 +214,7 @@ pub struct QueryCtx {
     /// `(lb_bits, id)` so the k-th best bound is an ordered lookup.
     pub(crate) pending: std::collections::BTreeSet<(u64, u64)>,
     /// Exact ranking results so far (sorted descending, capped at k).
-    pub(crate) ranked: Vec<crate::rank::RankedHit>,
+    pub(crate) ranked: Vec<crate::api::RankedMatch>,
     /// Distinct heap pages touched by one-at-a-time refinement (sorted).
     pub(crate) heap_pages: Vec<PageId>,
     /// Reusable SoA buffers for the chunked Monte-Carlo kernels

@@ -95,19 +95,31 @@ impl PartialOrd for RankItem {
     }
 }
 
-/// An exact ranking result (refined probability, or pinned to 1 by the
-/// validation bound).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RankedHit {
-    /// Exact appearance probability.
-    pub(crate) p: f64,
-    /// Object id.
-    pub(crate) id: u64,
-    /// True when `p = 1` was certified without integration.
-    pub(crate) validated: bool,
-    /// Monte-Carlo samples behind `p` (0 when validated or computed by
-    /// quadrature).
-    pub(crate) samples: usize,
+impl RankedMatch {
+    /// A hit pinned to `p = 1` by the validation bound, no integration.
+    pub(crate) fn validated(id: u64) -> Self {
+        Self {
+            id,
+            p: 1.0,
+            provenance: Provenance::Validated,
+        }
+    }
+
+    /// A hit whose probability `p` was computed from `samples` Monte-Carlo
+    /// samples (0 under quadrature).
+    pub(crate) fn refined(id: u64, p: f64, samples: usize) -> Self {
+        Self {
+            id,
+            p,
+            provenance: Provenance::Refined { p, samples },
+        }
+    }
+}
+
+/// The ranking order: descending probability, ties by ascending id — the
+/// one total order every ranked answer, partial or merged, is sorted by.
+pub(crate) fn rank_order(a: &RankedMatch, b: &RankedMatch) -> Ordering {
+    b.p.total_cmp(&a.p).then(a.id.cmp(&b.id))
 }
 
 /// The leaf-entry surface the ranking driver needs, shared by the U-tree
@@ -145,11 +157,11 @@ impl<const D: usize> RankLeaf<D> for crate::entry::UPcrLeafEntry<D> {
     }
 }
 
-/// Inserts a hit keeping `ranked` sorted by `(p desc, id asc)` and capped
-/// at `k` — entries that fall off the end are exact and below the k-th
-/// exact value, so they can never re-enter.
-pub(crate) fn push_hit(ranked: &mut Vec<RankedHit>, k: usize, hit: RankedHit) {
-    let at = ranked.partition_point(|h| h.p > hit.p || (h.p == hit.p && h.id < hit.id));
+/// Inserts a hit keeping `ranked` sorted by [`rank_order`] and capped at
+/// `k` — entries that fall off the end are exact and below the k-th exact
+/// value, so they can never re-enter.
+pub(crate) fn push_hit(ranked: &mut Vec<RankedMatch>, k: usize, hit: RankedMatch) {
+    let at = ranked.partition_point(|h| rank_order(h, &hit) == Ordering::Less);
     ranked.insert(at, hit);
     ranked.truncate(k);
 }
@@ -159,7 +171,7 @@ pub(crate) fn push_hit(ranked: &mut Vec<RankedHit>, k: usize, hit: RankedHit) {
 /// frontier. Returns `-1.0` while fewer than `k` bounds exist (every
 /// upper bound beats it). Each object contributes exactly once — its
 /// pending entry is removed before it is refined.
-pub(crate) fn kth_bound(ranked: &[RankedHit], pending: &BTreeSet<(u64, u64)>, k: usize) -> f64 {
+pub(crate) fn kth_bound(ranked: &[RankedMatch], pending: &BTreeSet<(u64, u64)>, k: usize) -> f64 {
     let mut exact = ranked.iter().map(|h| h.p).peekable();
     let mut lbs = pending
         .iter()
@@ -268,16 +280,7 @@ where
                             // backend because it ignores the tightness of
                             // the PCR approximation at hand.
                             stats.validated += 1;
-                            push_hit(
-                                ranked,
-                                k,
-                                RankedHit {
-                                    p: 1.0,
-                                    id: rec.oid(),
-                                    validated: true,
-                                    samples: 0,
-                                },
-                            );
+                            push_hit(ranked, k, RankedMatch::validated(rec.oid()));
                             return;
                         }
                         let (lb, ub) = entry_bounds(rec);
@@ -305,16 +308,7 @@ where
             RankTarget::Object { addr, id, .. } => {
                 let (p, samples) = refine_one(heap, addr, id, rq, mode, ctx)?;
                 if p > 0.0 {
-                    push_hit(
-                        &mut ctx.ranked,
-                        k,
-                        RankedHit {
-                            p,
-                            id,
-                            validated: false,
-                            samples,
-                        },
-                    );
+                    push_hit(&mut ctx.ranked, k, RankedMatch::refined(id, p, samples));
                 }
             }
         }
@@ -326,22 +320,7 @@ where
 /// Assembles the outcome from a context's ranked hits (shared with the
 /// sequential-scan oracle) and settles the wall-clock split.
 pub(crate) fn finish(ctx: &mut QueryCtx, t_total: Instant) -> RankOutcome {
-    let matches: Vec<RankedMatch> = ctx
-        .ranked
-        .iter()
-        .map(|h| RankedMatch {
-            id: h.id,
-            p: h.p,
-            provenance: if h.validated {
-                Provenance::Validated
-            } else {
-                Provenance::Refined {
-                    p: h.p,
-                    samples: h.samples,
-                }
-            },
-        })
-        .collect();
+    let matches = ctx.ranked.clone();
     ctx.stats.results = matches.len() as u64;
     ctx.stats.filter_nanos = t_total
         .elapsed()
@@ -357,13 +336,8 @@ pub(crate) fn finish(ctx: &mut QueryCtx, t_total: Instant) -> RankOutcome {
 mod tests {
     use super::*;
 
-    fn hit(p: f64, id: u64) -> RankedHit {
-        RankedHit {
-            p,
-            id,
-            validated: false,
-            samples: 0,
-        }
+    fn hit(p: f64, id: u64) -> RankedMatch {
+        RankedMatch::refined(id, p, 0)
     }
 
     #[test]
@@ -375,6 +349,23 @@ mod tests {
         let got: Vec<(f64, u64)> = ranked.iter().map(|h| (h.p, h.id)).collect();
         // Ties (0.9) order by ascending id; 0.5 and 0.4 fell off the cap.
         assert_eq!(got, vec![(0.9, 0), (0.9, 2), (0.6, 3)]);
+    }
+
+    #[test]
+    fn push_hit_places_ties_exactly_as_rank_order_says() {
+        // Equal probabilities pushed in a scrambled order come out by
+        // ascending id — the order `rank_order` states, nothing else.
+        let mut ranked = Vec::new();
+        for id in [5, 1, 9, 3, 7] {
+            push_hit(&mut ranked, 4, hit(0.5, id));
+        }
+        let ids: Vec<u64> = ranked.iter().map(|h| h.id).collect();
+        assert_eq!(ids, vec![1, 3, 5, 7]);
+        assert!(ranked
+            .windows(2)
+            .all(|w| rank_order(&w[0], &w[1]) == Ordering::Less));
+        assert_eq!(rank_order(&hit(0.5, 2), &hit(0.5, 2)), Ordering::Equal);
+        assert_eq!(rank_order(&hit(0.6, 9), &hit(0.5, 1)), Ordering::Less);
     }
 
     #[test]

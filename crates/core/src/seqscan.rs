@@ -9,14 +9,14 @@
 
 use crate::api::{
     outcome_from_ctx, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome, RankOutcome,
-    RankQuery,
+    RankQuery, RankedMatch,
 };
 use crate::catalog::UCatalog;
 use crate::cfb::CfbView;
 use crate::entry::{UCodec, ULeafEntry};
 use crate::filter::FilterOutcome;
 use crate::object_codec::encode_object;
-use crate::query::{refine_ctx, QueryCtx};
+use crate::query::{refine_ctx, QueryCtx, QueryStats};
 use crate::tree::{storable_mbr, Cfbs, FilterPayload, InsertStats};
 use page_store::{ObjectHeap, PageFile, PageId, PageStore};
 use rstar_base::NodeCodec;
@@ -114,7 +114,8 @@ impl<const D: usize> SeqScan<D> {
         self.open.push(entry);
         self.len += 1;
         if self.open.len() == self.codec.leaf_capacity() {
-            self.flush_page();
+            let full = std::mem::take(&mut self.open);
+            self.write_page(&full);
         }
         InsertStats {
             pcr_nanos,
@@ -157,32 +158,45 @@ impl<const D: usize> SeqScan<D> {
         self.open = Vec::new();
         for chunk in entries.chunks(cap) {
             if chunk.len() == cap {
-                // xlint: allow(io-fallibility, panic-freedom) -- invariant: in-memory file cannot fail
-                let page = self.file.allocate().expect("in-memory file cannot fail");
-                let mut bytes = Vec::with_capacity(page_store::PAGE_SIZE);
-                self.codec.encode_leaf(chunk, &mut bytes);
-                self.file
-                    .write(page, &bytes)
-                    // xlint: allow(io-fallibility, panic-freedom) -- invariant: in-memory file cannot fail
-                    .expect("in-memory file cannot fail");
-                self.pages.push(page);
+                self.write_page(chunk);
             } else {
                 self.open = chunk.to_vec();
             }
         }
     }
 
-    fn flush_page(&mut self) {
+    /// Appends one full page holding `entries`.
+    fn write_page(&mut self, entries: &[ULeafEntry<D>]) {
         // xlint: allow(io-fallibility, panic-freedom) -- invariant: in-memory file cannot fail
         let page = self.file.allocate().expect("in-memory file cannot fail");
         let mut bytes = Vec::with_capacity(page_store::PAGE_SIZE);
-        self.codec.encode_leaf(&self.open, &mut bytes);
+        self.codec.encode_leaf(entries, &mut bytes);
         self.file
             .write(page, &bytes)
             // xlint: allow(io-fallibility, panic-freedom) -- invariant: in-memory file cannot fail
             .expect("in-memory file cannot fail");
         self.pages.push(page);
-        self.open.clear();
+    }
+
+    /// The scan itself: hands `f` every stored entry — each full page
+    /// through `decode_leaf`, then the open tail — charging one
+    /// `node_reads` per page and one for a non-empty (partially filled)
+    /// tail.
+    fn for_each_entry(
+        &self,
+        stats: &mut QueryStats,
+        mut f: impl FnMut(&mut QueryStats, &ULeafEntry<D>),
+    ) {
+        for &page in &self.pages {
+            stats.node_reads += 1;
+            for rec in self.codec.decode_leaf(self.file.read(page)) {
+                f(stats, &rec);
+            }
+        }
+        for rec in &self.open {
+            f(stats, rec);
+        }
+        stats.node_reads += u64::from(!self.open.is_empty());
     }
 
     /// Executes a prob-range query by scanning every page.
@@ -224,7 +238,7 @@ impl<const D: usize> SeqScan<D> {
                 candidates,
                 ..
             } = &mut *ctx;
-            let mut classify = |rec: &ULeafEntry<D>| {
+            self.for_each_entry(stats, |stats, rec| {
                 let view = CfbView {
                     pair: &rec.cfbs,
                     catalog: &self.catalog,
@@ -238,20 +252,7 @@ impl<const D: usize> SeqScan<D> {
                     }
                     FilterOutcome::Candidate => candidates.push((rec.addr, rec.id)),
                 }
-            };
-            for &page in &self.pages {
-                let bytes = self.file.read(page);
-                stats.node_reads += 1;
-                for rec in self.codec.decode_leaf(bytes) {
-                    classify(&rec);
-                }
-            }
-            for rec in &self.open {
-                classify(rec);
-            }
-            if !self.open.is_empty() {
-                stats.node_reads += 1; // the partially filled tail page
-            }
+            });
         }
         ctx.stats.filter_nanos = t0.elapsed().as_nanos();
         ctx.stats.candidates = ctx.candidates.len() as u64;
@@ -286,55 +287,24 @@ impl<const D: usize> SeqScan<D> {
                 ranked,
                 ..
             } = &mut *ctx;
-            let mut classify = |rec: &ULeafEntry<D>| {
+            self.for_each_entry(stats, |stats, rec| {
                 stats.visited += 1;
                 if rq.contains_rect(&rec.mbr) {
                     stats.validated += 1;
-                    crate::rank::push_hit(
-                        ranked,
-                        k,
-                        crate::rank::RankedHit {
-                            p: 1.0,
-                            id: rec.id,
-                            validated: true,
-                            samples: 0,
-                        },
-                    );
+                    crate::rank::push_hit(ranked, k, RankedMatch::validated(rec.id));
                 } else if rec.mbr.intersects(rq) {
                     stats.candidates += 1;
                     candidates.push((rec.addr, rec.id));
                 } else {
                     stats.pruned += 1;
                 }
-            };
-            for &page in &self.pages {
-                let bytes = self.file.read(page);
-                stats.node_reads += 1;
-                for rec in self.codec.decode_leaf(bytes) {
-                    classify(&rec);
-                }
-            }
-            for rec in &self.open {
-                classify(rec);
-            }
-            if !self.open.is_empty() {
-                stats.node_reads += 1;
-            }
+            });
         }
         let cands = std::mem::take(&mut ctx.candidates);
         for &(addr, id) in &cands {
             let (p, samples) = crate::query::refine_one(&self.heap, addr, id, rq, mode, ctx)?;
             if p > 0.0 {
-                crate::rank::push_hit(
-                    &mut ctx.ranked,
-                    k,
-                    crate::rank::RankedHit {
-                        p,
-                        id,
-                        validated: false,
-                        samples,
-                    },
-                );
+                crate::rank::push_hit(&mut ctx.ranked, k, RankedMatch::refined(id, p, samples));
             }
         }
         // Hand the buffer back so its capacity stays with the context.
@@ -402,7 +372,7 @@ impl<const D: usize> ProbIndex<D> for SeqScan<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{ProbRangeQuery, QueryStats, RefineMode};
+    use crate::query::{ProbRangeQuery, RefineMode};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_geom::Point;

@@ -1,26 +1,27 @@
-//! A resident query service over an [`IndexCatalog`]: admission batching
-//! onto a worker pool with per-worker [`QueryCtx`] reuse, plus sustained
-//! throughput and tail-latency accounting.
+//! A query service over an [`IndexCatalog`]: heterogeneous requests
+//! (range and top-k, each naming its index) executed on the crate's one
+//! worker pool, plus sustained throughput and tail-latency accounting.
 //!
-//! [`QueryService::serve`] is the serving loop of the multi-index engine:
-//! the caller thread **admits** requests onto a shared queue in batches of
-//! at most `max_batch` (one queue lock per batch, not per request), while
-//! `workers` resident threads drain it — each holding one [`QueryCtx`]
-//! across *all* the requests it executes, exactly the reuse pattern
-//! [`crate::engine::BatchExecutor`] established for homogeneous batches.
-//! Requests name their index; lookup failures and query errors become
-//! [`ServiceReply::Error`] for that request alone, never a torn batch.
+//! [`QueryService::serve`] is a call to [`crate::engine`]'s `fan_out` —
+//! the pool is described there, once: `workers` scoped threads pull
+//! requests off a shared cursor, each holding one [`QueryCtx`] across
+//! *all* the requests it executes, and zero or one request runs on the
+//! calling thread. Requests name their index; lookup failures, query
+//! errors **and panics** become [`ServiceReply::Error`] for that request
+//! alone, never a torn batch.
 //!
 //! Replies come back in submission order. The accompanying
-//! [`ServiceReport`] records per-request latency from *admission* to
-//! completion (so queueing delay counts, as it does for a real client)
-//! and derives sustained qps plus nearest-rank percentiles (p50/p99).
+//! [`ServiceReport`] records per-request latency from the *start of
+//! `serve`* to completion (so time spent behind other requests counts, as
+//! it does for a real client) and derives sustained qps plus nearest-rank
+//! percentiles (p50/p99).
 
 use crate::api::{ProbIndex, Query, QueryOutcome, RankOutcome, RankQuery};
 use crate::catalog_store::IndexCatalog;
+use crate::engine::{fan_out, queries_per_sec};
 use crate::query::QueryCtx;
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// One request to the service: which named index to hit, and with what.
@@ -49,21 +50,22 @@ pub enum ServiceReply {
     Range(QueryOutcome),
     /// Ranking answer.
     TopK(RankOutcome),
-    /// This request failed (unknown index, invalid query, storage error);
-    /// the rest of the batch is unaffected.
+    /// This request failed (unknown index, invalid query, storage error,
+    /// or a panic — reported with the panic's own message); the rest of
+    /// the batch is unaffected.
     Error(String),
 }
 
 /// Throughput and latency accounting for one [`QueryService::serve`] run.
 ///
-/// Latency is measured per request from admission to completion, so time
-/// spent queued behind other requests counts. Percentiles use the
-/// nearest-rank method on the sorted latencies.
+/// Latency is measured per request from the start of `serve` to
+/// completion, so time spent behind other requests counts. Percentiles use
+/// the nearest-rank method on the sorted latencies.
 #[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Requests executed (successes and per-request errors alike).
     pub served: usize,
-    /// Wall-clock duration of the whole run, admission included.
+    /// Wall-clock duration of the whole run.
     pub wall_nanos: u64,
     /// Per-request latencies, sorted ascending.
     latencies: Vec<u64>,
@@ -73,10 +75,7 @@ impl ServiceReport {
     /// Sustained queries per second over the run's wall clock. `NAN` when
     /// nothing was served — an empty run has no meaningful rate.
     pub fn queries_per_sec(&self) -> f64 {
-        if self.served == 0 {
-            return f64::NAN;
-        }
-        self.served as f64 * 1e9 / self.wall_nanos.max(1) as f64
+        queries_per_sec(self.served, self.wall_nanos.into())
     }
 
     /// Nearest-rank latency percentile, `p` in `(0, 100]`. `None` when
@@ -101,149 +100,81 @@ impl ServiceReport {
     }
 }
 
-struct Job<const D: usize> {
-    seq: usize,
-    submitted: Instant,
-    request: ServiceRequest<D>,
-}
-
-struct Queue<const D: usize> {
-    jobs: Mutex<(VecDeque<Job<D>>, bool)>,
-    ready: Condvar,
-}
-
-/// A resident worker pool serving heterogeneous query traffic against an
-/// [`IndexCatalog`] — see the module docs for the serving loop.
+/// Heterogeneous query traffic against an [`IndexCatalog`] on the crate's
+/// worker pool — see the module docs.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryService {
     workers: usize,
-    max_batch: usize,
 }
 
 impl QueryService {
-    /// A service with `workers` resident threads admitting requests in
-    /// batches of at most `max_batch`.
+    /// A service running each [`serve`](Self::serve) call on at most
+    /// `workers` threads.
+    ///
+    /// `max_batch` is accepted for source compatibility and has **no
+    /// effect**: requests are claimed one at a time off a shared cursor,
+    /// so there is no admission batch to cap.
     ///
     /// # Panics
     ///
-    /// If `workers` or `max_batch` is zero.
-    pub fn new(workers: usize, max_batch: usize) -> Self {
+    /// If `workers` is zero.
+    pub fn new(workers: usize, _max_batch: usize) -> Self {
         assert!(workers > 0, "a service needs at least one worker");
-        assert!(max_batch > 0, "admission batches hold at least one request");
-        Self { workers, max_batch }
+        Self { workers }
     }
 
-    /// Number of resident worker threads.
+    /// Upper bound on the threads one `serve` call uses.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Admission batch cap.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// Runs the serving loop over `requests`: admits them in batches,
-    /// executes them on the worker pool against `catalog`, and returns
-    /// the replies **in submission order** plus the run's report.
+    /// Executes `requests` against `catalog` on `min(workers, n)` threads
+    /// and returns the replies **in submission order** plus the run's
+    /// report. A request that panics costs exactly its own reply: it
+    /// becomes a [`ServiceReply::Error`] carrying the panic message, and
+    /// its worker carries on with a fresh [`QueryCtx`].
     pub fn serve<const D: usize>(
         &self,
         catalog: &IndexCatalog<D>,
         requests: Vec<ServiceRequest<D>>,
     ) -> (Vec<ServiceReply>, ServiceReport) {
         let start = Instant::now();
-        let n = requests.len();
-        let queue = Queue {
-            jobs: Mutex::new((VecDeque::new(), false)),
-            ready: Condvar::new(),
-        };
-
-        let mut outcomes: Vec<(usize, ServiceReply, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers)
-                .map(|_| scope.spawn(|| worker_loop(&queue, catalog)))
-                .collect();
-
-            // Admission: one queue lock per batch, not per request.
-            let mut seq = 0;
-            let mut requests = requests.into_iter();
-            loop {
-                let batch: Vec<_> = requests.by_ref().take(self.max_batch).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                let submitted = Instant::now();
-                // xlint: allow(panic-freedom) -- invariant: job queue mutex poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-                let mut jobs = queue.jobs.lock().expect("job queue mutex poisoned");
-                for request in batch {
-                    jobs.0.push_back(Job {
-                        seq,
-                        submitted,
-                        request,
+        let nanos = || start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        let served = fan_out(
+            self.workers.min(requests.len()),
+            &requests,
+            |request, ctx| {
+                let reply = catch_unwind(AssertUnwindSafe(|| execute(catalog, request, ctx)))
+                    .unwrap_or_else(|payload| {
+                        // The context may hold half-built query state.
+                        *ctx = QueryCtx::new();
+                        ServiceReply::Error(panic_text(&*payload))
                     });
-                    seq += 1;
-                }
-                drop(jobs);
-                queue.ready.notify_all();
-            }
-            // xlint: allow(panic-freedom) -- invariant: job queue mutex poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-            queue.jobs.lock().expect("job queue mutex poisoned").1 = true;
-            queue.ready.notify_all();
-
-            handles
-                .into_iter()
-                // xlint: allow(panic-freedom) -- invariant: service workers don't panic
-                .flat_map(|h| h.join().expect("service workers don't panic"))
-                .collect()
-        });
-
-        let mut replies: Vec<Option<ServiceReply>> = (0..n).map(|_| None).collect();
-        let mut latencies = Vec::with_capacity(n);
-        for (seq, reply, nanos) in outcomes.drain(..) {
-            replies[seq] = Some(reply);
-            latencies.push(nanos);
-        }
+                (reply, nanos())
+            },
+        );
+        let (replies, mut latencies): (Vec<_>, Vec<_>) = served.into_iter().unzip();
         latencies.sort_unstable();
-        let replies = replies
-            .into_iter()
-            // xlint: allow(panic-freedom) -- invariant: every admitted request is answered
-            .map(|r| r.expect("every admitted request is answered"))
-            .collect();
         let report = ServiceReport {
-            served: n,
-            wall_nanos: start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+            served: replies.len(),
+            wall_nanos: nanos(),
             latencies,
         };
         (replies, report)
     }
 }
 
-fn worker_loop<const D: usize>(
-    queue: &Queue<D>,
-    catalog: &IndexCatalog<D>,
-) -> Vec<(usize, ServiceReply, u64)> {
-    let mut ctx = QueryCtx::new();
-    let mut done = Vec::new();
-    loop {
-        let job = {
-            // xlint: allow(panic-freedom) -- invariant: job queue mutex poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-            let mut jobs = queue.jobs.lock().expect("job queue mutex poisoned");
-            loop {
-                if let Some(job) = jobs.0.pop_front() {
-                    break Some(job);
-                }
-                if jobs.1 {
-                    break None;
-                }
-                // xlint: allow(panic-freedom) -- invariant: job queue condvar poisoned — a poisoned lock means a panicked writer, and re-raising is the only sound response
-                jobs = queue.ready.wait(jobs).expect("job queue condvar poisoned");
-            }
-        };
-        let Some(job) = job else {
-            return done;
-        };
-        let reply = execute(catalog, &job.request, &mut ctx);
-        let nanos = job.submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        done.push((job.seq, reply, nanos));
+/// The message a panic was raised with, for an error reply. Takes the
+/// payload itself (`&*boxed`): a `&Box<dyn Any>` is itself `Any` and would
+/// downcast to neither string type.
+fn panic_text(payload: &(dyn Any + Send)) -> String {
+    let text = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+    match text {
+        Some(text) => format!("query panicked: {text}"),
+        None => "query panicked (non-string payload)".to_string(),
     }
 }
 
@@ -252,27 +183,19 @@ fn execute<const D: usize>(
     request: &ServiceRequest<D>,
     ctx: &mut QueryCtx,
 ) -> ServiceReply {
-    let lookup = |name: &str| {
-        catalog
-            .get(name)
-            .ok_or_else(|| format!("no index named {name:?} in the catalog"))
+    let (ServiceRequest::Range { index, .. } | ServiceRequest::TopK { index, .. }) = request;
+    let Some(idx) = catalog.get(index) else {
+        return ServiceReply::Error(format!("no index named {index:?} in the catalog"));
     };
-    match request {
-        ServiceRequest::Range { index, query } => match lookup(index) {
-            Ok(idx) => match idx.try_execute_with(query, ctx) {
-                Ok(outcome) => ServiceReply::Range(outcome),
-                Err(e) => ServiceReply::Error(e.to_string()),
-            },
-            Err(e) => ServiceReply::Error(e),
-        },
-        ServiceRequest::TopK { index, query } => match lookup(index) {
-            Ok(idx) => match idx.try_rank_topk_with(query, ctx) {
-                Ok(outcome) => ServiceReply::TopK(outcome),
-                Err(e) => ServiceReply::Error(e.to_string()),
-            },
-            Err(e) => ServiceReply::Error(e),
-        },
-    }
+    let reply = match request {
+        ServiceRequest::Range { query, .. } => {
+            idx.try_execute_with(query, ctx).map(ServiceReply::Range)
+        }
+        ServiceRequest::TopK { query, .. } => {
+            idx.try_rank_topk_with(query, ctx).map(ServiceReply::TopK)
+        }
+    };
+    reply.unwrap_or_else(|e| ServiceReply::Error(e.to_string()))
 }
 
 #[cfg(test)]
@@ -343,6 +266,45 @@ mod tests {
         }
     }
 
+    /// Wall-clock stats (`*_nanos`) legitimately differ run to run;
+    /// everything else must be byte-identical to a direct call.
+    fn normalize(mut reply: ServiceReply) -> ServiceReply {
+        match &mut reply {
+            ServiceReply::Range(out) => {
+                out.stats.filter_nanos = 0;
+                out.stats.refine_nanos = 0;
+            }
+            ServiceReply::TopK(out) => {
+                out.stats.filter_nanos = 0;
+                out.stats.refine_nanos = 0;
+            }
+            ServiceReply::Error(_) => {}
+        }
+        reply
+    }
+
+    /// The request executed on the index itself, no service in between.
+    fn direct(
+        cat: &IndexCatalog<2>,
+        request: &ServiceRequest<2>,
+        ctx: &mut QueryCtx,
+    ) -> ServiceReply {
+        match request {
+            ServiceRequest::Range { index, query } => ServiceReply::Range(
+                cat.get(index)
+                    .unwrap()
+                    .try_execute_with(query, ctx)
+                    .unwrap(),
+            ),
+            ServiceRequest::TopK { index, query } => ServiceReply::TopK(
+                cat.get(index)
+                    .unwrap()
+                    .try_rank_topk_with(query, ctx)
+                    .unwrap(),
+            ),
+        }
+    }
+
     #[test]
     fn replies_match_direct_execution_in_submission_order() {
         let cat = serving_catalog("direct");
@@ -371,41 +333,44 @@ mod tests {
         assert_eq!(replies.len(), requests.len());
         assert_eq!(report.served, requests.len());
 
-        // Wall-clock stats (`*_nanos`) legitimately differ run to run;
-        // everything else must be byte-identical to a direct call.
-        let normalize = |mut reply: ServiceReply| {
-            match &mut reply {
-                ServiceReply::Range(out) => {
-                    out.stats.filter_nanos = 0;
-                    out.stats.refine_nanos = 0;
-                }
-                ServiceReply::TopK(out) => {
-                    out.stats.filter_nanos = 0;
-                    out.stats.refine_nanos = 0;
-                }
-                ServiceReply::Error(_) => {}
-            }
-            reply
-        };
-
         let mut ctx = QueryCtx::new();
         for (request, reply) in requests.iter().zip(&replies) {
-            let expected = match request {
-                ServiceRequest::Range { index, query } => ServiceReply::Range(
-                    cat.get(index)
-                        .unwrap()
-                        .try_execute_with(query, &mut ctx)
-                        .unwrap(),
-                ),
-                ServiceRequest::TopK { index, query } => ServiceReply::TopK(
-                    cat.get(index)
-                        .unwrap()
-                        .try_rank_topk_with(query, &mut ctx)
-                        .unwrap(),
-                ),
-            };
+            let expected = direct(&cat, request, &mut ctx);
             assert_eq!(normalize(reply.clone()), normalize(expected));
         }
+    }
+
+    #[test]
+    fn every_pool_shape_replies_like_direct_execution() {
+        let cat = serving_catalog("shapes");
+        let requests = [
+            range_req("hot", 0.0, 40.0, 0.3),
+            topk_req("cold", 5.0, 45.0, 4),
+            range_req("cold", 10.0, 50.0, 0.3),
+        ];
+        let mut ctx = QueryCtx::new();
+        // More workers than requests (capped at n), exactly one request
+        // (inline, nothing spawned), one worker (inline, in order).
+        for (workers, n) in [(8, 3), (8, 1), (1, 3)] {
+            let requests = &requests[..n];
+            let (replies, report) = QueryService::new(workers, 1).serve(&cat, requests.to_vec());
+            assert_eq!((replies.len(), report.served), (n, n));
+            for (request, reply) in requests.iter().zip(replies) {
+                let expected = direct(&cat, request, &mut ctx);
+                assert_eq!(normalize(reply), normalize(expected), "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn panic_text_carries_the_message_of_either_string_payload() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        let text = panic_text(&*caught(|| panic!("static message")));
+        assert!(text.contains("static message"), "{text}");
+        let text = panic_text(&*caught(|| panic!("formatted {}", 7)));
+        assert!(text.contains("formatted 7"), "{text}");
+        let text = panic_text(&*caught(|| std::panic::panic_any(7u32)));
+        assert!(!text.is_empty());
     }
 
     #[test]

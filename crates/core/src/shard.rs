@@ -40,6 +40,7 @@ use crate::api::{
 };
 use crate::catalog::UCatalog;
 use crate::query::{splitmix64, QueryCtx, QueryStats};
+use crate::rank::{push_hit, rank_order};
 use crate::tree::{InsertStats, UTree};
 use page_store::{PageFile, PageStore};
 use rstar_base::TreeConfig;
@@ -62,21 +63,15 @@ pub fn shard_of(id: u64, shard_count: usize) -> usize {
 /// outcome before comparing it byte-for-byte against a sharded answer
 /// (the oracle reports matches in its own traversal order).
 pub fn canonicalize(mut outcome: QueryOutcome) -> QueryOutcome {
-    let (mut validated, mut refined): (Vec<_>, Vec<_>) = outcome
-        .matches
-        .drain(..)
-        .partition(|m| m.provenance == Provenance::Validated);
-    validated.sort_unstable_by_key(|m| m.id);
-    refined.sort_unstable_by_key(|m| m.id);
-    validated.append(&mut refined);
-    outcome.matches = validated;
+    canonical_sort(&mut outcome.matches);
     outcome
 }
 
-/// The ranking order: descending probability, ties by ascending id — the
-/// same total order [`ProbIndex::rank_topk`] sorts its answer by.
-fn rank_order(a: &RankedMatch, b: &RankedMatch) -> Ordering {
-    b.p.total_cmp(&a.p).then(a.id.cmp(&b.id))
+/// The canonical scatter-gather order, stated once: validated before
+/// refined, ascending id within each (ids are unique, so an unstable sort
+/// is deterministic).
+fn canonical_sort(matches: &mut [Match]) {
+    matches.sort_unstable_by_key(|m| (m.provenance != Provenance::Validated, m.id));
 }
 
 /// One logical uncertain-object index partitioned across several physical
@@ -130,78 +125,6 @@ impl<const D: usize, S: PageStore> ShardedIndex<D, S> {
     pub(crate) fn shards_mut(&mut self) -> &mut [UTree<D, S>] {
         &mut self.shards
     }
-
-    /// Scatter-gather range execution (see module docs for the canonical
-    /// merge order). The context is reused across shards; the returned
-    /// stats are the sum over shards.
-    fn execute_scatter(
-        &self,
-        query: &Query<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
-        let mut stats = QueryStats::default();
-        let mut validated: Vec<u64> = Vec::new();
-        let mut refined: Vec<Match> = Vec::new();
-        for shard in &self.shards {
-            let out = shard.try_execute_with(query, ctx)?;
-            stats += &out.stats;
-            for m in out.matches {
-                match m.provenance {
-                    Provenance::Validated => validated.push(m.id),
-                    Provenance::Refined { .. } => refined.push(m),
-                }
-            }
-        }
-        validated.sort_unstable();
-        refined.sort_unstable_by_key(|m| m.id);
-        let matches = validated
-            .into_iter()
-            .map(|id| Match {
-                id,
-                provenance: Provenance::Validated,
-            })
-            .chain(refined)
-            .collect();
-        Ok(QueryOutcome { matches, stats })
-    }
-
-    /// Scatter-gather top-k: every shard answers its local top-k, and the
-    /// sorted streams merge under the shared τ cutoff. Correct because an
-    /// object in the global top-k is beaten by fewer than `k` objects
-    /// globally, hence by fewer than `k` within its own shard — so it is
-    /// always present in its shard's local stream.
-    fn rank_scatter(
-        &self,
-        query: &RankQuery<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
-        let k = query.k();
-        let mut stats = QueryStats::default();
-        let mut merged: Vec<RankedMatch> = Vec::with_capacity(k);
-        for shard in &self.shards {
-            let out = shard.try_rank_topk_with(query, ctx)?;
-            stats += &out.stats;
-            for m in out.matches {
-                if merged.len() == k {
-                    // τ cutoff: the k-th merged match bounds admission.
-                    // This stream is sorted by the same order, so its
-                    // first non-admissible element ends it.
-                    // xlint: allow(panic-freedom) -- invariant: k >= 1 when full
-                    let tau = merged.last().expect("k >= 1 when full");
-                    if rank_order(&m, tau) != Ordering::Less {
-                        break;
-                    }
-                }
-                let pos = merged.partition_point(|held| rank_order(held, &m) == Ordering::Less);
-                merged.insert(pos, m);
-                merged.truncate(k);
-            }
-        }
-        Ok(RankOutcome {
-            matches: merged,
-            stats,
-        })
-    }
 }
 
 impl<const D: usize, S: PageStore> ProbIndex<D> for ShardedIndex<D, S> {
@@ -237,20 +160,53 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for ShardedIndex<D, S> {
         }
     }
 
+    /// Scatter-gather range execution (see module docs for the canonical
+    /// merge order). The context is reused across shards; the returned
+    /// stats are the sum over shards.
     fn try_execute_with(
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
     ) -> Result<QueryOutcome, QueryError> {
-        self.execute_scatter(query, ctx)
+        let mut stats = QueryStats::default();
+        let mut matches: Vec<Match> = Vec::new();
+        for shard in &self.shards {
+            let out = shard.try_execute_with(query, ctx)?;
+            stats += &out.stats;
+            matches.extend(out.matches);
+        }
+        canonical_sort(&mut matches);
+        Ok(QueryOutcome { matches, stats })
     }
 
+    /// Scatter-gather top-k: every shard answers its local top-k, and the
+    /// sorted streams merge under the shared τ cutoff. Correct because an
+    /// object in the global top-k is beaten by fewer than `k` objects
+    /// globally, hence by fewer than `k` within its own shard — so it is
+    /// always present in its shard's local stream.
     fn try_rank_topk_with(
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
     ) -> Result<RankOutcome, QueryError> {
-        self.rank_scatter(query, ctx)
+        let k = query.k();
+        let mut stats = QueryStats::default();
+        let mut matches: Vec<RankedMatch> = Vec::with_capacity(k);
+        for shard in &self.shards {
+            let out = shard.try_rank_topk_with(query, ctx)?;
+            stats += &out.stats;
+            for m in out.matches {
+                // τ cutoff: once full, the k-th merged match bounds
+                // admission. This stream is sorted by the same order, so
+                // its first non-admissible element ends it.
+                let tau = matches.last().filter(|_| matches.len() == k);
+                if tau.is_some_and(|tau| rank_order(&m, tau) != Ordering::Less) {
+                    break;
+                }
+                push_hit(&mut matches, k, m);
+            }
+        }
+        Ok(RankOutcome { matches, stats })
     }
 
     /// Partitions the load by routing hash, then bulk-loads every shard —
@@ -261,14 +217,13 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for ShardedIndex<D, S> {
         It::Item: Borrow<UncertainObject<D>>,
     {
         let n = self.shards.len();
-        let mut parts: Vec<Vec<UncertainObject<D>>> = vec![Vec::new(); n];
+        let mut parts: Vec<Vec<It::Item>> = (0..n).map(|_| Vec::new()).collect();
         for obj in objs {
-            let obj = obj.borrow();
-            parts[shard_of(obj.id, n)].push(obj.clone());
+            parts[shard_of(obj.borrow().id, n)].push(obj);
         }
         let mut acc = InsertStats::default();
-        for (shard, part) in self.shards.iter_mut().zip(parts) {
-            acc += &shard.bulk_load(&part);
+        for (shard, part) in self.shards.iter_mut().zip(&parts) {
+            acc += &shard.bulk_load(part.iter().map(|o| o.borrow()));
         }
         acc
     }
@@ -348,6 +303,7 @@ mod tests {
             .build()
             .unwrap();
         let expect = canonicalize(oracle.execute(&query));
+        assert_eq!(canonicalize(expect.clone()), expect, "not idempotent");
 
         for n in [1usize, 2, 4, 7] {
             let mut sharded =

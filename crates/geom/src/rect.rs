@@ -27,14 +27,6 @@ impl<const D: usize> Rect<D> {
         Self { min, max }
     }
 
-    /// The degenerate rectangle containing exactly one point.
-    pub fn from_point(p: &Point<D>) -> Self {
-        Self {
-            min: p.coords,
-            max: p.coords,
-        }
-    }
-
     /// A cube with the given `center` and side length `side`.
     pub fn cube(center: &Point<D>, side: f64) -> Self {
         let h = side * 0.5;
@@ -197,12 +189,6 @@ impl<const D: usize> Rect<D> {
             .iter()
             .chain(self.max.iter())
             .all(|c| c.is_finite())
-    }
-
-    /// Projection on dimension `i` as `(lo, hi)`.
-    #[inline]
-    pub fn projection(&self, i: usize) -> (f64, f64) {
-        (self.min[i], self.max[i])
     }
 }
 

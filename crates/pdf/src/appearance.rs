@@ -97,16 +97,6 @@ impl MonteCarlo {
     }
 }
 
-/// Convenience wrapper over [`MonteCarlo::estimate`].
-pub fn appearance_probability<const D: usize, R: Rng + ?Sized>(
-    pdf: &ObjectPdf<D>,
-    rq: &Rect<D>,
-    n1: usize,
-    rng: &mut R,
-) -> f64 {
-    MonteCarlo::new(n1).estimate(pdf, rq, rng)
-}
-
 /// Deterministic high-accuracy reference for `P_app`.
 ///
 /// * uniform box — exact overlap ratio;

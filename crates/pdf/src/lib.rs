@@ -27,7 +27,7 @@ pub mod model;
 pub mod object;
 pub mod region;
 
-pub use appearance::{appearance_probability, appearance_reference, MonteCarlo, ZeroSampleCount};
+pub use appearance::{appearance_reference, MonteCarlo, ZeroSampleCount};
 pub use histogram::HistogramPdf;
 pub use kernel::{PreparedPdf, RefineScratch, CHUNK};
 pub use marginal::NumericMarginal;

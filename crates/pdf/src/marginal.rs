@@ -68,16 +68,6 @@ impl NumericMarginal {
         }
     }
 
-    /// Support lower end.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Support upper end.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
     /// Unnormalised total mass of the tabulated density.
     pub fn total_mass(&self) -> f64 {
         self.total_mass

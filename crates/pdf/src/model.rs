@@ -116,16 +116,6 @@ impl MarginalCdf {
             MarginalCdf::Numeric(n) => n.quantile(p),
         }
     }
-
-    /// Support of the marginal as `(lo, hi)`.
-    pub fn support(&self) -> (f64, f64) {
-        match self {
-            MarginalCdf::UniformInterval { lo, hi } => (*lo, *hi),
-            MarginalCdf::UniformDisk { center, radius }
-            | MarginalCdf::UniformSphere { center, radius } => (center - radius, center + radius),
-            MarginalCdf::Numeric(n) => (n.lo(), n.hi()),
-        }
-    }
 }
 
 /// Unit-ball marginal CDF on `[-1, 1]` for dimension `BALL_D` (2 or 3).

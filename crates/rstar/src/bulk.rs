@@ -11,7 +11,7 @@
 //! minimizes node perimeter and therefore query overlap.
 //!
 //! This module only produces the order; the packing itself is
-//! [`crate::RStarTreeBase::bulk_build_ordered`], which is generic over
+//! [`crate::RStarTreeBase::bulk_rebuild_ordered`], which is generic over
 //! the key type and so serves the baseline R*-tree, the U-tree, and U-PCR
 //! alike (their "center" is the centroid of the uncertainty MBR).
 

@@ -157,38 +157,23 @@ where
         Ok(tree)
     }
 
-    /// Builds a tree from pre-ordered records by bottom-up packing
-    /// (Sort-Tile-Recursive bulk loading; see [`crate::str_order_by`] for
-    /// the ordering step). `records` are packed into leaves at full
-    /// fan-out in the order given, then each internal level is packed the
-    /// same way over the level below, so sibling records land in sibling
-    /// pages and every bounding key is computed exactly once.
+    /// Fills this (empty) tree from pre-ordered records by bottom-up
+    /// packing (Sort-Tile-Recursive bulk loading; see
+    /// [`crate::str_order_by`] for the ordering step). `records` are packed
+    /// into leaves at full fan-out in the order given, then each internal
+    /// level is packed the same way over the level below, so sibling
+    /// records land in sibling pages and every bounding key is computed
+    /// exactly once.
     ///
     /// Two structural guarantees the insert path cannot give:
     ///
     /// * **Zero-waste packing** — every node except at most the last two
     ///   per level is at full fan-out (the trailing pair is rebalanced so
     ///   both meet the R* minimum fill).
-    /// * **Level-contiguous layout** — on a fresh store, pages are
-    ///   allocated leaves-first in record order, then each internal level,
-    ///   root last; traversals of nearby records touch nearby pages.
-    pub fn bulk_build_ordered(
-        file: S,
-        records: Vec<L>,
-        metrics: M,
-        codec: C,
-        cfg: TreeConfig,
-    ) -> io::Result<Self> {
-        let mut tree = Self::with_store(file, metrics, codec, cfg)?;
-        tree.bulk_rebuild_ordered(records)?;
-        Ok(tree)
-    }
-
-    /// In-place [`Self::bulk_build_ordered`] over this tree's own (empty)
-    /// store — the store-generic entry point for index types that own a
-    /// tree and cannot construct a fresh `S`. The seed root page is
-    /// released first, so on a fresh store the pop of the free list makes
-    /// the packed layout start at page 0 exactly as the static builder's.
+    /// * **Level-contiguous layout** — the seed root page is released
+    ///   first, so on a fresh store pages are allocated from page 0
+    ///   leaves-first in record order, then each internal level, root
+    ///   last; traversals of nearby records touch nearby pages.
     pub fn bulk_rebuild_ordered(&mut self, records: Vec<L>) -> io::Result<()> {
         assert!(
             self.is_empty(),
@@ -399,12 +384,6 @@ where
                 Some(acc)
             }
         }
-    }
-
-    /// The bounding key of the whole tree (`None` when empty).
-    pub fn root_key(&self) -> io::Result<Option<M::Key>> {
-        let (_, node) = self.load(self.root)?;
-        Ok(self.node_key(&node))
     }
 
     // ---- insertion ------------------------------------------------------

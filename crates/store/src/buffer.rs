@@ -209,49 +209,17 @@ impl<S: PageStore> BufferPool<S> {
     /// durability. Errors if part of the pool was poisoned by an earlier
     /// panic (those frames are suspect and skipped).
     pub fn write_back(&mut self) -> io::Result<()> {
-        let backend = self
-            .backend
-            .get_mut()
-            .map_err(|_| io::Error::other("buffer pool backend poisoned"))?;
-        let mut complete = true;
-        for shard in self.shards.iter_mut() {
-            let Ok(shard) = shard.get_mut() else {
-                complete = false;
-                continue;
-            };
-            for (&id, frame) in shard.frames.iter_mut() {
-                if frame.dirty {
-                    backend.write(id, &frame.data[..])?;
-                    frame.dirty = false;
-                }
-            }
-        }
-        if !complete {
-            return Err(io::Error::other(
-                "buffer pool partially poisoned by an earlier panic; dirty frames lost",
-            ));
-        }
-        Ok(())
+        Self::whole(self.write_dirty(false))
     }
 
-    fn shard(&self, id: PageId) -> &Mutex<Shard> {
-        &self.shards[(id % self.shards.len() as u64) as usize]
-    }
-
-    fn next_tick(&self) -> u64 {
-        // ordering: Relaxed — ticks only order evictions; an occasional
-        // stale comparison merely evicts a near-LRU frame instead of the
-        // exact LRU one, which sharding already permits.
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Writes every dirty frame of every shard back, then flushes the
-    /// backend. Runs under `&mut self`, so no latch can be contended:
-    /// `get_mut` gives lock-free access. Poisoned state (a reader or
-    /// evictor panicked mid-operation) is skipped rather than trusted —
-    /// its frames are suspect; `false` is returned so `flush` can report
-    /// the gap while `Drop` stays silent.
-    fn flush_unlocked(&mut self) -> (bool, io::Result<()>) {
+    /// The one walk over every shard's dirty frames: writes each back and,
+    /// with `then_flush`, flushes the backend after the last. Runs under
+    /// `&mut self`, so no latch can be contended: `get_mut` gives lock-free
+    /// access. Poisoned state (a reader or evictor panicked mid-operation)
+    /// is skipped rather than trusted — its frames are suspect; `false` is
+    /// returned so `write_back` and `flush` can report the gap while `Drop`
+    /// stays silent.
+    fn write_dirty(&mut self, then_flush: bool) -> (bool, io::Result<()>) {
         let Ok(backend) = self.backend.get_mut() else {
             return (false, Ok(()));
         };
@@ -270,7 +238,31 @@ impl<S: PageStore> BufferPool<S> {
                 }
             }
         }
-        (complete, backend.flush())
+        let flushed = if then_flush { backend.flush() } else { Ok(()) };
+        (complete, flushed)
+    }
+
+    /// A walk's outcome as one result: the backend's error first, then
+    /// `Other` for poisoned state the walk had to skip.
+    fn whole((complete, result): (bool, io::Result<()>)) -> io::Result<()> {
+        result?;
+        if !complete {
+            return Err(io::Error::other(
+                "buffer pool partially poisoned by an earlier panic; dirty frames lost",
+            ));
+        }
+        Ok(())
+    }
+
+    fn shard(&self, id: PageId) -> &Mutex<Shard> {
+        &self.shards[(id % self.shards.len() as u64) as usize]
+    }
+
+    fn next_tick(&self) -> u64 {
+        // ordering: Relaxed — ticks only order evictions; an occasional
+        // stale comparison merely evicts a near-LRU frame instead of the
+        // exact LRU one, which sharding already permits.
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 }
 
@@ -394,14 +386,7 @@ impl<S: PageStore> PageStore for BufferPool<S> {
     /// `Other` when part of the pool was poisoned by an earlier panic and
     /// had to be skipped (those frames are lost, as in any crashed pool).
     fn flush(&mut self) -> io::Result<()> {
-        let (complete, result) = self.flush_unlocked();
-        result?;
-        if !complete {
-            return Err(io::Error::other(
-                "buffer pool partially poisoned by an earlier panic; dirty frames lost",
-            ));
-        }
-        Ok(())
+        Self::whole(self.write_dirty(true))
     }
 
     fn backing_path(&self) -> Option<std::path::PathBuf> {
@@ -414,7 +399,7 @@ impl<S: PageStore> Drop for BufferPool<S> {
         // Best-effort, poison-tolerant: skip state a panicking thread left
         // behind rather than panic inside drop (which would abort the
         // process and mask the original panic).
-        let _ = self.flush_unlocked();
+        let _ = self.write_dirty(true);
     }
 }
 

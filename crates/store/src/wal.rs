@@ -675,19 +675,9 @@ impl<S: PageStore> WalStore<S> {
         Arc::clone(&self.wal)
     }
 
-    /// The store tag this store journals under.
-    pub fn tag(&self) -> u8 {
-        self.tag
-    }
-
     /// The wrapped backend (diagnostics).
     pub fn inner(&self) -> &S {
         &self.inner
-    }
-
-    /// Number of mutations accumulated since the last stage (tests).
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
     }
 
     /// Number of committed batches not yet applied to the backend

@@ -1,5 +1,5 @@
 //! Multi-index serving: one catalog directory, several named sharded
-//! indexes, one resident query service.
+//! indexes, one query service.
 //!
 //! A location platform rarely has *one* dataset: here a fleet of urban
 //! clients and a fleet of long-haul aircraft live as two named indexes
@@ -11,7 +11,7 @@
 //! ([`ShardedIndex`]); queries scatter across the shards and gather an
 //! answer byte-identical to a single tree. The [`QueryService`] then
 //! serves a mixed request stream — range queries and top-k rankings,
-//! naming either index per request — on a resident worker pool, and
+//! naming either index per request — on the engine's worker pool, and
 //! reports sustained qps with p50/p99 tail latency.
 //!
 //! ```text

@@ -1,7 +1,7 @@
 //! The multi-index serving engine, end to end: named sharded indexes in
 //! one catalog directory must answer byte-identically to a single-tree
 //! oracle — through scatter-gather, through save/open, and through WAL
-//! crash recovery at every log cut — and the resident query service must
+//! crash recovery at every log cut — and the query service must
 //! agree with direct execution.
 
 mod common;
@@ -472,7 +472,7 @@ fn catalog_checkpoint_truncates_the_shared_log_and_later_commits_survive() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The resident service over a reopened catalog answers exactly like
+/// The query service over a reopened catalog answers exactly like
 /// direct scatter-gather execution, and its report covers every request.
 #[test]
 fn the_query_service_agrees_with_direct_execution_on_a_reopened_catalog() {
@@ -535,6 +535,71 @@ fn the_query_service_agrees_with_direct_execution_on_a_reopened_catalog() {
                 assert_eq!(out.matches, want.matches);
             }
             other => panic!("reply kind mismatch: {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request that blows up costs exactly its own reply. `ca`'s node file
+/// is corrupted on disk — every data page's entry count (the two bytes
+/// after the level byte) set to 0xFFFF, so decoding any of them runs off
+/// the page — and requests against it alternate with requests against the
+/// healthy `lb`. Today the decoder panics; whether the failure arrives as
+/// a panic or as a typed error, it must come back as an `Error` reply for
+/// that request alone, with the healthy requests answered in place.
+#[test]
+fn a_request_that_fails_in_the_decoder_costs_only_its_own_reply() {
+    const PAGE: usize = utree_repro::store::PAGE_SIZE;
+    let dir = temp_dir("isolation");
+    {
+        let mut cat = IndexCatalog::<2>::create(&dir, 64).unwrap();
+        cat.create_index("lb", UCatalog::uniform(8), TreeConfig::default(), 1)
+            .unwrap();
+        cat.create_index("ca", UCatalog::uniform(8), TreeConfig::default(), 1)
+            .unwrap();
+        for o in &lb_objects(100) {
+            cat.get_mut("lb").unwrap().insert(o);
+        }
+        for o in &ca_objects(80) {
+            cat.get_mut("ca").unwrap().insert(o);
+        }
+        cat.commit().unwrap();
+        // Fold the log into the segment files, so they are all `open` reads.
+        cat.checkpoint().unwrap();
+    }
+    let ca_nodes = dir.join("idx-1-0.pg");
+    let mut bytes = std::fs::read(&ca_nodes).unwrap();
+    assert!(
+        bytes.len() >= 2 * PAGE,
+        "ca must hold at least one node page"
+    );
+    for page in bytes.chunks_exact_mut(PAGE).skip(1) {
+        page[1..3].fill(0xFF);
+    }
+    std::fs::write(&ca_nodes, &bytes).unwrap();
+
+    let cat = IndexCatalog::<2>::open(&dir, 64).unwrap();
+    let query = probe_range_queries().remove(0);
+    let requests: Vec<_> = ["lb", "ca", "lb", "ca", "lb"]
+        .into_iter()
+        .map(|index| ServiceRequest::Range {
+            index: index.to_string(),
+            query,
+        })
+        .collect();
+    let (replies, report) = QueryService::new(2, 2).serve(&cat, requests);
+
+    assert_eq!(replies.len(), 5);
+    assert_eq!(report.served, 5, "a failed request is still a served one");
+    assert!(report.percentile_nanos(100.0).is_some());
+    let want = cat.get("lb").unwrap().execute(&query);
+    for (i, reply) in replies.iter().enumerate() {
+        match reply {
+            ServiceReply::Range(out) if i % 2 == 0 => assert_eq!(out.matches, want.matches),
+            ServiceReply::Error(msg) if i % 2 == 1 => {
+                assert!(!msg.is_empty(), "reply {i}: an error must say something")
+            }
+            other => panic!("reply {i}: {other:?}"),
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
