@@ -39,8 +39,8 @@ use crate::shard::ShardedIndex;
 use crate::tree::UTree;
 use crate::DiskStore;
 use page_store::{
-    byte_array, commit_group, ByteReader, ByteWriter, CommitReceipt, DiskPageFile, PageId,
-    PageStore, Wal, PAGE_SIZE,
+    byte_array, commit_group, ByteReader, ByteWriter, DiskPageFile, PageId, PageStore, Wal,
+    PAGE_SIZE,
 };
 use rstar_base::TreeConfig;
 use std::io;
@@ -274,17 +274,9 @@ impl<const D: usize> IndexCatalog<D> {
 
     /// Commits every update to every index since the last commit as one
     /// atomic WAL batch: all indexes' dirty pages, allocation changes and
-    /// the full catalog record, sealed by a single commit marker.
-    pub fn commit(&mut self) -> io::Result<CommitReceipt> {
-        self.commit_inner(false)
-    }
-
-    /// [`IndexCatalog::commit`] with a forced fsync.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.commit_inner(true).map(|_| ())
-    }
-
-    fn commit_inner(&mut self, force_sync: bool) -> io::Result<CommitReceipt> {
+    /// the full catalog record, sealed by a single commit marker and
+    /// fsynced before this returns.
+    pub fn commit(&mut self) -> io::Result<()> {
         let blob = encode_catalog(self.next_id, self.entries.iter());
         let mut stores = Vec::new();
         for entry in &mut self.entries {
@@ -292,16 +284,21 @@ impl<const D: usize> IndexCatalog<D> {
                 stores.extend(tree.journals()?);
             }
         }
-        commit_group(&self.wal, &mut stores, Some(&blob), force_sync)
+        commit_group(&self.wal, &mut stores, Some(&blob))
     }
 
-    /// Sets the group-commit window of the shared log (see
-    /// [`crate::DiskUTree`]'s `set_group_commit`).
-    pub fn set_group_commit(&mut self, every: u64) {
+    /// Same as [`IndexCatalog::commit`].
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.commit()
+    }
+
+    /// Number of fsyncs of the shared log since open (every commit syncs
+    /// once).
+    pub fn wal_sync_count(&self) -> u64 {
         self.wal
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .set_group_commit(every);
+            .sync_count()
     }
 
     /// Durably commits, rewrites every segment snapshot and the page-file
@@ -309,7 +306,7 @@ impl<const D: usize> IndexCatalog<D> {
     /// the whole directory at once (`persist::checkpoint`).
     pub fn checkpoint(&mut self) -> io::Result<()> {
         let wal = Arc::clone(&self.wal);
-        persist::checkpoint(self, &wal, Self::flush, |cat| {
+        persist::checkpoint(self, &wal, Self::commit, |cat| {
             for entry in &cat.entries {
                 let pairs = seg_paths(&cat.dir, &entry.def);
                 for (tree, pair) in entry.index.shards().iter().zip(pairs) {

@@ -430,8 +430,9 @@ mod tests {
 
     #[test]
     fn monte_carlo_refinement_is_schedule_independent() {
-        // The per-query RNG reseed is what makes this hold: identical
-        // estimates whichever worker runs the query.
+        // Every candidate seeds its own RNG from (query seed, object id),
+        // which is what makes this hold: identical estimates whichever
+        // worker runs the query.
         let objs = dataset(120, 21);
         let mut tree = UTree::<2>::builder().uniform_catalog(6).build().unwrap();
         tree.bulk_load(&objs);

@@ -71,7 +71,6 @@ pub mod catalog_store;
 pub mod cfb;
 pub mod engine;
 pub mod entry;
-pub mod epoch;
 pub mod filter;
 pub mod key;
 pub mod object_codec;
@@ -93,7 +92,6 @@ pub use catalog::UCatalog;
 pub use catalog_store::{IndexCatalog, IndexDef};
 pub use cfb::{fit_cfb_pair, Cfb, CfbPair, CfbView};
 pub use engine::{BatchExecutor, BatchOutcome, RankBatchOutcome};
-pub use epoch::{EpochIndex, EpochSnapshot};
 pub use filter::{
     filter_object, filter_object_planned, prob_bounds, prob_bounds_planned, FilterOutcome,
     PcrAccess, PreparedQuery,

@@ -33,8 +33,8 @@
 //!   page images make the replay idempotent over any partially-applied
 //!   base, so a crash at any point — mid-append, mid-apply, even
 //!   mid-checkpoint — lands on some committed prefix;
-//! * **checkpoint** is [`checkpoint`]: forced commit, deferred-commit
-//!   audit, snapshot, log truncation, in that order.
+//! * **checkpoint** is [`checkpoint`]: commit (fsynced before it
+//!   returns), snapshot, log truncation, in that order.
 //!
 //! Every replacement write goes through [`page_store::replace_file`]
 //! (temp file → fsync → rename → fsync the parent directory).
@@ -409,27 +409,19 @@ pub(crate) fn recover(
     Ok(Recovered { stores, wal, meta })
 }
 
-/// The checkpoint sequence, once: `flush` (the owner's forced commit),
-/// then the write-ahead audit, then `snapshot` (the owner rewriting its
-/// snapshot files), then the log truncation. The audit is what keeps the
-/// snapshot renames from overtaking the log: under a group-commit window
-/// commits may have returned `durable: false`, and `flush` has just forced
-/// the fsync, so a deferred commit surviving to that point is a protocol
-/// bug — refuse to snapshot rather than publish a snapshot ahead of the
-/// log. The log stays locked from the audit to the truncation.
+/// The checkpoint sequence, once: `commit` (the owner's commit, fsynced
+/// before it returns), then `snapshot` (the owner rewriting its snapshot
+/// files), then the log truncation. Every commit is durable when it
+/// returns, so the snapshot renames never overtake the log. The log stays
+/// locked from the snapshot to the truncation.
 pub(crate) fn checkpoint<T>(
     owner: &mut T,
     wal: &Mutex<Wal>,
-    flush: impl FnOnce(&mut T) -> io::Result<()>,
+    commit: impl FnOnce(&mut T) -> io::Result<()>,
     snapshot: impl FnOnce(&mut T) -> io::Result<()>,
 ) -> io::Result<()> {
-    flush(owner)?;
+    commit(owner)?;
     let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
-    if w.has_deferred_commits() {
-        return Err(io::Error::other(
-            "checkpoint: deferred group commits survived the forced sync",
-        ));
-    }
     snapshot(owner)?;
     w.truncate()
 }

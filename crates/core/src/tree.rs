@@ -19,8 +19,8 @@ use crate::persist;
 use crate::query::{refine_ctx, QueryCtx};
 use crate::rank::RankLeaf;
 use page_store::{
-    commit_group, f32_round_down, f32_round_up, CommitReceipt, DiskPageFile, ObjectHeap, PageFile,
-    PageStore, RecordAddr, Wal, WalStore,
+    commit_group, f32_round_down, f32_round_up, DiskPageFile, ObjectHeap, PageFile, PageStore,
+    RecordAddr, Wal, WalStore,
 };
 use rstar_base::{
     str_order_by, KeyMetrics, LeafRecord, NodeCodec, RStarTreeBase, TreeConfig, TreeStats,
@@ -96,11 +96,11 @@ pub type KeyOf<const D: usize, P> = <<P as FilterPayload<D>>::Metrics as KeyMetr
 /// U-tree) and [`crate::upcr::Pcrs`] (U-PCR) are the only payloads.
 pub trait FilterPayload<const D: usize>: sealed::Sealed {
     /// Summed R* metrics over the payload's bounding key.
-    type Metrics: KeyMetrics<D> + Clone;
+    type Metrics: KeyMetrics<D>;
     /// The leaf entry.
     type Leaf: LeafRecord<KeyOf<D, Self>> + RankLeaf<D>;
     /// The on-page node codec.
-    type Codec: NodeCodec<KeyOf<D, Self>, Self::Leaf> + Clone;
+    type Codec: NodeCodec<KeyOf<D, Self>, Self::Leaf>;
     /// The per-object filter data a leaf entry carries.
     type Data;
 
@@ -280,21 +280,6 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
     }
 }
 
-impl<const D: usize, P: FilterPayload<D>, S: PageStore + Clone> Clone for ProbTree<D, P, S> {
-    /// Clones the tree *structure and pages*; on the in-memory
-    /// [`PageFile`], whose clones share pages copy-on-write, this is the
-    /// cheap epoch fork — shared pages, private superstructure. I/O
-    /// counters of the clone's stores follow the store's own `Clone`
-    /// semantics.
-    fn clone(&self) -> Self {
-        Self {
-            tree: self.tree.clone(),
-            heap: self.heap.clone(),
-            catalog: Arc::clone(&self.catalog),
-        }
-    }
-}
-
 impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
     /// Opens a [`ProbTree::save`]d index directory, reading node and heap
     /// pages from disk through two LRU buffer pools of `buffer_pages`
@@ -349,23 +334,17 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
     /// batch**: dirty index and heap pages, allocation changes and the
     /// tree metadata, sealed by a single commit marker — after a crash,
     /// recovery lands on a batch boundary, never between the index and its
-    /// heap. Under a group-commit window ([`Self::set_group_commit`]) the
-    /// fsync may be deferred; the receipt says whether this batch is
-    /// durable yet. Uncommitted updates of a dropped tree roll back.
-    pub fn commit(&mut self) -> io::Result<CommitReceipt> {
-        self.commit_inner(false)
-    }
-
-    /// [`Self::commit`] with a forced fsync: on return the batch is
-    /// durable regardless of the group-commit window.
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.commit_inner(true).map(|_| ())
-    }
-
-    fn commit_inner(&mut self, force_sync: bool) -> io::Result<CommitReceipt> {
+    /// heap. The log is fsynced before this returns, so the batch is
+    /// durable on return. Uncommitted updates of a dropped tree roll back.
+    pub fn commit(&mut self) -> io::Result<()> {
         let meta = persist::encode_meta(&self.saved_meta());
         let wal = self.wal_handle();
-        commit_group(&wal, &mut self.journals()?, Some(&meta), force_sync)
+        commit_group(&wal, &mut self.journals()?, Some(&meta))
+    }
+
+    /// Same as [`Self::commit`].
+    pub fn flush(&mut self) -> io::Result<()> {
+        self.commit()
     }
 
     /// This tree's share of a WAL batch, ready for [`commit_group`]: pool
@@ -402,25 +381,12 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
                 io::Error::new(io::ErrorKind::InvalidInput, "tree has no backing directory")
             })?;
         let wal = self.wal_handle();
-        persist::checkpoint(self, &wal, Self::flush, |t| {
+        persist::checkpoint(self, &wal, Self::commit, |t| {
             persist::save_index(&dir, &t.saved_meta(), t.tree.store(), t.heap.file())
         })
     }
 
-    /// Sets the group-commit window: fsync every `every`-th commit
-    /// (`1`, the default, syncs every commit). Larger windows batch the
-    /// fsync cost across commits; a crash can lose the unsynced tail of
-    /// whole batches, never tear one.
-    pub fn set_group_commit(&mut self, every: u64) {
-        // A poisoned log still takes a window: it cannot corrupt anything,
-        // and every append or sync keeps refusing with the typed error.
-        self.wal_handle()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .set_group_commit(every);
-    }
-
-    /// Number of log fsyncs since open (group-commit diagnostics).
+    /// Number of log fsyncs since open (every commit syncs once).
     pub fn wal_sync_count(&mut self) -> u64 {
         self.wal_handle()
             .lock()

@@ -2,10 +2,9 @@
 //! call site converted away from `unwrap()` must surface an injected
 //! [`FaultStore`] error as `Err` instead of panicking.
 
+use crate::rect_tree::{RectCodec, RectLeaf, RectMetrics};
+use crate::{str_order_by, NodeCodec, RStarTreeBase, TreeConfig};
 use page_store::{FaultMode, FaultStore, PageFile};
-use rstar_base::{
-    str_order_by, NodeCodec, RStarTreeBase, RectCodec, RectLeaf, RectMetrics, TreeConfig,
-};
 use std::io;
 use uncertain_geom::Rect;
 

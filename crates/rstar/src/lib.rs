@@ -16,17 +16,16 @@
 //! in-memory [`page_store::PageFile`] by default, or a disk file / buffer
 //! pool); every counted node access lands in the store's
 //! [`page_store::IoStats`], which is the paper's I/O metric.
-//!
-//! Instantiated with the plain-rectangle fixture ([`RectMetrics`],
-//! [`RectLeaf`], [`RectCodec`]) it is the conventional "precise data"
-//! R*-tree, which the substrate's own tests drive.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 mod bulk;
 mod codec;
+#[cfg(test)]
+mod fault_paths;
 mod metrics;
+#[cfg(test)]
 mod rect_tree;
 mod split;
 mod tree;
@@ -34,6 +33,5 @@ mod tree;
 pub use bulk::str_order_by;
 pub use codec::{InnerEntry, NodeCodec};
 pub use metrics::{rect_covers_eps, KeyMetrics, LeafRecord};
-pub use rect_tree::{RectCodec, RectLeaf, RectMetrics};
 pub use split::rstar_split;
 pub use tree::{RStarTreeBase, TreeConfig, TreeStats};

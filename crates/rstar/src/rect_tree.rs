@@ -1,6 +1,6 @@
 //! The plain-rectangle key, leaf record and page codec: plugged into
 //! [`crate::RStarTreeBase`] they give the conventional "precise data"
-//! R*-tree (paper Sec 2.2), which is the substrate's primary test rig.
+//! R*-tree (paper Sec 2.2), the test rig this crate's own tests drive.
 
 use crate::codec::{InnerEntry, NodeCodec};
 use crate::metrics::{rect_covers_eps, KeyMetrics, LeafRecord};

@@ -97,29 +97,6 @@ where
     _leaf: std::marker::PhantomData<L>,
 }
 
-impl<const D: usize, M, L, C, S> Clone for RStarTreeBase<D, M, L, C, S>
-where
-    M: KeyMetrics<D> + Clone,
-    L: LeafRecord<M::Key>,
-    C: NodeCodec<M::Key, L> + Clone,
-    S: PageStore + Clone,
-{
-    /// Clones the tree, page store included. On a copy-on-write store this
-    /// is the epoch fork: both trees share page content until one writes.
-    fn clone(&self) -> Self {
-        Self {
-            file: self.file.clone(),
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            metrics: self.metrics.clone(),
-            codec: self.codec.clone(),
-            cfg: self.cfg,
-            _leaf: std::marker::PhantomData,
-        }
-    }
-}
-
 impl<const D: usize, M, L, C, S> RStarTreeBase<D, M, L, C, S>
 where
     M: KeyMetrics<D>,

@@ -30,9 +30,7 @@ pub struct RecordAddr {
 }
 
 /// An append-mostly heap of variable-length records packed into pages.
-/// Cloning (when the store is `Clone`) clones the store with the store's
-/// own semantics — on a copy-on-write store this is the cheap epoch fork.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ObjectHeap<S: PageStore = PageFile> {
     file: S,
     /// Page currently being filled.

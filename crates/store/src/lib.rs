@@ -7,8 +7,7 @@
 //!
 //! * [`PageFile`] — the in-memory reference backend where every counted
 //!   read/write bumps simulated counters (one tree node = one page,
-//!   exactly like the paper's setup); its clones share pages
-//!   copy-on-write, which is what epoch-swap serving forks;
+//!   exactly like the paper's setup);
 //! * [`DiskPageFile`] — the same page space on a real file
 //!   (positional I/O, free list persisted in a superblock), so indexes can
 //!   be saved and reopened cold;
@@ -67,6 +66,4 @@ pub use fault::{FaultCounters, FaultMode, FaultStore};
 pub use heap::{ObjectHeap, RecordAddr};
 pub use iostats::IoStats;
 pub use pagefile::{PageFile, PageId, PageStore, PAGE_SIZE};
-pub use wal::{
-    commit_group, fsync_dir, replace_file, CommitReceipt, ReplayTarget, Wal, WalRecord, WalStore,
-};
+pub use wal::{commit_group, fsync_dir, replace_file, ReplayTarget, Wal, WalRecord, WalStore};

@@ -124,18 +124,11 @@ pub trait PageStore {
 /// accounting — the substrate the paper's "node accesses" experiments run
 /// on, and the default backend of every index.
 ///
-/// Every page sits behind an `Arc`, so [`Clone`] is O(pages) pointer bumps
-/// and a write after a clone copies just that one page. This is the
-/// substrate of the epoch-swap write path: a writer clones the published
-/// tree, mutates its private copy page-by-page, and publishes the clone —
-/// readers of the old epoch keep their pages alive through the shared
-/// `Arc`s, at a memory cost of only the pages that actually changed.
-///
 /// Experiment harnesses reset the counters around each query to obtain the
 /// paper's metric.
 #[derive(Debug)]
 pub struct PageFile {
-    pages: Vec<Arc<[u8; PAGE_SIZE]>>,
+    pages: Vec<Box<[u8; PAGE_SIZE]>>,
     free: Vec<PageId>,
     stats: Arc<IoStats>,
 }
@@ -143,18 +136,6 @@ pub struct PageFile {
 impl Default for PageFile {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clone for PageFile {
-    /// Shares every page with the original (copy-on-write) and starts
-    /// **fresh** I/O counters — epochs account for their own I/O.
-    fn clone(&self) -> Self {
-        Self {
-            pages: self.pages.clone(),
-            free: self.free.clone(),
-            stats: Arc::new(IoStats::new()),
-        }
     }
 }
 
@@ -185,11 +166,11 @@ impl PageFile {
 impl PageStore for PageFile {
     fn allocate(&mut self) -> io::Result<PageId> {
         if let Some(id) = self.free.pop() {
-            self.pages[id as usize] = Arc::new([0u8; PAGE_SIZE]);
+            self.pages[id as usize].fill(0);
             return Ok(id);
         }
         let id = self.pages.len() as PageId;
-        self.pages.push(Arc::new([0u8; PAGE_SIZE]));
+        self.pages.push(Box::new([0u8; PAGE_SIZE]));
         Ok(id)
     }
 
@@ -213,9 +194,7 @@ impl PageStore for PageFile {
     fn write(&mut self, id: PageId, data: &[u8]) -> io::Result<()> {
         assert!(data.len() <= PAGE_SIZE, "page overflow: {}", data.len());
         self.stats.record_write();
-        // Copy-on-write: a page still shared with a clone is replaced, an
-        // unshared one is edited in place.
-        let page = Arc::make_mut(&mut self.pages[id as usize]);
+        let page = &mut self.pages[id as usize];
         page[..data.len()].copy_from_slice(data);
         page[data.len()..].fill(0);
         Ok(())
@@ -332,57 +311,5 @@ mod tests {
         let mut f = PageFile::new();
         let a = f.allocate().unwrap();
         let _ = f.write(a, &[0u8; PAGE_SIZE + 1]);
-    }
-
-    #[test]
-    fn clone_shares_until_written() {
-        let mut a = PageFile::new();
-        let p = a.allocate().unwrap();
-        let q = a.allocate().unwrap();
-        a.write(p, b"epoch zero p").unwrap();
-        a.write(q, b"epoch zero q").unwrap();
-
-        let mut b = a.clone();
-        assert!(
-            Arc::ptr_eq(&a.pages[p as usize], &b.pages[p as usize]),
-            "clone shares pages"
-        );
-        b.write(p, b"epoch one p").unwrap();
-        assert!(
-            !Arc::ptr_eq(&a.pages[p as usize], &b.pages[p as usize]),
-            "write detaches the page"
-        );
-        assert!(
-            Arc::ptr_eq(&a.pages[q as usize], &b.pages[q as usize]),
-            "untouched pages stay shared"
-        );
-        // The old epoch is unperturbed.
-        assert_eq!(&a.peek_page(p).unwrap()[..12], b"epoch zero p");
-        assert_eq!(&b.peek_page(p).unwrap()[..11], b"epoch one p");
-    }
-
-    #[test]
-    fn clone_counters_start_fresh() {
-        let mut a = PageFile::new();
-        let p = a.allocate().unwrap();
-        a.write(p, b"x").unwrap();
-        let b = a.clone();
-        assert_eq!(b.stats().writes(), 0);
-        let _ = b.read_page(p).unwrap();
-        assert_eq!(b.stats().reads(), 1);
-        assert_eq!(a.stats().reads(), 0, "epochs account separately");
-    }
-
-    #[test]
-    fn reuse_and_zeroing_survive_a_live_clone() {
-        let mut f = PageFile::new();
-        let a = f.allocate().unwrap();
-        let clone = f.clone();
-        f.release(a);
-        let b = f.allocate().unwrap();
-        assert_eq!(b, a);
-        assert!(f.peek_page(b).unwrap().iter().all(|&x| x == 0));
-        assert_eq!(f.free_list(), Vec::<PageId>::new());
-        drop(clone);
     }
 }

@@ -14,23 +14,20 @@
 //!   a commit marker. Everything between two commit markers is one atomic
 //!   batch: recovery replays *committed batches only* and truncates the
 //!   rest, so a reopened store always equals some prefix of commits.
-//! * **Group commit**: [`Wal::commit`] appends the marker and fsyncs every
-//!   `group_every`-th commit ([`Wal::set_group_commit`]), batching the
-//!   expensive `fdatasync` across commits exactly like a database group
-//!   commit. A not-yet-synced commit may be lost by a crash — but always
-//!   as a whole batch, never torn.
+//!   [`Wal::commit`] appends the marker and fsyncs the log before it
+//!   returns: every commit is durable when it returns.
 //! * [`WalStore`] wraps any [`PageStore`] and journals every mutation
 //!   *before* it reaches the wrapped backend (write-ahead rule): writes
 //!   land in an in-memory shadow table, staging serializes them into the
-//!   log, and only after the commit marker is durable are the images
+//!   log, and only after the commit marker is synced are the images
 //!   applied to the backend file. Replay is idempotent (full page
 //!   images), so a crash at any point — including mid-apply — recovers by
 //!   replaying the log over whatever the backend file holds.
 //!
 //! [`commit_group`] is the **only** commit path: it stages any number of
-//! stores sharing one log into one batch, seals it, and applies what the
-//! log has made durable. Checkpointing is layered above (see
-//! `utree::persist`): force a synced commit, snapshot the stores via the
+//! stores sharing one log into one batch, seals and syncs it, and applies
+//! it to the backends. Checkpointing is layered above (see
+//! `utree::persist`): commit, snapshot the stores via the
 //! existing page-image dump, then [`Wal::truncate`] the log.
 
 use crate::codec::byte_array;
@@ -154,16 +151,6 @@ pub enum WalRecord {
     Commit,
 }
 
-/// What [`Wal::commit`] reports back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommitReceipt {
-    /// LSN of the commit marker.
-    pub lsn: u64,
-    /// Whether this commit was fsynced (group commit may defer the sync
-    /// to a later commit or an explicit [`Wal::sync`]).
-    pub durable: bool,
-}
-
 /// One frame as reported by [`Wal::scan`] (crash-test support: the frame
 /// boundaries are exactly the interesting truncation points).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,10 +189,6 @@ pub struct Wal {
     /// Staging buffer: frames appended since the last write-out.
     buf: Vec<u8>,
     next_lsn: u64,
-    last_commit_lsn: u64,
-    durable_lsn: u64,
-    group_every: u64,
-    pending_commits: u64,
     syncs: u64,
 }
 
@@ -229,10 +212,6 @@ impl Wal {
             end: HEADER,
             buf: Vec::new(),
             next_lsn: 1,
-            last_commit_lsn: 0,
-            durable_lsn: 0,
-            group_every: 1,
-            pending_commits: 0,
             syncs: 0,
         })
     }
@@ -261,36 +240,19 @@ impl Wal {
                 batches: Vec::new(),
             });
         }
-        if bytes[..8] != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{}: not a WAL file (bad magic)", path.display()),
-            ));
-        }
         let mut batches = Vec::new();
         let mut cur = Vec::new();
         let mut committed_end = HEADER;
         let mut next_lsn = 1u64;
-        let mut last_commit_lsn = 0u64;
-        let mut expected_lsn: Option<u64> = None;
-        let mut off = HEADER as usize;
-        while let Some((record, lsn, end)) = decode_frame(&bytes, off) {
-            if let Some(want) = expected_lsn {
-                if lsn != want {
-                    break; // LSN discontinuity: treat as corruption.
-                }
-            }
-            expected_lsn = Some(lsn + 1);
+        for (record, lsn, end) in frames(&bytes, &path)? {
             match record {
                 WalRecord::Commit => {
                     batches.push(std::mem::take(&mut cur));
                     committed_end = end as u64;
                     next_lsn = lsn + 1;
-                    last_commit_lsn = lsn;
                 }
                 rec => cur.push(rec),
             }
-            off = end;
         }
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         if bytes.len() as u64 > committed_end {
@@ -305,41 +267,27 @@ impl Wal {
                 end: committed_end,
                 buf: Vec::new(),
                 next_lsn,
-                last_commit_lsn,
-                durable_lsn: last_commit_lsn,
-                group_every: 1,
-                pending_commits: 0,
                 syncs: 0,
             },
             batches,
         })
     }
 
-    /// Read-only frame scan (no truncation): every decodable frame in
-    /// order, stopping at the first torn/corrupt one. Crash tests use the
-    /// reported boundaries as truncation points.
+    /// Read-only frame scan (no truncation): the frames [`recover`] reads,
+    /// in order, with the same end-of-log rule and the same refusal of a
+    /// foreign header. Crash tests use the reported boundaries as
+    /// truncation points.
+    ///
+    /// [`recover`]: Self::recover
     pub fn scan<P: AsRef<Path>>(path: P) -> io::Result<Vec<FrameInfo>> {
+        let path = path.as_ref();
         let bytes = std::fs::read(path)?;
-        let mut frames = Vec::new();
-        if bytes.len() < HEADER as usize || bytes[..8] != MAGIC {
-            return Ok(frames);
-        }
-        let mut off = HEADER as usize;
-        let mut expected_lsn: Option<u64> = None;
-        while let Some((record, lsn, end)) = decode_frame(&bytes, off) {
-            if let Some(want) = expected_lsn {
-                if lsn != want {
-                    break;
-                }
-            }
-            expected_lsn = Some(lsn + 1);
-            frames.push(FrameInfo {
+        Ok(frames(&bytes, path)?
+            .map(|(record, _, end)| FrameInfo {
                 end: end as u64,
                 kind: record_kind(&record),
-            });
-            off = end;
-        }
-        Ok(frames)
+            })
+            .collect())
     }
 
     /// The log file path.
@@ -352,32 +300,10 @@ impl Wal {
         self.end + self.buf.len() as u64
     }
 
-    /// Number of `fsync`s issued so far (group-commit diagnostics).
+    /// Number of `fsync`s issued so far: one per commit, plus one per
+    /// explicit [`sync`](Self::sync).
     pub fn sync_count(&self) -> u64 {
         self.syncs
-    }
-
-    /// Highest commit LSN known durable on disk.
-    pub fn durable_lsn(&self) -> u64 {
-        self.durable_lsn
-    }
-
-    /// LSN of the most recent commit marker (durable or not).
-    pub fn last_commit_lsn(&self) -> u64 {
-        self.last_commit_lsn
-    }
-
-    /// True when a commit marker has been appended whose fsync the
-    /// group-commit window deferred — state a crash would lose until the
-    /// next [`sync`](Self::sync).
-    pub fn has_deferred_commits(&self) -> bool {
-        self.durable_lsn < self.last_commit_lsn
-    }
-
-    /// Sets the group-commit window: fsync every `every`-th commit
-    /// (`1` = every commit, the durable default).
-    pub fn set_group_commit(&mut self, every: u64) {
-        self.group_every = every.max(1);
     }
 
     fn append_frame(&mut self, kind: u8, body: &[&[u8]]) -> u64 {
@@ -430,30 +356,19 @@ impl Wal {
     }
 
     /// Appends a commit marker sealing everything since the previous one
-    /// into an atomic batch, writes the frames out, and fsyncs according
-    /// to the group-commit policy. Returns the marker's LSN and whether
-    /// this batch is already durable.
-    pub fn commit(&mut self) -> io::Result<CommitReceipt> {
+    /// into an atomic batch, writes the frames out and fsyncs them: the
+    /// batch is durable when this returns. Returns the marker's LSN.
+    pub fn commit(&mut self) -> io::Result<u64> {
         let lsn = self.append_frame(KIND_COMMIT, &[]);
-        self.write_out()?;
-        self.last_commit_lsn = lsn;
-        self.pending_commits += 1;
-        let durable = if self.pending_commits >= self.group_every {
-            self.sync()?;
-            true
-        } else {
-            false
-        };
-        Ok(CommitReceipt { lsn, durable })
+        self.sync()?;
+        Ok(lsn)
     }
 
-    /// Forces an fsync, making every appended commit durable.
+    /// Writes out every appended frame and fsyncs the log.
     pub fn sync(&mut self) -> io::Result<()> {
         self.write_out()?;
         self.file.sync_data()?;
         self.syncs += 1;
-        self.pending_commits = 0;
-        self.durable_lsn = self.last_commit_lsn;
         Ok(())
     }
 
@@ -465,8 +380,6 @@ impl Wal {
         self.buf.clear();
         self.file.set_len(HEADER)?;
         self.end = HEADER;
-        self.pending_commits = 0;
-        self.durable_lsn = self.last_commit_lsn;
         self.file.sync_all()?;
         fsync_parent(&self.path)
     }
@@ -479,6 +392,47 @@ fn record_kind(rec: &WalRecord) -> u8 {
         WalRecord::Release { .. } => KIND_RELEASE,
         WalRecord::Meta(_) => KIND_META,
         WalRecord::Commit => KIND_COMMIT,
+    }
+}
+
+/// The frames of a whole log image, checked for our header. A file too
+/// short to hold the header has no frames; a foreign header is
+/// `InvalidData` (`path` labels it).
+fn frames<'a>(bytes: &'a [u8], path: &Path) -> io::Result<Frames<'a>> {
+    if bytes.len() >= HEADER as usize && bytes[..HEADER as usize] != MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: not a WAL file (bad magic)", path.display()),
+        ));
+    }
+    Ok(Frames {
+        bytes,
+        off: HEADER as usize,
+        next_lsn: None,
+    })
+}
+
+/// Walks a log image frame by frame, yielding `(record, lsn, end_offset)`.
+/// This is the one rule for where a log ends: at the first frame that
+/// does not decode (see [`decode_frame`]) or whose LSN does not follow its
+/// predecessor's.
+struct Frames<'a> {
+    bytes: &'a [u8],
+    off: usize,
+    next_lsn: Option<u64>,
+}
+
+impl Iterator for Frames<'_> {
+    type Item = (WalRecord, u64, usize);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (record, lsn, end) = decode_frame(self.bytes, self.off)?;
+        if self.next_lsn.is_some_and(|want| lsn != want) {
+            return None;
+        }
+        self.next_lsn = Some(lsn + 1);
+        self.off = end;
+        Some((record, lsn, end))
     }
 }
 
@@ -591,7 +545,7 @@ enum PendingOp {
     Write(PageId),
 }
 
-/// A page image bound for the backend once its commit is durable.
+/// A page image bound for the backend once its commit is synced.
 type StagedImage = (PageId, Arc<[u8; PAGE_SIZE]>);
 
 /// A journaling [`PageStore`] wrapper: every mutation is logged to a
@@ -605,8 +559,8 @@ type StagedImage = (PageId, Arc<[u8; PAGE_SIZE]>);
 /// never called, so its on-disk allocation state stays frozen at the last
 /// snapshot. [`commit_group`] then moves the pending ops of every store
 /// sharing the log to disk in write-ahead order — one batch, one marker,
-/// which is what makes a tree's index + heap commit atomic — and copies
-/// the images of *durable* batches into the backends.
+/// which is what makes a tree's index + heap commit atomic — and, once the
+/// log is synced, copies the batch's images into the backends.
 ///
 /// `flush` (the [`PageStore`] hook, e.g. from a dropping buffer pool)
 /// deliberately does **not** commit: it stages and syncs the bytes, but
@@ -626,8 +580,8 @@ pub struct WalStore<S: PageStore> {
     shadow: HashMap<PageId, Arc<[u8; PAGE_SIZE]>>,
     /// Images staged into the log but not yet sealed by a commit marker.
     staged: Vec<StagedImage>,
-    /// Committed batches awaiting durability before applying to `inner`.
-    unapplied: VecDeque<(u64, Vec<StagedImage>)>,
+    /// Committed batches not yet applied to `inner`.
+    unapplied: VecDeque<Vec<StagedImage>>,
     n_pages: u64,
     free: Vec<PageId>,
     stats: Arc<IoStats>,
@@ -680,8 +634,9 @@ impl<S: PageStore> WalStore<S> {
         &self.inner
     }
 
-    /// Number of committed batches not yet applied to the backend
-    /// (non-zero only under a deferred group commit).
+    /// Number of committed batches not yet applied to the backend: non-zero
+    /// only after a backend write fault, until a later commit or `flush`
+    /// applies them.
     pub fn unapplied_batches(&self) -> usize {
         self.unapplied.len()
     }
@@ -712,34 +667,28 @@ impl<S: PageStore> WalStore<S> {
         self.dirty.clear();
     }
 
-    /// Seals the staged images into the batch committed as `lsn`.
-    fn note_commit(&mut self, lsn: u64) {
+    /// Seals the staged images into a committed batch awaiting apply.
+    fn seal(&mut self) {
         if !self.staged.is_empty() {
-            self.unapplied
-                .push_back((lsn, std::mem::take(&mut self.staged)));
+            self.unapplied.push_back(std::mem::take(&mut self.staged));
         }
     }
 
-    /// Applies every committed batch with LSN `<= durable_lsn` to the
-    /// backend, retiring shadow entries that the apply made current.
+    /// Applies every committed batch to the backend, in commit order,
+    /// retiring shadow entries that the apply made current.
     ///
     /// On a backend write failure the not-yet-applied images stay queued
     /// (full page images are idempotent, so a later retry — or crash
-    /// recovery replaying the durable log — lands the same state) and the
+    /// recovery replaying the synced log — lands the same state) and the
     /// error surfaces to the caller. Reads remain coherent meanwhile: any
     /// unretired page is still served from the shadow table.
-    fn apply_through(&mut self, durable_lsn: u64) -> io::Result<()> {
-        while let Some(&(lsn, _)) = self.unapplied.front() {
-            if lsn > durable_lsn {
-                break;
-            }
-            // xlint: allow(panic-freedom) -- invariant: front just probed
-            let (lsn, images) = self.unapplied.pop_front().expect("front just probed");
+    fn apply(&mut self) -> io::Result<()> {
+        while let Some(images) = self.unapplied.pop_front() {
             for (i, (id, data)) in images.iter().enumerate() {
                 if let Err(e) = self.inner.write(*id, &data[..]) {
                     // Re-queue the unapplied suffix (this image included)
                     // so the batch can be retried or recovered.
-                    self.unapplied.push_front((lsn, images[i..].to_vec()));
+                    self.unapplied.push_front(images[i..].to_vec());
                     return Err(e);
                 }
                 if let Some(cur) = self.shadow.get(id) {
@@ -758,16 +707,10 @@ impl<S: PageStore> WalStore<S> {
 /// store's pending ops are staged in slice order, `meta` (the caller's
 /// superstructure blob; the last committed one wins at recovery) is
 /// appended, and one commit marker seals it all into **one atomic batch**,
-/// fsynced per the group-commit window or unconditionally with
-/// `force_sync`. With the lock released, every store learns the batch's
-/// LSN and copies the images of *durable* batches — and only those — into
-/// its backend.
-///
-/// That durability gate is load-bearing: under group commit a marker may
-/// not be synced yet, and applying its images early would corrupt the
-/// recovery base (the backend file would contain state the truncated log
-/// cannot reproduce); deferred batches apply when a later sync covers
-/// them.
+/// fsynced before the lock is released: the batch is durable when this
+/// returns. Only then does every store copy the batch's images into its
+/// backend — applying them before the sync would let the backend file
+/// hold state a crash-truncated log cannot reproduce.
 ///
 /// A backend that fails its apply does not stop the others, and loses
 /// nothing: the batch is in the log, the store keeps the unapplied images
@@ -778,10 +721,9 @@ pub fn commit_group<S: PageStore>(
     wal: &Mutex<Wal>,
     stores: &mut [&mut WalStore<S>],
     meta: Option<&[u8]>,
-    force_sync: bool,
-) -> io::Result<CommitReceipt> {
+) -> io::Result<()> {
     debug_assert!(stores.iter().all(|s| std::ptr::eq(&*s.wal, wal)));
-    let (lsn, durable_lsn) = {
+    {
         let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
         for store in stores.iter_mut() {
             store.stage(&mut w);
@@ -789,38 +731,14 @@ pub fn commit_group<S: PageStore>(
         if let Some(meta) = meta {
             w.append_meta(meta);
         }
-        let receipt = w.commit()?;
-        if force_sync && !receipt.durable {
-            w.sync()?;
-        }
-        (receipt.lsn, w.durable_lsn())
-    };
+        w.commit()?;
+    }
     let mut applied = Ok(());
     for store in stores.iter_mut() {
-        store.note_commit(lsn);
-        applied = applied.and(store.apply_through(durable_lsn));
+        store.seal();
+        applied = applied.and(store.apply());
     }
-    applied?;
-    Ok(CommitReceipt {
-        lsn,
-        durable: durable_lsn >= lsn,
-    })
-}
-
-impl<S: PageStore> Drop for WalStore<S> {
-    /// A commit that returned `CommitReceipt { durable: false }` promised
-    /// the caller its batch would reach disk by the *next* fsync — letting
-    /// the store die with that fsync still owed would silently break the
-    /// promise. Best-effort close the group-commit window; a clean process
-    /// exit then loses nothing, and an actual crash still only loses what
-    /// the receipt already declared volatile.
-    fn drop(&mut self) {
-        if let Ok(mut w) = self.wal.lock() {
-            if w.has_deferred_commits() {
-                let _ = w.sync();
-            }
-        }
-    }
+    applied
 }
 
 impl<S: PageStore> PageStore for WalStore<S> {
@@ -904,20 +822,15 @@ impl<S: PageStore> PageStore for WalStore<S> {
     /// marker. The bytes are on disk, but recovery rolls uncommitted
     /// records back: durability with recovery needs a commit (see the
     /// type docs). This is what makes dropping an uncommitted store a
-    /// clean rollback instead of a torn half-batch.
-    ///
-    /// The sync also closes any open group-commit window, so batches the
-    /// window had deferred become durable here and are applied to the
-    /// backend — a store going through `flush` (e.g. from a dropping
-    /// buffer pool) leaves no committed batch stranded in memory.
+    /// clean rollback instead of a torn half-batch. Committed batches a
+    /// backend fault left queued are retried here.
     fn flush(&mut self) -> io::Result<()> {
         let wal = Arc::clone(&self.wal);
         let mut w = wal.lock().map_err(|_| io::Error::other("wal poisoned"))?;
         self.stage(&mut w);
         w.sync()?;
-        let durable = w.durable_lsn();
         drop(w);
-        self.apply_through(durable)?;
+        self.apply()?;
         self.inner.flush()
     }
 
@@ -954,7 +867,8 @@ mod tests {
             wal.append_alloc(0, 3);
             wal.append_image(0, 3, &img);
             wal.append_meta(b"meta-1");
-            assert!(wal.commit().unwrap().durable);
+            wal.commit().unwrap();
+            assert_eq!(wal.sync_count(), 1, "every commit syncs");
             wal.append_release(1, 9);
             wal.commit().unwrap();
         }
@@ -1049,27 +963,6 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_syncs() {
-        let path = temp_path("group.wal");
-        let mut wal = Wal::create(&path).unwrap();
-        wal.set_group_commit(3);
-        let mut durable = Vec::new();
-        for i in 0..7u64 {
-            wal.append_alloc(0, i);
-            durable.push(wal.commit().unwrap().durable);
-        }
-        // Syncs on commits 3 and 6 only.
-        assert_eq!(durable, vec![false, false, true, false, false, true, false]);
-        assert_eq!(wal.sync_count(), 2);
-        let before = wal.durable_lsn();
-        assert!(before < wal.last_commit_lsn());
-        wal.sync().unwrap();
-        assert_eq!(wal.durable_lsn(), wal.last_commit_lsn());
-        assert_eq!(wal.sync_count(), 3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn recover_missing_and_embryonic_files() {
         let path = temp_path("fresh.wal");
         let rec = Wal::recover(&path).unwrap();
@@ -1086,17 +979,36 @@ mod tests {
     }
 
     #[test]
+    fn scan_refuses_a_foreign_file_like_recover() {
+        // A crash sweep over `scan`'s boundaries must not pass vacuously
+        // on a file that is not a log at all.
+        let path = temp_path("foreign.wal");
+        std::fs::write(&path, vec![0xAB; 64]).unwrap();
+        let scanned = Wal::scan(&path).expect_err("scan must refuse a foreign file");
+        let recovered = Wal::recover(&path)
+            .map(|_| ())
+            .expect_err("so does recover");
+        assert_eq!(scanned.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(scanned.kind(), recovered.kind());
+        // A sub-header file (a crash during creation) is an empty log to
+        // both.
+        std::fs::write(&path, b"UW").unwrap();
+        assert!(Wal::scan(&path).unwrap().is_empty());
+        assert!(Wal::recover(&path).unwrap().batches.is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn truncate_resets_the_log_but_not_the_lsns() {
         let path = temp_path("trunc.wal");
         let mut wal = Wal::create(&path).unwrap();
         wal.append_alloc(0, 1);
-        wal.commit().unwrap();
-        let lsn_before = wal.last_commit_lsn();
+        let lsn_before = wal.commit().unwrap();
         wal.truncate().unwrap();
         assert_eq!(wal.len_bytes(), HEADER);
         wal.append_alloc(0, 2);
-        let r = wal.commit().unwrap();
-        assert!(r.lsn > lsn_before, "LSNs stay monotonic across truncate");
+        let lsn = wal.commit().unwrap();
+        assert!(lsn > lsn_before, "LSNs stay monotonic across truncate");
         drop(wal);
         let rec = Wal::recover(&path).unwrap();
         assert_eq!(rec.batches.len(), 1, "only the post-truncate batch");
@@ -1121,9 +1033,8 @@ mod tests {
             expected_a = a;
             // Before commit: backend file does not see the page content.
             assert_eq!(store.unapplied_batches(), 0);
-            let r = commit_group(&wal, &mut [&mut store], None, true).unwrap();
-            assert!(r.durable);
-            assert_eq!(store.unapplied_batches(), 0, "durable commit applies");
+            commit_group(&wal, &mut [&mut store], None).unwrap();
+            assert_eq!(store.unapplied_batches(), 0, "a commit applies");
             assert_eq!(&store.inner().peek_page(a).unwrap()[..9], b"committed");
 
             // A second, uncommitted mutation: flush (stage+sync, no
@@ -1179,13 +1090,13 @@ mod tests {
         let mut store = WalStore::wrap(inner, Arc::clone(&wal), 0);
         let a = store.allocate().unwrap();
         store.write(a, b"first life").unwrap();
-        commit_group(&wal, &mut [&mut store], None, true).unwrap();
+        commit_group(&wal, &mut [&mut store], None).unwrap();
         // One batch: release a, reallocate it (same id), write new bytes.
         store.release(a);
         let b = store.allocate().unwrap();
         assert_eq!(b, a, "free list must hand the id back");
         store.write(b, b"second life").unwrap();
-        commit_group(&wal, &mut [&mut store], None, true).unwrap();
+        commit_group(&wal, &mut [&mut store], None).unwrap();
         drop(store);
 
         let rec = Wal::recover(&path).unwrap();
@@ -1214,39 +1125,5 @@ mod tests {
         assert!(pages.1.is_empty(), "the page ends the log allocated");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&data_path);
-    }
-
-    #[test]
-    fn group_commit_defers_apply_until_durable() {
-        let dir = std::env::temp_dir();
-        let data_path = dir.join(format!("utree-walgrp-{}-data.pg", std::process::id()));
-        let wal_path = dir.join(format!("utree-walgrp-{}-log.wal", std::process::id()));
-        let _ = std::fs::remove_file(&data_path);
-        let _ = std::fs::remove_file(&wal_path);
-        let inner = DiskPageFile::create(&data_path).unwrap();
-        let wal = Arc::new(Mutex::new(Wal::create(&wal_path).unwrap()));
-        wal.lock().unwrap().set_group_commit(2);
-        let mut store = WalStore::wrap(inner, Arc::clone(&wal), 0);
-
-        let a = store.allocate().unwrap();
-        store.write(a, b"deferred").unwrap();
-        let r1 = commit_group(&wal, &mut [&mut store], None, false).unwrap();
-        assert!(!r1.durable, "first commit of the window is deferred");
-        assert_eq!(store.unapplied_batches(), 1, "apply waits for the sync");
-        assert!(
-            wal.lock().unwrap().has_deferred_commits(),
-            "window left a commit unsynced"
-        );
-        // The shadow still serves reads coherently meanwhile.
-        assert_eq!(&store.read_page(a).unwrap()[..8], b"deferred");
-
-        store.write(a, b"second").unwrap();
-        let r2 = commit_group(&wal, &mut [&mut store], None, false).unwrap();
-        assert!(r2.durable, "second commit closes the group window");
-        assert_eq!(store.unapplied_batches(), 0);
-        assert!(!wal.lock().unwrap().has_deferred_commits());
-        assert_eq!(&store.inner().peek_page(a).unwrap()[..6], b"second");
-        let _ = std::fs::remove_file(&data_path);
-        let _ = std::fs::remove_file(&wal_path);
     }
 }

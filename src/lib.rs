@@ -62,12 +62,10 @@
 //! [`prelude::DiskUTree`]`::open(dir, frames)?` reopens cold from disk
 //! through a bounded LRU buffer pool, answering byte-identically. Disk
 //! trees write ahead: `commit()` journals each update batch to a
-//! CRC-framed log before any page reaches the backing file, `open`
-//! replays committed batches after a crash, and `checkpoint()` folds the
-//! log back into the snapshot. In-memory serving gets the same
-//! readers-during-writes story from [`prelude::EpochIndex`], which
-//! publishes copy-on-write epochs that concurrent readers hold while a
-//! writer commits the next one. See `docs/API.md` for the
+//! CRC-framed log and fsyncs it before it returns and before any page
+//! reaches the backing file, `open` replays committed batches after a
+//! crash, and `checkpoint()` folds the log back into the snapshot. See
+//! `docs/API.md` for the
 //! storage-backend and durability guides and the migration table from
 //! the 0.1 tuple API.
 
@@ -83,20 +81,19 @@ pub use utree as index;
 pub mod prelude {
     pub use datagen;
     pub use page_store::{
-        BufferPool, CommitReceipt, DiskPageFile, FaultMode, FaultStore, PageFile, PageStore,
-        WalStore,
+        BufferPool, DiskPageFile, FaultMode, FaultStore, PageFile, PageStore, WalStore,
     };
     pub use rstar_base::TreeConfig;
     pub use uncertain_geom::{Point, Rect};
     pub use uncertain_pdf::{HistogramPdf, ObjectPdf, Region, UncertainObject};
     pub use utree::{canonicalize, shard_of};
     pub use utree::{
-        BatchExecutor, BatchOutcome, DiskUPcrTree, DiskUTree, EpochIndex, EpochSnapshot,
-        FilterOutcome, IndexBuilder, IndexCatalog, IndexDef, IndexError, InsertStats, Match,
-        ProbIndex, ProbRangeQuery, Provenance, Query, QueryBuilder, QueryCtx, QueryError,
-        QueryOptions, QueryOutcome, QueryService, QueryStats, RankBatchOutcome, RankOutcome,
-        RankQuery, RankedMatch, Refine, RefineMode, SeqScan, ServiceReply, ServiceReport,
-        ServiceRequest, ShardedIndex, UCatalog, UPcrTree, UTree,
+        BatchExecutor, BatchOutcome, DiskUPcrTree, DiskUTree, FilterOutcome, IndexBuilder,
+        IndexCatalog, IndexDef, IndexError, InsertStats, Match, ProbIndex, ProbRangeQuery,
+        Provenance, Query, QueryBuilder, QueryCtx, QueryError, QueryOptions, QueryOutcome,
+        QueryService, QueryStats, RankBatchOutcome, RankOutcome, RankQuery, RankedMatch, Refine,
+        RefineMode, SeqScan, ServiceReply, ServiceReport, ServiceRequest, ShardedIndex, UCatalog,
+        UPcrTree, UTree,
     };
 }
 

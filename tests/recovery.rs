@@ -176,8 +176,9 @@ fn recovery_equals_a_committed_prefix_at_every_crash_point() {
         let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
         for (j, batch) in batches.iter().enumerate() {
             apply_ops(&mut disk, batch);
-            let receipt = disk.commit().unwrap();
-            assert!(receipt.durable, "default policy syncs every commit");
+            let syncs = disk.wal_sync_count();
+            disk.commit().unwrap();
+            assert_eq!(disk.wal_sync_count() - syncs, 1, "every commit syncs");
             std::fs::create_dir_all(&captures[j]).unwrap();
             for f in ["index.pg", "heap.pg"] {
                 std::fs::copy(dir.join(f), captures[j].join(f)).unwrap();
@@ -377,49 +378,95 @@ fn checkpoint_truncates_the_log<P: FilterPayload<2>>() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Group commit defers the fsync to every Nth commit; receipts say so, and
-/// an explicit `flush` forces durability early — on either payload.
+/// One durability policy: every commit is fsynced before it returns. N
+/// commits cost exactly N log syncs; an index dropped with no flush and no
+/// checkpoint reopens holding all N; and after a checkpoint the log is
+/// just its header, so the snapshot alone reopens holding all N — on
+/// either payload and on a two-index catalog.
 #[test]
-fn group_commit_defers_syncs_and_flush_forces_them() {
-    group_commit_defers_syncs::<Cfbs>();
-    group_commit_defers_syncs::<Pcrs>();
+fn every_commit_is_durable_when_it_returns() {
+    every_commit_is_durable::<Cfbs>();
+    every_commit_is_durable::<Pcrs>();
+    every_catalog_commit_is_durable();
 }
 
-fn group_commit_defers_syncs<P: FilterPayload<2>>() {
+const COMMITS: usize = 4;
+
+/// Asserts the log holds only its header, then deletes it, so the next
+/// open reads the snapshot alone.
+fn assert_checkpointed_and_drop_log(dir: &Path) {
+    let log = dir.join("wal.log");
+    assert_eq!(
+        std::fs::metadata(&log).unwrap().len(),
+        8,
+        "checkpoint leaves only the log header"
+    );
+    std::fs::remove_file(log).unwrap();
+}
+
+fn every_commit_is_durable<P: FilterPayload<2>>() {
     let base = base_objects();
-    let dir = temp_dir(&format!("group-{}", P::NAME));
+    let dir = temp_dir(&format!("durable-{}", P::NAME));
     fresh_tree::<P>(&base).save(&dir).unwrap();
-
-    let mut disk = DiskTree::<P>::open(&dir, 32).unwrap();
-    disk.set_group_commit(4);
-    let extra = datagen::lb_dataset(8, 109);
-
-    let syncs_before = disk.wal_sync_count();
-    let mut receipts = Vec::new();
-    for (i, o) in extra.iter().take(4).enumerate() {
-        disk.insert(&UncertainObject::new(70_000 + i as u64, o.pdf.clone()));
-        receipts.push(disk.commit().unwrap());
+    let extra = datagen::lb_dataset(COMMITS, 227);
+    {
+        let mut disk = DiskTree::<P>::open(&dir, 32).unwrap();
+        let syncs = disk.wal_sync_count();
+        for (i, o) in extra.iter().enumerate() {
+            disk.insert(&UncertainObject::new(90_000 + i as u64, o.pdf.clone()));
+            disk.commit().unwrap();
+        }
+        assert_eq!(disk.wal_sync_count() - syncs, COMMITS as u64);
+        // No flush, no checkpoint.
     }
-    assert_eq!(
-        receipts.iter().map(|r| r.durable).collect::<Vec<_>>(),
-        vec![false, false, false, true],
-        "only the 4th commit of the group syncs"
-    );
-    assert_eq!(
-        disk.wal_sync_count() - syncs_before,
-        1,
-        "one fsync covers the whole group"
-    );
-
-    // A lone commit mid-group stays volatile until flush() forces it down.
-    disk.insert(&UncertainObject::new(71_000, extra[4].pdf.clone()));
-    let r = disk.commit().unwrap();
-    assert!(!r.durable);
-    disk.flush().unwrap();
-
-    drop(disk);
+    {
+        let mut disk = DiskTree::<P>::open(&dir, 32).unwrap();
+        assert_eq!(disk.len(), BASE_N + COMMITS, "a returned commit was lost");
+        disk.checkpoint().unwrap();
+    }
+    assert_checkpointed_and_drop_log(&dir);
     let reopened = DiskTree::<P>::open(&dir, 32).unwrap();
-    assert_eq!(reopened.len(), BASE_N + 5);
+    assert_eq!(reopened.len(), BASE_N + COMMITS);
+    reopened.check_invariants().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn every_catalog_commit_is_durable() {
+    let dir = temp_dir("durable-catalog");
+    let extra = datagen::lb_dataset(2 * COMMITS, 229);
+    let lens = |cat: &IndexCatalog<2>| {
+        cat.names()
+            .iter()
+            .map(|n| cat.get(n).unwrap().len())
+            .collect::<Vec<_>>()
+    };
+    {
+        let mut cat = IndexCatalog::<2>::create(&dir, 64).unwrap();
+        cat.create_index("aa", UCatalog::uniform(8), TreeConfig::default(), 2)
+            .unwrap();
+        cat.create_index("bb", UCatalog::uniform(8), TreeConfig::default(), 1)
+            .unwrap();
+        let syncs = cat.wal_sync_count();
+        for (i, pair) in extra.chunks(2).enumerate() {
+            cat.get_mut("aa").unwrap().insert(&pair[0]);
+            cat.get_mut("bb").unwrap().insert(&pair[1]);
+            cat.commit().unwrap();
+            assert_eq!(cat.wal_sync_count() - syncs, i as u64 + 1);
+        }
+        // No flush, no checkpoint.
+    }
+    {
+        let mut cat = IndexCatalog::<2>::open(&dir, 64).unwrap();
+        assert_eq!(
+            lens(&cat),
+            vec![COMMITS, COMMITS],
+            "a returned commit was lost"
+        );
+        cat.checkpoint().unwrap();
+    }
+    assert_checkpointed_and_drop_log(&dir);
+    let reopened = IndexCatalog::<2>::open(&dir, 64).unwrap();
+    assert_eq!(lens(&reopened), vec![COMMITS, COMMITS]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -489,7 +536,7 @@ fn committed_batches_survive_backend_write_faults() {
                 // the log write itself is unaffected — recovery below is
                 // what must not lose data.
                 let [healthy, sick] = &mut stores;
-                let committed = commit_group(&wal, &mut [healthy, sick], None, true);
+                let committed = commit_group(&wal, &mut [healthy, sick], None);
                 assert_eq!(committed.is_err(), trip_at <= 3 * (batch as u64 + 1));
             }
             assert_eq!(stores[0].unapplied_batches(), 0, "healthy store held back");
@@ -524,72 +571,4 @@ fn committed_batches_survive_backend_write_faults() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-}
-
-/// Crash-point audit for `checkpoint()` under a group-commit window: the
-/// deferred (`durable: false`) commits must be forced durable *before* the
-/// snapshot rename, so the checkpointed state — reopened from snapshot
-/// alone, WAL truncated — contains every committed batch, including the
-/// ones whose fsync was still owed when checkpoint began.
-#[test]
-fn checkpoint_forces_deferred_group_commits_durable() {
-    let base = base_objects();
-    let dir = temp_dir("ckpt-group");
-    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
-
-    let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
-    disk.set_group_commit(10); // window far larger than the batch count
-    let extra = datagen::lb_dataset(3, 211);
-    for (i, o) in extra.iter().enumerate() {
-        disk.insert(&UncertainObject::new(80_000 + i as u64, o.pdf.clone()));
-        let r = disk.commit().unwrap();
-        assert!(!r.durable, "commit {i} must be deferred by the window");
-    }
-    disk.checkpoint().unwrap();
-    assert_eq!(
-        std::fs::metadata(dir.join("wal.log")).unwrap().len(),
-        8,
-        "checkpoint truncated the log — the snapshot is all there is"
-    );
-    drop(disk);
-
-    // The "crash": reopen from the snapshot alone. Every deferred commit
-    // must be present — checkpoint promised durability for all of them.
-    let reopened = DiskUTree::<2>::open(&dir, 32).unwrap();
-    assert_eq!(reopened.len(), BASE_N + 3);
-    reopened.check_invariants().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Crash-point audit for drop with deferred commits: a commit that
-/// returned `durable: false` promised the data would reach disk by the
-/// next fsync. Dropping the tree with that fsync still owed must not lose
-/// the batch — the store closes the group-commit window on the way down,
-/// so only an actual crash (not a clean shutdown) loses deferred state.
-#[test]
-fn clean_drop_syncs_deferred_group_commits() {
-    let base = base_objects();
-    let dir = temp_dir("drop-deferred");
-    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
-
-    {
-        let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
-        disk.set_group_commit(8);
-        let extra = datagen::lb_dataset(2, 223);
-        for (i, o) in extra.iter().enumerate() {
-            disk.insert(&UncertainObject::new(81_000 + i as u64, o.pdf.clone()));
-            let r = disk.commit().unwrap();
-            assert!(!r.durable, "the window must defer this commit");
-        }
-        // No flush, no checkpoint — the tree goes down owing an fsync.
-    }
-
-    let reopened = DiskUTree::<2>::open(&dir, 32).unwrap();
-    assert_eq!(
-        reopened.len(),
-        BASE_N + 2,
-        "deferred commits lost on clean drop — the receipt's promise broke"
-    );
-    reopened.check_invariants().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
