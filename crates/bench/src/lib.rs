@@ -282,7 +282,10 @@ fn run<const D: usize>(
     let mut row = Row::default();
     for q in queries {
         let query = Query::from_prob_range(*q, mode).with_options(opts);
-        row.stats += &index.execute_with(&query, &mut ctx).stats;
+        let out = index
+            .try_execute_with(&query, &mut ctx)
+            .expect("in-memory index cannot fail");
+        row.stats += &out.stats;
         row.queries += 1;
     }
     row
@@ -721,22 +724,27 @@ mod tests {
                 )
             })
             .collect();
-        let out = utree::engine::BatchExecutor::run_sequential(&tree, &queries);
-        let phases = out.stats.filter_nanos + out.stats.refine_nanos;
+        let mut ctx = QueryCtx::new();
+        let mut stats = QueryStats::default();
+        let t0 = Instant::now();
+        for q in &queries {
+            stats += &tree.execute_with(q, &mut ctx).stats;
+        }
+        let wall_nanos = t0.elapsed().as_nanos();
+        let phases = stats.filter_nanos + stats.refine_nanos;
         assert!(
-            phases <= out.wall_nanos,
-            "phase sum {phases} ns exceeds batch wall clock {} ns",
-            out.wall_nanos
+            phases <= wall_nanos,
+            "phase sum {phases} ns exceeds batch wall clock {wall_nanos} ns"
         );
         assert!(
-            out.stats.refined_samples > 0,
+            stats.refined_samples > 0,
             "a Monte-Carlo workload over data-centred queries must refine"
         );
         assert!(
-            out.stats.refined_samples <= out.stats.prob_computations * 2_000,
+            stats.refined_samples <= stats.prob_computations * 2_000,
             "{} samples over {} estimates: n1 caps each one",
-            out.stats.refined_samples,
-            out.stats.prob_computations
+            stats.refined_samples,
+            stats.prob_computations
         );
     }
 }

@@ -24,7 +24,6 @@ use crate::catalog::UCatalog;
 use crate::query::{ProbRangeQuery, QueryCtx, QueryStats, RefineMode};
 use crate::seqscan::SeqScan;
 use crate::tree::{FilterPayload, InsertStats, ProbTree, QueryOptions};
-use rstar_base::TreeConfig;
 use std::borrow::Borrow;
 use std::fmt;
 use std::marker::PhantomData;
@@ -343,7 +342,7 @@ impl<const D: usize> QueryBuilder<D> {
     /// failures and storage I/O failures surface here as [`QueryError`]
     /// (the fluent path never panics on a sick disk).
     pub fn run<I: ProbIndex<D> + ?Sized>(self, index: &I) -> Result<QueryOutcome, QueryError> {
-        index.try_execute(&self.build()?)
+        index.try_execute_with(&self.build()?, &mut QueryCtx::new())
     }
 }
 
@@ -417,7 +416,7 @@ impl<const D: usize> RankBuilder<D> {
     /// Builds and executes against any [`ProbIndex`]. Both validation
     /// failures and storage I/O failures surface here as [`QueryError`].
     pub fn run<I: ProbIndex<D> + ?Sized>(self, index: &I) -> Result<RankOutcome, QueryError> {
-        index.try_rank_topk(&self.build()?)
+        index.try_rank_topk_with(&self.build()?, &mut QueryCtx::new())
     }
 }
 
@@ -619,6 +618,14 @@ pub(crate) fn outcome_from_ctx(ctx: &mut QueryCtx) -> QueryOutcome {
     }
 }
 
+/// The one place an infallible query convenience turns a storage error
+/// into a panic: [`ProbIndex::execute`], [`ProbIndex::rank_topk`] and
+/// [`ProbTree::execute_with`] all end here.
+pub(crate) fn or_panic<T>(result: Result<T, QueryError>) -> T {
+    // xlint: allow(panic-freedom) -- documented infallible convenience; the try_*_with methods carry the fallible contract
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
 // ---------------------------------------------------------------------------
 // The index trait
 // ---------------------------------------------------------------------------
@@ -665,44 +672,30 @@ pub trait ProbIndex<const D: usize> {
     /// medium fails mid-query.
     ///
     /// This is the **fallible primitive** every backend implements;
-    /// [`ProbIndex::execute`] / [`ProbIndex::execute_with`] are
-    /// panic-on-I/O-error conveniences over it (an in-memory backend
-    /// cannot fail, so the panic is unreachable there).
+    /// [`ProbIndex::execute`] is a panic-on-I/O-error convenience over it
+    /// (an in-memory backend cannot fail, so the panic is unreachable
+    /// there).
     ///
-    /// Queries only *read* the index (`&self` end-to-end): a shared
-    /// reference can serve any number of threads at once when the backend
-    /// is `Sync` (all in-repo backends are, on every storage backend).
-    /// The context is reset on entry and its buffers are reused across
-    /// calls — one context per worker thread is the intended pattern (see
-    /// [`crate::engine::BatchExecutor`]).
+    /// **The concurrency contract.** Queries only *read* the index
+    /// (`&self` end-to-end), and all per-query mutable state lives in the
+    /// caller's context, so a shared reference serves any number of
+    /// threads at once with **one [`QueryCtx`] per thread** — all in-repo
+    /// backends are `Sync` on every storage backend. The context is reset
+    /// on entry and its buffers are reused across calls. Every candidate
+    /// seeds its own refinement RNG from the query's seed and its id, so
+    /// an answer does not depend on which thread ran it.
     fn try_execute_with(
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
     ) -> Result<QueryOutcome, QueryError>;
 
-    /// [`ProbIndex::try_execute_with`] with a throwaway [`QueryCtx`].
-    fn try_execute(&self, query: &Query<D>) -> Result<QueryOutcome, QueryError> {
-        self.try_execute_with(query, &mut QueryCtx::new())
-    }
-
-    /// Executes a validated query, panicking if the storage medium fails
-    /// (see [`ProbIndex::try_execute`] for the fallible surface). This
-    /// convenience creates a throwaway [`QueryCtx`]; workloads running
-    /// many queries should reuse one per thread via
-    /// [`ProbIndex::execute_with`].
-    fn execute(&self, query: &Query<D>) -> QueryOutcome {
-        self.execute_with(query, &mut QueryCtx::new())
-    }
-
-    /// Executes a validated query using caller-owned per-query scratch
-    /// state (stats, candidate buffers, traversal stack, refinement RNG),
+    /// Executes a validated query with a throwaway [`QueryCtx`],
     /// panicking if the storage medium fails (see
-    /// [`ProbIndex::try_execute_with`] for the fallible surface).
-    fn execute_with(&self, query: &Query<D>, ctx: &mut QueryCtx) -> QueryOutcome {
-        self.try_execute_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// [`ProbIndex::try_execute_with`] for the fallible surface, and for
+    /// reusing one context across many queries).
+    fn execute(&self, query: &Query<D>) -> QueryOutcome {
+        or_panic(self.try_execute_with(query, &mut QueryCtx::new()))
     }
 
     /// Executes a validated **top-k ranking query**: the `k` objects with
@@ -718,33 +711,19 @@ pub trait ProbIndex<const D: usize> {
     /// under a deterministic refinement mode.
     ///
     /// Same concurrency contract as [`ProbIndex::try_execute_with`]:
-    /// `&self` end-to-end, per-query state in the caller's [`QueryCtx`].
+    /// `&self` end-to-end, per-query state (the ranking frontier, bound
+    /// buffers and result heap) in the caller's [`QueryCtx`].
     fn try_rank_topk_with(
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
     ) -> Result<RankOutcome, QueryError>;
 
-    /// [`ProbIndex::try_rank_topk_with`] with a throwaway [`QueryCtx`].
-    fn try_rank_topk(&self, query: &RankQuery<D>) -> Result<RankOutcome, QueryError> {
-        self.try_rank_topk_with(query, &mut QueryCtx::new())
-    }
-
-    /// Executes a validated top-k ranking query, panicking if the storage
-    /// medium fails (see [`ProbIndex::try_rank_topk`] for the fallible
-    /// surface).
+    /// Executes a validated top-k ranking query with a throwaway
+    /// [`QueryCtx`], panicking if the storage medium fails (see
+    /// [`ProbIndex::try_rank_topk_with`] for the fallible surface).
     fn rank_topk(&self, query: &RankQuery<D>) -> RankOutcome {
-        self.rank_topk_with(query, &mut QueryCtx::new())
-    }
-
-    /// [`ProbIndex::rank_topk`] with caller-owned scratch state (the
-    /// ranking frontier, bound buffers and result heap live in the
-    /// context, so one context per worker thread serves batches of
-    /// ranking queries without reallocation).
-    fn rank_topk_with(&self, query: &RankQuery<D>, ctx: &mut QueryCtx) -> RankOutcome {
-        self.try_rank_topk_with(query, ctx)
-            // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-            .unwrap_or_else(|e| panic!("{e}"))
+        or_panic(self.try_rank_topk_with(query, &mut QueryCtx::new()))
     }
 
     /// Loads every object from an iterator into the index, returning the
@@ -787,7 +766,7 @@ pub trait IndexBackend<const D: usize>: ProbIndex<D> + Sized + sealed::Sealed {
     fn default_catalog() -> UCatalog;
 
     #[doc(hidden)]
-    fn from_parts(catalog: UCatalog, cfg: TreeConfig) -> Self;
+    fn from_parts(catalog: UCatalog) -> Self;
 }
 
 pub(crate) mod sealed {
@@ -798,8 +777,6 @@ pub(crate) mod sealed {
     impl<const D: usize> Sealed for SeqScan<D> {}
     impl Sealed for crate::tree::Cfbs {}
     impl Sealed for crate::upcr::Pcrs {}
-    impl Sealed for super::QueryOutcome {}
-    impl Sealed for super::RankOutcome {}
 }
 
 impl<const D: usize, P: FilterPayload<D>> IndexBackend<D> for ProbTree<D, P> {
@@ -809,8 +786,8 @@ impl<const D: usize, P: FilterPayload<D>> IndexBackend<D> for ProbTree<D, P> {
         P::default_catalog()
     }
 
-    fn from_parts(catalog: UCatalog, cfg: TreeConfig) -> Self {
-        ProbTree::with_config(catalog, cfg)
+    fn from_parts(catalog: UCatalog) -> Self {
+        ProbTree::new(catalog)
     }
 }
 
@@ -822,8 +799,7 @@ impl<const D: usize> IndexBackend<D> for SeqScan<D> {
         UCatalog::paper_utree_default()
     }
 
-    fn from_parts(catalog: UCatalog, _cfg: TreeConfig) -> Self {
-        // A packed sequential file has no R* tuning knobs.
+    fn from_parts(catalog: UCatalog) -> Self {
         SeqScan::new(catalog)
     }
 }
@@ -855,7 +831,6 @@ enum CatalogSpec {
 /// ```
 pub struct IndexBuilder<const D: usize, B: IndexBackend<D>> {
     catalog: Option<CatalogSpec>,
-    cfg: TreeConfig,
     _backend: PhantomData<fn() -> B>,
 }
 
@@ -870,7 +845,6 @@ impl<const D: usize, B: IndexBackend<D>> IndexBuilder<D, B> {
     pub fn new() -> Self {
         IndexBuilder {
             catalog: None,
-            cfg: TreeConfig::default(),
             _backend: PhantomData,
         }
     }
@@ -893,12 +867,6 @@ impl<const D: usize, B: IndexBackend<D>> IndexBuilder<D, B> {
         self
     }
 
-    /// Overrides the R*-tree tuning (ignored by the sequential scan).
-    pub fn tree_config(mut self, cfg: TreeConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
     /// Validates and constructs the backend. Without an explicit catalog,
     /// the backend's paper default (Sec 6.2) is used.
     pub fn build(self) -> Result<B, IndexError> {
@@ -908,7 +876,7 @@ impl<const D: usize, B: IndexBackend<D>> IndexBuilder<D, B> {
             Some(CatalogSpec::Values(values)) => UCatalog::try_new(values)?,
             Some(CatalogSpec::Uniform(m)) => UCatalog::try_uniform(m)?,
         };
-        Ok(B::from_parts(catalog, self.cfg))
+        Ok(B::from_parts(catalog))
     }
 
     /// Validates, constructs, and **bulk-loads** the backend in one step:

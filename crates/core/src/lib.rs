@@ -39,9 +39,10 @@
 //! LRU buffer pool with identical query answers.
 //!
 //! Queries are **read-only** (`&self` end-to-end; per-query state lives in
-//! a [`QueryCtx`]), so one shared index serves concurrent readers — the
-//! [`engine::BatchExecutor`] fans whole workloads across a worker pool
-//! with byte-identical results to a sequential run:
+//! a [`QueryCtx`]), so one shared index serves concurrent readers, one
+//! context per thread, with byte-identical results to a sequential run;
+//! [`QueryService`] runs request batches against an [`IndexCatalog`] on a
+//! worker pool:
 //!
 //! ```
 //! use utree::{ProbIndex, Query, Refine, UTree};
@@ -69,7 +70,6 @@ pub mod api;
 pub mod catalog;
 pub mod catalog_store;
 pub mod cfb;
-pub mod engine;
 pub mod entry;
 pub mod filter;
 pub mod key;
@@ -91,7 +91,6 @@ pub use api::{
 pub use catalog::UCatalog;
 pub use catalog_store::{IndexCatalog, IndexDef};
 pub use cfb::{fit_cfb_pair, Cfb, CfbPair, CfbView};
-pub use engine::{BatchExecutor, BatchOutcome, RankBatchOutcome};
 pub use filter::{
     filter_object, filter_object_planned, prob_bounds, prob_bounds_planned, FilterOutcome,
     PcrAccess, PreparedQuery,

@@ -189,8 +189,8 @@ impl AddAssign<QueryStats> for QueryStats {
 /// only ever *read* during a query (`&self` end-to-end), so one shared
 /// index can serve any number of concurrent queries — each carrying its
 /// own `QueryCtx`. A context is cheap to create, but reusing one per
-/// worker thread (as [`crate::engine::BatchExecutor`] does) amortises the
-/// buffer allocations across a whole workload.
+/// thread (as [`crate::QueryService`]'s workers do) amortises the buffer
+/// allocations across a whole workload.
 ///
 /// No Monte-Carlo generator lives here: every candidate seeds its own
 /// from the query's [`RefineMode`] seed and its id, which is what makes
@@ -232,7 +232,7 @@ impl QueryCtx {
 
     /// Resets per-query state (stats and buffers) while keeping the buffer
     /// capacity from earlier queries. Every backend calls this on entry to
-    /// `execute_with` / `rank_topk_with`.
+    /// `try_execute_with` / `try_rank_topk_with`.
     pub(crate) fn begin(&mut self) {
         self.stats = QueryStats::default();
         self.validated.clear();

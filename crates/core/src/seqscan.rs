@@ -37,8 +37,7 @@ pub struct SeqScan<const D: usize> {
 }
 
 impl<const D: usize> SeqScan<D> {
-    /// Fluent fallible construction (see [`IndexBuilder`]; the R*-tree
-    /// tuning knob is ignored — a packed file has no tree structure).
+    /// Fluent fallible construction (see [`IndexBuilder`]).
     pub fn builder() -> IndexBuilder<D, Self> {
         IndexBuilder::new()
     }
@@ -199,26 +198,45 @@ impl<const D: usize> SeqScan<D> {
         stats.node_reads += u64::from(!self.open.is_empty());
     }
 
-    /// Executes a prob-range query by scanning every page.
-    ///
-    /// Convenience over [`SeqScan::execute_with`] with a throwaway
-    /// context.
-    pub fn execute(&self, query: &Query<D>) -> QueryOutcome {
-        ProbIndex::execute(self, query)
+    /// [`ProbIndex::rank_topk`], callable without importing the trait.
+    pub fn rank_topk(&self, query: &RankQuery<D>) -> RankOutcome {
+        ProbIndex::rank_topk(self, query)
+    }
+}
+
+impl<const D: usize> ProbIndex<D> for SeqScan<D> {
+    fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
+        SeqScan::insert(self, obj)
     }
 
-    /// [`SeqScan::try_execute_with`], panicking on storage failure (the
-    /// scan file itself is in-memory; only the heap can fail).
-    pub fn execute_with(&self, query: &Query<D>, ctx: &mut QueryCtx) -> QueryOutcome {
-        ProbIndex::execute_with(self, query, ctx)
+    fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
+        SeqScan::delete(self, obj)
     }
 
-    /// Executes a prob-range query with caller-owned scratch state (the
-    /// scan is only read; see [`crate::UTree::execute_with`] for the
-    /// shared-read contract). The
+    fn len(&self) -> usize {
+        SeqScan::len(self)
+    }
+
+    fn index_size_bytes(&self) -> u64 {
+        SeqScan::size_bytes(self)
+    }
+
+    fn heap_size_bytes(&self) -> u64 {
+        SeqScan::heap_size_bytes(self)
+    }
+
+    fn io_counters(&self) -> u64 {
+        SeqScan::io_counters(self)
+    }
+
+    fn reset_io(&self) {
+        SeqScan::reset_io(self)
+    }
+
+    /// Executes a prob-range query by scanning every page. The
     /// [`QueryOptions`](crate::tree::QueryOptions) ablation switches are
     /// U-tree-specific and ignored here.
-    pub fn try_execute_with(
+    fn try_execute_with(
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
@@ -270,7 +288,7 @@ impl<const D: usize> SeqScan<D> {
     /// on the trees), then the k best are reported. This is the baseline
     /// the bounded best-first traversals are measured against — identical
     /// answers, maximal `prob_computations`.
-    pub fn try_rank_topk_with(
+    fn try_rank_topk_with(
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
@@ -310,62 +328,6 @@ impl<const D: usize> SeqScan<D> {
         // Hand the buffer back so its capacity stays with the context.
         ctx.candidates = cands;
         Ok(crate::rank::finish(ctx, t0))
-    }
-
-    /// [`SeqScan::try_rank_topk_with`], panicking on storage failure.
-    pub fn rank_topk_with(&self, query: &RankQuery<D>, ctx: &mut QueryCtx) -> RankOutcome {
-        ProbIndex::rank_topk_with(self, query, ctx)
-    }
-
-    /// [`SeqScan::rank_topk_with`] with a throwaway context.
-    pub fn rank_topk(&self, query: &RankQuery<D>) -> RankOutcome {
-        ProbIndex::rank_topk(self, query)
-    }
-}
-
-impl<const D: usize> ProbIndex<D> for SeqScan<D> {
-    fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
-        SeqScan::insert(self, obj)
-    }
-
-    fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
-        SeqScan::delete(self, obj)
-    }
-
-    fn len(&self) -> usize {
-        SeqScan::len(self)
-    }
-
-    fn index_size_bytes(&self) -> u64 {
-        SeqScan::size_bytes(self)
-    }
-
-    fn heap_size_bytes(&self) -> u64 {
-        SeqScan::heap_size_bytes(self)
-    }
-
-    fn io_counters(&self) -> u64 {
-        SeqScan::io_counters(self)
-    }
-
-    fn reset_io(&self) {
-        SeqScan::reset_io(self)
-    }
-
-    fn try_execute_with(
-        &self,
-        query: &Query<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
-        SeqScan::try_execute_with(self, query, ctx)
-    }
-
-    fn try_rank_topk_with(
-        &self,
-        query: &RankQuery<D>,
-        ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
-        SeqScan::try_rank_topk_with(self, query, ctx)
     }
 }
 

@@ -2,13 +2,13 @@
 //! (range and top-k, each naming its index) executed on the crate's one
 //! worker pool, plus sustained throughput and tail-latency accounting.
 //!
-//! [`QueryService::serve`] is a call to [`crate::engine`]'s `fan_out` —
-//! the pool is described there, once: `workers` scoped threads pull
-//! requests off a shared cursor, each holding one [`QueryCtx`] across
-//! *all* the requests it executes, and zero or one request runs on the
-//! calling thread. Requests name their index; lookup failures, query
-//! errors **and panics** become [`ServiceReply::Error`] for that request
-//! alone, never a torn batch.
+//! The pool is the concurrency contract of [`ProbIndex`] put to work:
+//! queries take `&self`, so `workers` scoped threads share the catalog,
+//! pull requests off a shared cursor and each hold one [`QueryCtx`] across
+//! *all* the requests they execute; with one worker (or one request) the
+//! loop runs on the calling thread. Requests name their index; lookup
+//! failures, query errors **and panics** become [`ServiceReply::Error`]
+//! for that request alone, never a torn batch.
 //!
 //! Replies come back in submission order. The accompanying
 //! [`ServiceReport`] records per-request latency from the *start of
@@ -18,10 +18,10 @@
 
 use crate::api::{ProbIndex, Query, QueryOutcome, RankOutcome, RankQuery};
 use crate::catalog_store::IndexCatalog;
-use crate::engine::{fan_out, queries_per_sec};
 use crate::query::QueryCtx;
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// One request to the service: which named index to hit, and with what.
@@ -73,18 +73,24 @@ pub struct ServiceReport {
 
 impl ServiceReport {
     /// Sustained queries per second over the run's wall clock. `NAN` when
-    /// nothing was served — an empty run has no meaningful rate.
+    /// nothing was served — an empty run has no meaningful rate, and `0.0`
+    /// would read as a collapse to a qps floor. The wall clock is clamped
+    /// to ≥ 1 ns, so the rate is finite exactly when a request was served.
     pub fn queries_per_sec(&self) -> f64 {
-        queries_per_sec(self.served, self.wall_nanos.into())
+        if self.served == 0 {
+            return f64::NAN;
+        }
+        self.served as f64 * 1e9 / self.wall_nanos.max(1) as f64
     }
 
-    /// Nearest-rank latency percentile, `p` in `(0, 100]`. `None` when
-    /// nothing was served.
+    /// Nearest-rank latency percentile for `p` in `(0, 100]`. `None` when
+    /// nothing was served, and `None` for any `p` outside that range, NaN
+    /// included.
     pub fn percentile_nanos(&self, p: f64) -> Option<u64> {
-        if self.latencies.is_empty() {
+        let in_range = p > 0.0 && p <= 100.0;
+        if self.latencies.is_empty() || !in_range {
             return None;
         }
-        assert!(p > 0.0 && p <= 100.0, "percentile {p} outside (0, 100]");
         let rank = (p / 100.0 * self.latencies.len() as f64).ceil() as usize;
         Some(self.latencies[rank.clamp(1, self.latencies.len()) - 1])
     }
@@ -162,6 +168,53 @@ impl QueryService {
         };
         (replies, report)
     }
+}
+
+/// The crate's one worker pool: `workers` scoped threads pull `items` off
+/// a shared cursor, each with one reused [`QueryCtx`], and the outputs
+/// come back in input order. With at most one worker the loop runs on the
+/// calling thread and nothing is spawned.
+///
+/// `f` is expected not to unwind — [`QueryService::serve`] catches a panic
+/// per request. A worker that unwinds anyway re-raises its own payload at
+/// join.
+fn fan_out<Q, T, F>(workers: usize, items: &[Q], f: F) -> Vec<T>
+where
+    Q: Sync,
+    T: Send,
+    F: Fn(&Q, &mut QueryCtx) -> T + Sync,
+{
+    let cursor = AtomicUsize::new(0);
+    let drain = || {
+        let mut ctx = QueryCtx::new();
+        let mut local = Vec::new();
+        loop {
+            // ordering: Relaxed suffices — the fetch_add itself hands out
+            // each index exactly once, and the scope join publishes the
+            // results.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                break;
+            };
+            local.push((i, f(item, &mut ctx)));
+        }
+        local
+    };
+    let mut outputs = if workers <= 1 {
+        drain()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    // The cursor hands out each index exactly once, so sorting by index
+    // restores input order.
+    outputs.sort_unstable_by_key(|&(i, _)| i);
+    outputs.into_iter().map(|(_, out)| out).collect()
 }
 
 /// The message a panic was raised with, for an error reply. Takes the
@@ -403,6 +456,23 @@ mod tests {
         let p99 = report.p99_nanos().unwrap();
         assert!(p50 <= p99, "p50 {p50} above p99 {p99}");
         assert!(report.percentile_nanos(100.0).unwrap() >= p99);
+        for p in [f64::NAN, 0.0, 100.5] {
+            assert_eq!(report.percentile_nanos(p), None, "percentile {p}");
+        }
+    }
+
+    #[test]
+    fn queries_per_sec_is_nan_on_empty_and_finite_otherwise() {
+        let report = |served: usize, wall_nanos: u64| ServiceReport {
+            served,
+            wall_nanos,
+            latencies: vec![wall_nanos; served],
+        };
+        assert!(report(0, 0).queries_per_sec().is_nan());
+        assert!(report(0, 5_000).queries_per_sec().is_nan());
+        // A sub-nanosecond wall reading must clamp, not divide to inf.
+        assert_eq!(report(1, 0).queries_per_sec(), 1e9);
+        assert_eq!(report(4, 2_000).queries_per_sec(), 2e6);
     }
 
     #[test]

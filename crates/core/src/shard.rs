@@ -30,9 +30,8 @@
 //! exactly the oracle's values.
 //!
 //! [`ShardedIndex`] implements [`ProbIndex`], so it drops into everything
-//! built on the trait: [`crate::engine::BatchExecutor`] batches,
-//! [`crate::service::QueryService`] serving, and the fluent query
-//! builders.
+//! built on the trait: [`crate::service::QueryService`] serving and the
+//! fluent query builders.
 
 use crate::api::{
     Match, ProbIndex, Provenance, Query, QueryError, QueryOutcome, RankOutcome, RankQuery,

@@ -5,7 +5,7 @@
 //! differs between the two; every method of the tree is written against it.
 
 use crate::api::{
-    outcome_from_ctx, sealed, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome,
+    or_panic, outcome_from_ctx, sealed, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome,
     RankOutcome, RankQuery,
 };
 use crate::catalog::UCatalog;
@@ -605,18 +605,14 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
         }
     }
 
-    /// Executes a prob-range query, returning matches with provenance.
-    ///
-    /// Convenience over [`ProbTree::execute_with`] with a throwaway
-    /// context. Panics if the storage medium fails; see
-    /// [`ProbTree::try_execute_with`].
+    /// [`ProbIndex::execute`], callable without importing the trait.
     pub fn execute(&self, query: &Query<D>) -> QueryOutcome {
         ProbIndex::execute(self, query)
     }
 
     /// [`ProbTree::try_execute_with`], panicking on storage failure.
     pub fn execute_with(&self, query: &Query<D>, ctx: &mut QueryCtx) -> QueryOutcome {
-        ProbIndex::execute_with(self, query, ctx)
+        or_panic(self.try_execute_with(query, ctx))
     }
 
     /// Executes a prob-range query with caller-owned scratch state.

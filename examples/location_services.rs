@@ -68,12 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Rush hour: hundreds of users ask their own "who is near me?"
-    // queries at once. Queries only read the index (`&self`), so the
-    // batch engine fans them across a worker pool over the *same* tree —
-    // no clone, no lock around the index — and returns exactly what a
+    // queries at once. Queries only read the index (`&self`), so worker
+    // threads share the *same* tree — no clone, no lock around the index —
+    // each with its own `QueryCtx`, and return exactly what a
     // one-at-a-time run would.
     const USERS: usize = 400;
-    println!("\nrush hour: {USERS} concurrent user queries through the batch engine…");
+    const WORKERS: usize = 4;
+    println!("\nrush hour: {USERS} concurrent user queries on {WORKERS} threads…");
     let user_queries: Vec<Query<2>> = (0..USERS)
         .map(|u| {
             let here = objects[(u * 31) % CLIENTS].mbr().center();
@@ -85,21 +86,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .build()
         })
         .collect::<Result<_, _>>()?;
-    let engine = BatchExecutor::new(4);
-    let rush = engine.run(&tree, &user_queries);
-    let baseline = BatchExecutor::run_sequential(&tree, &user_queries);
-    assert!(
-        rush.same_results(&baseline),
-        "parallel answers must be byte-identical to sequential"
-    );
+    let t0 = std::time::Instant::now();
+    let rush: Vec<QueryOutcome> = std::thread::scope(|s| {
+        let handles: Vec<_> = user_queries
+            .chunks(USERS.div_ceil(WORKERS))
+            .map(|mine| {
+                let tree = &tree;
+                s.spawn(move || {
+                    let mut ctx = QueryCtx::new();
+                    mine.iter()
+                        .map(|q| tree.execute_with(q, &mut ctx))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a rush-hour worker panicked"))
+            .collect()
+    });
+    let wall = t0.elapsed();
+    let mut ctx = QueryCtx::new();
+    let mut stats = QueryStats::default();
+    for (q, got) in user_queries.iter().zip(&rush) {
+        let want = tree.execute_with(q, &mut ctx);
+        assert_eq!(
+            got.matches, want.matches,
+            "parallel answers must be byte-identical to sequential"
+        );
+        assert!(got.stats.same_counts(&want.stats));
+        stats += &got.stats;
+    }
     println!(
-        "{} queries on {} workers: {:.0} queries/s, {} node reads, \
+        "{} queries on {WORKERS} threads: {:.0} queries/s, {} node reads, \
          {} integrations, answers identical to the sequential run",
         rush.len(),
-        rush.workers,
-        rush.queries_per_sec(),
-        rush.stats.node_reads,
-        rush.stats.prob_computations,
+        rush.len() as f64 / wall.as_secs_f64(),
+        stats.node_reads,
+        stats.prob_computations,
     );
 
     // "k nearest risky assets": a hazard area is declared (a flooded

@@ -11,8 +11,8 @@
 //! * [`lp`] — the Simplex solver behind CFB fitting;
 //! * [`store`] — paged storage behind the [`store::PageStore`] trait:
 //!   in-memory page file, durable disk file, LRU buffer pool;
-//! * [`rstar`] — the generic R*-tree machinery and the precise-data
-//!   baseline;
+//! * [`rstar`] — the generic R*-tree machinery (insertion, forced
+//!   reinsertion, split, STR bulk build) both of the paper's trees run on;
 //! * [`index`] — the paper's structures behind one trait
 //!   ([`index::ProbIndex`]): [`index::UTree`], [`index::UPcrTree`],
 //!   [`index::SeqScan`];
@@ -88,12 +88,11 @@ pub mod prelude {
     pub use uncertain_pdf::{HistogramPdf, ObjectPdf, Region, UncertainObject};
     pub use utree::{canonicalize, shard_of};
     pub use utree::{
-        BatchExecutor, BatchOutcome, DiskUPcrTree, DiskUTree, FilterOutcome, IndexBuilder,
-        IndexCatalog, IndexDef, IndexError, InsertStats, Match, ProbIndex, ProbRangeQuery,
-        Provenance, Query, QueryBuilder, QueryCtx, QueryError, QueryOptions, QueryOutcome,
-        QueryService, QueryStats, RankBatchOutcome, RankOutcome, RankQuery, RankedMatch, Refine,
-        RefineMode, SeqScan, ServiceReply, ServiceReport, ServiceRequest, ShardedIndex, UCatalog,
-        UPcrTree, UTree,
+        DiskUPcrTree, DiskUTree, FilterOutcome, IndexBuilder, IndexCatalog, IndexDef, IndexError,
+        InsertStats, Match, ProbIndex, ProbRangeQuery, Provenance, Query, QueryBuilder, QueryCtx,
+        QueryError, QueryOptions, QueryOutcome, QueryService, QueryStats, RankOutcome, RankQuery,
+        RankedMatch, Refine, RefineMode, SeqScan, ServiceReply, ServiceReport, ServiceRequest,
+        ShardedIndex, UCatalog, UPcrTree, UTree,
     };
 }
 

@@ -1,9 +1,90 @@
-//! Digests shared by the format-pin tests: what a refactor of the
-//! persistence layer promises not to change, reduced to literals.
+//! Helpers shared by the integration suites: the digests the format-pin
+//! tests reduce to literals (what a refactor of the persistence layer
+//! promises not to change), and the parallel-equals-sequential check of
+//! the concurrency contract.
 #![allow(dead_code)]
 
+use std::fmt::Debug;
 use std::path::Path;
+use utree_repro::prelude::{QueryCtx, QueryOutcome, QueryStats, RankOutcome};
 use utree_repro::store::{Wal, WalRecord};
+
+/// What the parallel-equals-sequential check compares of one outcome.
+pub trait Answer: Send {
+    /// The per-object answer type.
+    type Match: PartialEq + Debug;
+    /// The answer itself, in the backend's order.
+    fn matches(&self) -> &[Self::Match];
+    /// The query's cost counters.
+    fn stats(&self) -> &QueryStats;
+}
+
+impl Answer for QueryOutcome {
+    type Match = utree_repro::prelude::Match;
+    fn matches(&self) -> &[Self::Match] {
+        &self.matches
+    }
+    fn stats(&self) -> &QueryStats {
+        &self.stats
+    }
+}
+
+impl Answer for RankOutcome {
+    type Match = utree_repro::prelude::RankedMatch;
+    fn matches(&self) -> &[Self::Match] {
+        &self.matches
+    }
+    fn stats(&self) -> &QueryStats {
+        &self.stats
+    }
+}
+
+/// The concurrency contract, checked: runs `queries` once on this thread
+/// with one reused [`QueryCtx`], and once split into contiguous chunks
+/// over `threads` scoped threads with one context each. Asserts that
+/// every query's matches and count statistics agree, and returns the
+/// sequential outcomes in query order.
+pub fn parallel_equals_sequential<Q, O, F>(queries: &[Q], threads: usize, run: F) -> Vec<O>
+where
+    Q: Sync,
+    O: Answer,
+    F: Fn(&Q, &mut QueryCtx) -> O + Sync,
+{
+    let mut ctx = QueryCtx::new();
+    let seq: Vec<O> = queries.iter().map(|q| run(q, &mut ctx)).collect();
+    let chunk = queries.len().div_ceil(threads).max(1);
+    let run = &run;
+    let par: Vec<O> = std::thread::scope(|s| {
+        let handles: Vec<_> = queries
+            .chunks(chunk)
+            .map(|part| {
+                s.spawn(move || {
+                    let mut ctx = QueryCtx::new();
+                    part.iter().map(|q| run(q, &mut ctx)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+    assert_eq!(par.len(), seq.len());
+    for (i, (p, s)) in par.iter().zip(&seq).enumerate() {
+        assert_eq!(
+            p.matches(),
+            s.matches(),
+            "query {i}: {threads} threads diverged from sequential"
+        );
+        assert!(
+            p.stats().same_counts(s.stats()),
+            "query {i}: stats diverged: {:?} vs {:?}",
+            p.stats(),
+            s.stats()
+        );
+    }
+    seq
+}
 
 /// 64-bit FNV-1a.
 pub fn fnv1a(bytes: &[u8]) -> u64 {

@@ -6,11 +6,14 @@
 //!
 //! * raw `std::thread::scope` readers over `&tree` — the `&self` query
 //!   path itself;
-//! * the `BatchExecutor` engine — scheduling must not change any answer;
+//! * `tests/common`'s parallel-equals-sequential check on every backend —
+//!   scheduling must not change any answer;
 //! * a randomized stress mix — N threads × M queries with randomized
 //!   regions/thresholds/refine modes, every outcome compared field by
 //!   field (matches, provenance, per-query count stats) against the
 //!   sequential ground truth, plus the summed logical I/O.
+
+mod common;
 
 use std::path::PathBuf;
 use utree_repro::prelude::*;
@@ -222,49 +225,59 @@ fn batch_executor_equals_sequential_on_disk_backend() {
     let queries: Vec<Query<2>> = workloads(53).into_iter().flatten().collect();
 
     let shared = DiskUTree::<2>::open(&dir, 96).expect("open saved index");
-    let par = BatchExecutor::new(THREADS).run(&shared, &queries);
-    let seq = BatchExecutor::run_sequential(&shared, &queries);
-    assert!(
-        par.same_results(&seq),
-        "4-thread batch over the shared buffered disk index diverged"
-    );
-    assert!(par.stats.same_counts(&seq.stats));
+    let seq = common::parallel_equals_sequential(&queries, THREADS, |q, ctx| {
+        shared.try_execute_with(q, ctx).unwrap()
+    });
+    let mut stats = QueryStats::default();
+    for out in &seq {
+        stats += &out.stats;
+    }
     // Machine-independent gates; the seeded workload repeats both counts
     // exactly in debug and release. Filter strength: every probability
     // computation is a candidate the filter failed to decide — 254 =
     // ⌈1.25 × the 203 computed when the gate was pinned⌉ (60 of them by
     // Monte-Carlo, the rest by quadrature).
     assert!(
-        seq.stats.prob_computations <= 254,
+        stats.prob_computations <= 254,
         "the batch computed {} probabilities — the filter got weaker",
-        seq.stats.prob_computations
+        stats.prob_computations
     );
     // Sampling: the 60 Monte-Carlo candidates may draw 600 000 samples
     // (n1 each) and stop at 225 136; 281 420 = ⌈1.25 × that⌉. To re-derive
     // either gate after a deliberate change, print the count here and
     // scale it the same.
     assert!(
-        seq.stats.refined_samples <= 281_420,
+        stats.refined_samples <= 281_420,
         "the batch drew {} Monte-Carlo samples — refinement stops later",
-        seq.stats.refined_samples
+        stats.refined_samples
     );
-    assert_eq!(par.workers, THREADS);
-    assert_eq!(par.len(), queries.len());
 
     drop(shared);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn batch_executor_agrees_across_backends() {
-    let objs = datagen::lb_dataset(250, 61);
+/// The three in-memory backends, bulk-loaded with the same objects.
+fn backends(n: usize, seed: u64) -> (UTree<2>, UPcrTree<2>, SeqScan<2>) {
+    let objs = datagen::lb_dataset(n, seed);
     let mut utree = UTree::<2>::builder().uniform_catalog(8).build().unwrap();
     let mut upcr = UPcrTree::<2>::builder().uniform_catalog(8).build().unwrap();
     let mut scan = SeqScan::<2>::builder().uniform_catalog(8).build().unwrap();
     utree.bulk_load(&objs);
     upcr.bulk_load(&objs);
     scan.bulk_load(&objs);
+    (utree, upcr, scan)
+}
 
+/// Parallel = sequential on one backend, through the trait object.
+fn on(index: &(dyn ProbIndex<2> + Sync), queries: &[Query<2>]) -> Vec<QueryOutcome> {
+    common::parallel_equals_sequential(queries, THREADS, |q, ctx| {
+        index.try_execute_with(q, ctx).unwrap()
+    })
+}
+
+#[test]
+fn batch_executor_agrees_across_backends() {
+    let (utree, upcr, scan) = backends(250, 61);
     let queries: Vec<Query<2>> = workloads(67)
         .into_iter()
         .flatten()
@@ -279,13 +292,48 @@ fn batch_executor_agrees_across_backends() {
         })
         .collect();
 
-    let exec = BatchExecutor::new(THREADS);
-    let a = exec.run(&utree, &queries);
-    let b = exec.run(&upcr, &queries);
-    let c = exec.run(&scan, &queries);
+    let a = on(&utree, &queries);
+    let b = on(&upcr, &queries);
+    let c = on(&scan, &queries);
     for i in 0..queries.len() {
-        let ids_a = a.outcomes[i].sorted_ids();
-        assert_eq!(ids_a, b.outcomes[i].sorted_ids(), "query {i}: u-pcr");
-        assert_eq!(ids_a, c.outcomes[i].sorted_ids(), "query {i}: seq-scan");
+        let ids_a = a[i].sorted_ids();
+        assert_eq!(ids_a, b[i].sorted_ids(), "query {i}: u-pcr");
+        assert_eq!(ids_a, c[i].sorted_ids(), "query {i}: seq-scan");
     }
+}
+
+#[test]
+fn parallel_equals_sequential_on_every_backend() {
+    // The mixed workload refines every third query by Monte-Carlo: every
+    // candidate seeds its own RNG from (query seed, object id), so the
+    // sampled estimates are bit-equal whichever thread runs the query.
+    let (utree, upcr, scan) = backends(300, 5);
+    let queries: Vec<Query<2>> = workloads(9).into_iter().flatten().collect();
+    for index in [
+        &utree as &(dyn ProbIndex<2> + Sync),
+        &upcr as &(dyn ProbIndex<2> + Sync),
+        &scan as &(dyn ProbIndex<2> + Sync),
+    ] {
+        let seq = on(index, &queries);
+        assert!(
+            seq.iter().any(|o| o.stats.refined_samples > 0),
+            "the workload must exercise Monte-Carlo refinement"
+        );
+    }
+}
+
+#[test]
+fn indexes_are_shareable_across_threads() {
+    // No library bound demands `Sync` of a single index: the concurrency
+    // contract (`&self` plus one `QueryCtx` per thread) holds only because
+    // every backend is `Sync`, and this is where that is checked.
+    fn assert_sync<T: Sync + Send>() {}
+    assert_sync::<UTree<2>>();
+    assert_sync::<UPcrTree<2>>();
+    assert_sync::<SeqScan<2>>();
+    assert_sync::<DiskUTree<2>>();
+    assert_sync::<DiskUPcrTree<2>>();
+    assert_sync::<ShardedIndex<2>>();
+    assert_sync::<ShardedIndex<2, utree_repro::index::DiskStore>>();
+    assert_sync::<IndexCatalog<2>>();
 }

@@ -4,6 +4,8 @@
 //! deterministic refinement mode, and those answers must cohere with the
 //! threshold-query surface they share a filter with.
 
+mod common;
+
 use utree_repro::prelude::*;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -186,11 +188,11 @@ fn monte_carlo_ranking_is_schedule_independent() {
         })
         .collect();
     // Per-object seeding: the same query answers identically however it is
-    // scheduled — reused context, fresh context, parallel batch.
-    let par = BatchExecutor::new(4).run_ranked(&f.utree, &queries);
-    let seq = BatchExecutor::run_ranked_sequential(&f.utree, &queries);
-    assert!(par.same_results(&seq), "parallel ranking diverged");
-    for (q, out) in queries.iter().zip(&seq.outcomes) {
+    // scheduled — reused context, fresh context, another thread.
+    let seq = common::parallel_equals_sequential(&queries, 4, |q, ctx| {
+        f.utree.try_rank_topk_with(q, ctx).unwrap()
+    });
+    for (q, out) in queries.iter().zip(&seq) {
         assert_eq!(f.utree.rank_topk(q).matches, out.matches);
     }
     // Across backends the refinement stream still depends only on
@@ -216,21 +218,18 @@ fn monte_carlo_ranking_is_schedule_independent() {
 fn ranked_batches_scale_across_workers_with_identical_answers() {
     let f = fixture(500, 47);
     let queries = rank_queries(32, 11);
-    let seq = BatchExecutor::run_ranked_sequential(&f.utree, &queries);
-    for workers in [2, 4, 8] {
-        let par = BatchExecutor::new(workers).run_ranked(&f.utree, &queries);
-        assert!(
-            par.same_results(&seq),
-            "{workers}-worker ranked batch diverged from sequential"
-        );
-        assert_eq!(par.len(), queries.len());
-        assert!(par.stats.same_counts(&seq.stats));
+    let mut tree = Vec::new();
+    for threads in [2, 4, 8] {
+        tree = common::parallel_equals_sequential(&queries, threads, |q, ctx| {
+            f.utree.try_rank_topk_with(q, ctx).unwrap()
+        });
     }
-    // The scan backend serves ranked batches through the same engine.
-    let scan_seq = BatchExecutor::run_ranked_sequential(&f.scan, &queries);
-    let scan_par = BatchExecutor::new(4).run_ranked(&f.scan, &queries);
-    assert!(scan_par.same_results(&scan_seq));
-    for (a, b) in seq.outcomes.iter().zip(&scan_seq.outcomes) {
+    // The scan backend serves ranked batches under the same contract (one
+    // thread count: it refines every intersecting object).
+    let scan = common::parallel_equals_sequential(&queries, 4, |q, ctx| {
+        f.scan.try_rank_topk_with(q, ctx).unwrap()
+    });
+    for (a, b) in tree.iter().zip(&scan) {
         assert_eq!(a.matches, b.matches, "tree and oracle batches disagree");
     }
 }
