@@ -21,8 +21,8 @@ use uncertain_pdf::{
     appearance_reference, MonteCarlo, ObjectPdf, PreparedPdf, RefineScratch, UncertainObject,
 };
 use utree::{
-    InsertStats, ProbIndex, ProbRangeQuery, Query, QueryCtx, QueryOptions, QueryStats, RefineMode,
-    UPcrTree, UTree,
+    InsertStats, ProbIndex, QueryBuilder, QueryCtx, QueryOptions, QueryStats, Refine, UPcrTree,
+    UTree,
 };
 
 /// The experiments [`report`] runs, in report order.
@@ -71,7 +71,7 @@ pub fn report(preset: Preset, which: &str) -> String {
     let [lb, ca, air] = sizes;
     let data = Data {
         queries,
-        mode: RefineMode::monte_carlo(n1, MC_SEED),
+        mode: Refine::monte_carlo(n1, MC_SEED),
         lb: Dataset::new("LB", 0, datagen::lb_dataset(lb, 1)),
         ca: Dataset::new("CA", 1, datagen::ca_dataset(ca, 1)),
         air: Dataset::new("Aircraft", 2, datagen::aircraft_dataset(air, 1)),
@@ -176,7 +176,7 @@ macro_rules! per_dataset {
 struct Data {
     /// Queries per workload.
     queries: usize,
-    mode: RefineMode,
+    mode: Refine,
     lb: Dataset<2>,
     ca: Dataset<2>,
     air: Dataset<3>,
@@ -274,17 +274,19 @@ impl Row {
 /// Runs `queries` on `index`, refining with `mode`.
 fn run<const D: usize>(
     index: &impl ProbIndex<D>,
-    queries: &[ProbRangeQuery<D>],
-    mode: RefineMode,
+    queries: &[QueryBuilder<D>],
+    mode: Refine,
     opts: QueryOptions,
 ) -> Row {
     let mut ctx = QueryCtx::new();
     let mut row = Row::default();
     for q in queries {
-        let query = Query::from_prob_range(*q, mode).with_options(opts);
-        let out = index
-            .try_execute_with(&query, &mut ctx)
-            .expect("in-memory index cannot fail");
+        let out = q
+            .refine(mode)
+            .options(opts)
+            .build()
+            .and_then(|query| index.try_execute_with(&query, &mut ctx))
+            .expect("a valid workload on an in-memory index");
         row.stats += &out.stats;
         row.queries += 1;
     }
@@ -451,7 +453,7 @@ fn fig8(r: &mut Report, data: &Data) {
 
 /// Fig 8 on one dataset: total cost per query of a U-PCR tree with an
 /// `m`-value uniform catalog.
-fn upcr_cost<const D: usize>(ds: &Dataset<D>, m: usize, per_point: usize, mode: RefineMode) -> f64 {
+fn upcr_cost<const D: usize>(ds: &Dataset<D>, m: usize, per_point: usize, mode: Refine) -> f64 {
     let mut tree = UPcrTree::<D>::builder()
         .uniform_catalog(m)
         .build()
@@ -711,17 +713,13 @@ mod tests {
         let mut tree = UTree::<2>::builder().uniform_catalog(8).build().unwrap();
         tree.bulk_load(&objs);
         let centers: Vec<Point<2>> = objs.iter().map(|o| o.mbr().center()).collect();
-        let queries: Vec<Query<2>> = workload(&centers, 800.0, 0.5, 8, 1)
+        let queries: Vec<_> = workload(&centers, 800.0, 0.5, 8, 1)
             .queries
             .iter()
             .map(|q| {
-                Query::from_prob_range(
-                    *q,
-                    RefineMode::MonteCarlo {
-                        n1: 2_000,
-                        seed: 0x5EED,
-                    },
-                )
+                q.refine(Refine::monte_carlo(2_000, 0x5EED))
+                    .build()
+                    .unwrap()
             })
             .collect();
         let mut ctx = QueryCtx::new();

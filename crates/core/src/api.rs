@@ -14,32 +14,30 @@
 //!   probability) plus the [`QueryStats`] cost counters;
 //! * [`IndexBuilder`] — fallible construction shared by every backend:
 //!   `UTree::<2>::builder().catalog(UCatalog::uniform(10)).build()?`;
-//! * [`IndexError`] / [`QueryError`] — typed errors replacing the seed's
-//!   `assert!` panics.
+//! * [`IndexError`] — the one error type: invalid catalogs, invalid
+//!   query descriptions and storage I/O failures.
 //!
-//! The seed's tuple-returning `query` methods have been removed; see
-//! `docs/API.md` for the migration table.
+//! `docs/API.md` is the guide to this surface.
 
 use crate::catalog::UCatalog;
-use crate::query::{ProbRangeQuery, QueryCtx, QueryStats, RefineMode};
+use crate::query::{QueryCtx, QueryStats, Refine};
 use crate::seqscan::SeqScan;
 use crate::tree::{FilterPayload, InsertStats, ProbTree, QueryOptions};
+use rstar_base::{NodeCodec, MIN_FANOUT};
 use std::borrow::Borrow;
 use std::fmt;
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use uncertain_geom::Rect;
 use uncertain_pdf::UncertainObject;
-
-/// Refinement-mode constructors under the name the fluent API uses
-/// (`Refine::monte_carlo(..)`, `Refine::reference(..)`).
-pub use crate::query::RefineMode as Refine;
 
 // ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
-/// Construction errors of catalogs and index builders.
+/// Every typed failure of the index API: invalid catalogs and builders,
+/// invalid query descriptions, and storage I/O.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum IndexError {
@@ -62,8 +60,46 @@ pub enum IndexError {
         /// The offending value.
         value: f64,
     },
+    /// The backend's entries grow with the catalog (U-PCR stores every
+    /// PCR), and this one makes a node page hold fewer than
+    /// [`rstar_base::MIN_FANOUT`] entries.
+    CatalogTooLarge {
+        /// How many values were supplied.
+        len: usize,
+        /// The largest catalog length this backend and dimensionality fit.
+        max: usize,
+    },
+    /// The probability threshold must lie in `[0, 1]`.
+    ThresholdOutOfRange {
+        /// The offending threshold.
+        threshold: f64,
+    },
+    /// The builder was run without `.threshold(..)`.
+    MissingThreshold,
+    /// The search region is inverted (`min > max`) in some dimension.
+    EmptyRegion {
+        /// First dimension where `min > max`.
+        dim: usize,
+    },
+    /// The search region contains a NaN or infinite coordinate.
+    NonFiniteRegion {
+        /// First dimension with a non-finite bound.
+        dim: usize,
+    },
+    /// A ranking query was built with `k = 0`.
+    ZeroK,
+    /// A Monte-Carlo refinement mode was requested with `n1 = 0` samples
+    /// (Eq. 3 has no defined answer without samples).
+    ZeroSampleCount,
+    /// A quadrature refinement mode was requested with a tolerance that is
+    /// not a finite positive number (the adaptive integrator would never
+    /// converge).
+    InvalidTolerance {
+        /// The offending tolerance.
+        tol: f64,
+    },
     /// The storage medium failed (a pread/pwrite error surfaced through
-    /// the page-store layer during construction or bulk loading).
+    /// the page-store layer while building, loading or querying).
     ///
     /// Carries the rendered [`std::io::Error`]; the enum stays `Clone +
     /// PartialEq` for test ergonomics, which a raw `io::Error` would
@@ -100,6 +136,40 @@ impl fmt::Display for IndexError {
                     "catalog values must lie in [0, 0.5] (value {value} at index {index})"
                 )
             }
+            IndexError::CatalogTooLarge { len, max } => {
+                write!(
+                    f,
+                    "a catalog of {len} values leaves fewer than {MIN_FANOUT} entries per \
+                     node page (at most {max} values fit)"
+                )
+            }
+            IndexError::ThresholdOutOfRange { threshold } => {
+                write!(
+                    f,
+                    "probability threshold must lie in [0, 1] (got {threshold})"
+                )
+            }
+            IndexError::MissingThreshold => {
+                write!(f, "query built without a probability threshold")
+            }
+            IndexError::EmptyRegion { dim } => {
+                write!(f, "search region has min > max in dimension {dim}")
+            }
+            IndexError::NonFiniteRegion { dim } => {
+                write!(f, "search region has a non-finite bound in dimension {dim}")
+            }
+            IndexError::ZeroK => {
+                write!(f, "a top-k ranking query needs k >= 1")
+            }
+            IndexError::ZeroSampleCount => {
+                write!(f, "Monte-Carlo refinement needs a sample count n1 >= 1")
+            }
+            IndexError::InvalidTolerance { tol } => {
+                write!(
+                    f,
+                    "quadrature tolerance must be finite and positive (got {tol})"
+                )
+            }
             IndexError::Io { message } => {
                 write!(f, "index storage I/O failed: {message}")
             }
@@ -109,108 +179,34 @@ impl fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// Validation errors of query descriptions.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum QueryError {
-    /// The probability threshold must lie in `[0, 1]`.
-    ThresholdOutOfRange {
-        /// The offending threshold.
-        threshold: f64,
-    },
-    /// The builder was run without `.threshold(..)`.
-    MissingThreshold,
-    /// The search region is inverted (`min > max`) in some dimension.
-    EmptyRegion {
-        /// First dimension where `min > max`.
-        dim: usize,
-    },
-    /// The search region contains a NaN or infinite coordinate.
-    NonFiniteRegion {
-        /// First dimension with a non-finite bound.
-        dim: usize,
-    },
-    /// A ranking query was built with `k = 0`.
-    ZeroK,
-    /// A Monte-Carlo refinement mode was requested with `n1 = 0` samples
-    /// (Eq. 3 has no defined answer without samples).
-    ZeroSampleCount,
-    /// The storage medium failed while the query was executing (a node or
-    /// heap pread surfaced an error through the page-store layer).
-    ///
-    /// Carries the rendered [`std::io::Error`] so the enum stays `Clone +
-    /// PartialEq`.
-    Io {
-        /// The underlying I/O error, rendered.
-        message: String,
-    },
-}
-
-impl From<std::io::Error> for QueryError {
-    fn from(e: std::io::Error) -> Self {
-        QueryError::Io {
-            message: e.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::ThresholdOutOfRange { threshold } => {
-                write!(
-                    f,
-                    "probability threshold must lie in [0, 1] (got {threshold})"
-                )
-            }
-            QueryError::MissingThreshold => {
-                write!(f, "query built without a probability threshold")
-            }
-            QueryError::EmptyRegion { dim } => {
-                write!(f, "search region has min > max in dimension {dim}")
-            }
-            QueryError::NonFiniteRegion { dim } => {
-                write!(f, "search region has a non-finite bound in dimension {dim}")
-            }
-            QueryError::ZeroK => {
-                write!(f, "a top-k ranking query needs k >= 1")
-            }
-            QueryError::ZeroSampleCount => {
-                write!(f, "Monte-Carlo refinement needs a sample count n1 >= 1")
-            }
-            QueryError::Io { message } => {
-                write!(f, "query storage I/O failed: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QueryError {}
-
-/// The one region check every construction route shares: finite bounds
-/// first (NaN would make the `min > max` comparison lie), then
-/// orientation. Used by [`ProbRangeQuery::try_new`], [`QueryBuilder::build`]
-/// and [`RankBuilder::build`].
-pub(crate) fn validate_region<const D: usize>(region: &Rect<D>) -> Result<(), QueryError> {
+/// The region check both builders share ([`QueryBuilder::build`] and
+/// [`RankBuilder::build`]): finite bounds first (NaN would make the
+/// `min > max` comparison lie), then orientation.
+fn validate_region<const D: usize>(region: &Rect<D>) -> Result<(), IndexError> {
     for dim in 0..D {
         if !region.min[dim].is_finite() || !region.max[dim].is_finite() {
-            return Err(QueryError::NonFiniteRegion { dim });
+            return Err(IndexError::NonFiniteRegion { dim });
         }
         if region.min[dim] > region.max[dim] {
-            return Err(QueryError::EmptyRegion { dim });
+            return Err(IndexError::EmptyRegion { dim });
         }
     }
     Ok(())
 }
 
-/// Both fluent builders reject a zero-sample Monte-Carlo mode up front, so
-/// the refinement step's `MonteCarlo::new` never has to panic on a
-/// builder-validated query.
-pub(crate) fn validate_refine(refine: &RefineMode) -> Result<(), QueryError> {
-    if matches!(refine, RefineMode::MonteCarlo { n1: 0, .. }) {
-        return Err(QueryError::ZeroSampleCount);
+/// Both fluent builders reject a refinement mode that cannot finish up
+/// front: a zero-sample Monte-Carlo mode (so `MonteCarlo::new` never has
+/// to panic on a builder-validated query) and a quadrature tolerance that
+/// is not a finite positive number (the adaptive integrator would recurse
+/// to its depth limit on every slice).
+fn validate_refine(refine: &Refine) -> Result<(), IndexError> {
+    match *refine {
+        Refine::MonteCarlo { n1: 0, .. } => Err(IndexError::ZeroSampleCount),
+        Refine::Reference { tol } if !(tol.is_finite() && tol > 0.0) => {
+            Err(IndexError::InvalidTolerance { tol })
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ pub(crate) fn validate_refine(refine: &RefineMode) -> Result<(), QueryError> {
 pub struct Query<const D: usize> {
     region: Rect<D>,
     threshold: f64,
-    refine: RefineMode,
+    refine: Refine,
     options: QueryOptions,
 }
 
@@ -236,26 +232,9 @@ impl<const D: usize> Query<D> {
         QueryBuilder {
             region,
             threshold: None,
-            refine: RefineMode::default(),
+            refine: Refine::default(),
             options: QueryOptions::default(),
         }
-    }
-
-    /// Adopts an already-validated [`ProbRangeQuery`] (e.g. from a
-    /// pre-generated workload) with the given refinement mode.
-    pub fn from_prob_range(q: ProbRangeQuery<D>, refine: RefineMode) -> Self {
-        Query {
-            region: q.region,
-            threshold: q.threshold,
-            refine,
-            options: QueryOptions::default(),
-        }
-    }
-
-    /// Replaces the ablation options (used by the filter-component study).
-    pub fn with_options(mut self, options: QueryOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// The search region `r_q`.
@@ -269,7 +248,7 @@ impl<const D: usize> Query<D> {
     }
 
     /// How candidate probabilities are evaluated during refinement.
-    pub fn refine_mode(&self) -> RefineMode {
+    pub fn refine_mode(&self) -> Refine {
         self.refine
     }
 
@@ -280,11 +259,11 @@ impl<const D: usize> Query<D> {
 }
 
 /// Fluent builder returned by [`Query::range`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryBuilder<const D: usize> {
     region: Rect<D>,
     threshold: Option<f64>,
-    refine: RefineMode,
+    refine: Refine,
     options: QueryOptions,
 }
 
@@ -297,7 +276,7 @@ impl<const D: usize> QueryBuilder<D> {
 
     /// Sets the refinement mode (default: the paper's Monte-Carlo
     /// estimator with n₁ = 10⁶).
-    pub fn refine(mut self, refine: RefineMode) -> Self {
+    pub fn refine(mut self, refine: Refine) -> Self {
         self.refine = refine;
         self
     }
@@ -324,24 +303,25 @@ impl<const D: usize> QueryBuilder<D> {
     }
 
     /// Validates the description into a [`Query`].
-    pub fn build(self) -> Result<Query<D>, QueryError> {
-        let threshold = self.threshold.ok_or(QueryError::MissingThreshold)?;
-        // Region + threshold validation is shared with direct
-        // `ProbRangeQuery::try_new` construction — one path, one rulebook.
-        let q = ProbRangeQuery::try_new(self.region, threshold)?;
+    pub fn build(self) -> Result<Query<D>, IndexError> {
+        let threshold = self.threshold.ok_or(IndexError::MissingThreshold)?;
+        validate_region(&self.region)?;
+        if !(0.0..=1.0).contains(&threshold) {
+            return Err(IndexError::ThresholdOutOfRange { threshold });
+        }
         validate_refine(&self.refine)?;
         Ok(Query {
-            region: q.region,
-            threshold: q.threshold,
+            region: self.region,
+            threshold,
             refine: self.refine,
             options: self.options,
         })
     }
 
     /// Builds and executes against any [`ProbIndex`]. Both validation
-    /// failures and storage I/O failures surface here as [`QueryError`]
+    /// failures and storage I/O failures surface here as [`IndexError`]
     /// (the fluent path never panics on a sick disk).
-    pub fn run<I: ProbIndex<D> + ?Sized>(self, index: &I) -> Result<QueryOutcome, QueryError> {
+    pub fn run<I: ProbIndex<D> + ?Sized>(self, index: &I) -> Result<QueryOutcome, IndexError> {
         index.try_execute_with(&self.build()?, &mut QueryCtx::new())
     }
 }
@@ -362,7 +342,7 @@ impl<const D: usize> QueryBuilder<D> {
 pub struct RankQuery<const D: usize> {
     region: Rect<D>,
     k: usize,
-    refine: RefineMode,
+    refine: Refine,
 }
 
 impl<const D: usize> RankQuery<D> {
@@ -377,7 +357,7 @@ impl<const D: usize> RankQuery<D> {
     }
 
     /// How candidate probabilities are evaluated during refinement.
-    pub fn refine_mode(&self) -> RefineMode {
+    pub fn refine_mode(&self) -> Refine {
         self.refine
     }
 }
@@ -387,23 +367,23 @@ impl<const D: usize> RankQuery<D> {
 pub struct RankBuilder<const D: usize> {
     region: Rect<D>,
     k: usize,
-    refine: RefineMode,
+    refine: Refine,
 }
 
 impl<const D: usize> RankBuilder<D> {
     /// Sets the refinement mode (default: the paper's Monte-Carlo
     /// estimator with n₁ = 10⁶; ranking seeds it **per object**, see
     /// `docs/API.md` "Ranking queries").
-    pub fn refine(mut self, refine: RefineMode) -> Self {
+    pub fn refine(mut self, refine: Refine) -> Self {
         self.refine = refine;
         self
     }
 
     /// Validates the description into a [`RankQuery`].
-    pub fn build(self) -> Result<RankQuery<D>, QueryError> {
+    pub fn build(self) -> Result<RankQuery<D>, IndexError> {
         validate_region(&self.region)?;
         if self.k == 0 {
-            return Err(QueryError::ZeroK);
+            return Err(IndexError::ZeroK);
         }
         validate_refine(&self.refine)?;
         Ok(RankQuery {
@@ -414,8 +394,8 @@ impl<const D: usize> RankBuilder<D> {
     }
 
     /// Builds and executes against any [`ProbIndex`]. Both validation
-    /// failures and storage I/O failures surface here as [`QueryError`].
-    pub fn run<I: ProbIndex<D> + ?Sized>(self, index: &I) -> Result<RankOutcome, QueryError> {
+    /// failures and storage I/O failures surface here as [`IndexError`].
+    pub fn run<I: ProbIndex<D> + ?Sized>(self, index: &I) -> Result<RankOutcome, IndexError> {
         index.try_rank_topk_with(&self.build()?, &mut QueryCtx::new())
     }
 }
@@ -510,7 +490,7 @@ pub enum Provenance {
         /// probability at most 10⁻⁹. Exactly n₁: a full-budget estimate
         /// with standard error at most `√(0.25/n₁)` — a close call if `p`
         /// is within a few of those of `p_q`. 0: `p` was computed by
-        /// quadrature ([`RefineMode::Reference`]) or pinned by the
+        /// quadrature ([`Refine::Reference`]) or pinned by the
         /// estimator's containment short-circuits.
         samples: usize,
     },
@@ -621,7 +601,7 @@ pub(crate) fn outcome_from_ctx(ctx: &mut QueryCtx) -> QueryOutcome {
 /// The one place an infallible query convenience turns a storage error
 /// into a panic: [`ProbIndex::execute`], [`ProbIndex::rank_topk`] and
 /// [`ProbTree::execute_with`] all end here.
-pub(crate) fn or_panic<T>(result: Result<T, QueryError>) -> T {
+pub(crate) fn or_panic<T>(result: Result<T, IndexError>) -> T {
     // xlint: allow(panic-freedom) -- documented infallible convenience; the try_*_with methods carry the fallible contract
     result.unwrap_or_else(|e| panic!("{e}"))
 }
@@ -668,7 +648,7 @@ pub trait ProbIndex<const D: usize> {
     fn reset_io(&self);
 
     /// Executes a validated query, returning matches with provenance and
-    /// the cost counters, or a typed [`QueryError::Io`] when the storage
+    /// the cost counters, or a typed [`IndexError::Io`] when the storage
     /// medium fails mid-query.
     ///
     /// This is the **fallible primitive** every backend implements;
@@ -688,7 +668,7 @@ pub trait ProbIndex<const D: usize> {
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError>;
+    ) -> Result<QueryOutcome, IndexError>;
 
     /// Executes a validated query with a throwaway [`QueryCtx`],
     /// panicking if the storage medium fails (see
@@ -701,7 +681,7 @@ pub trait ProbIndex<const D: usize> {
     /// Executes a validated **top-k ranking query**: the `k` objects with
     /// the highest appearance probability in the region, ordered
     /// (descending probability, ties by ascending id). Returns a typed
-    /// [`QueryError::Io`] when the storage medium fails mid-query.
+    /// [`IndexError::Io`] when the storage medium fails mid-query.
     ///
     /// The tree backends run a best-first traversal over PCR-derived
     /// upper probability bounds with lazy refinement — a candidate's
@@ -717,7 +697,7 @@ pub trait ProbIndex<const D: usize> {
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError>;
+    ) -> Result<RankOutcome, IndexError>;
 
     /// Executes a validated top-k ranking query with a throwaway
     /// [`QueryCtx`], panicking if the storage medium fails (see
@@ -766,7 +746,7 @@ pub trait IndexBackend<const D: usize>: ProbIndex<D> + Sized + sealed::Sealed {
     fn default_catalog() -> UCatalog;
 
     #[doc(hidden)]
-    fn from_parts(catalog: UCatalog) -> Self;
+    fn from_parts(catalog: UCatalog) -> Result<Self, IndexError>;
 }
 
 pub(crate) mod sealed {
@@ -786,8 +766,21 @@ impl<const D: usize, P: FilterPayload<D>> IndexBackend<D> for ProbTree<D, P> {
         P::default_catalog()
     }
 
-    fn from_parts(catalog: UCatalog) -> Self {
-        ProbTree::new(catalog)
+    /// A U-PCR entry grows with the catalog; one that leaves a node page
+    /// fewer than [`MIN_FANOUT`] entries is refused here rather than by
+    /// the tree's construction assert.
+    fn from_parts(catalog: UCatalog) -> Result<Self, IndexError> {
+        let fits = |m: usize| {
+            let codec = P::codec(Arc::new(UCatalog::uniform(m)));
+            codec.leaf_capacity().min(codec.inner_capacity()) >= MIN_FANOUT
+        };
+        let len = catalog.len();
+        if !fits(len) {
+            // Capacities only fall as m grows, and a page holds few values.
+            let max = (2..len).take_while(|&m| fits(m)).last().unwrap_or(1);
+            return Err(IndexError::CatalogTooLarge { len, max });
+        }
+        Ok(ProbTree::new(catalog))
     }
 }
 
@@ -799,14 +792,13 @@ impl<const D: usize> IndexBackend<D> for SeqScan<D> {
         UCatalog::paper_utree_default()
     }
 
-    fn from_parts(catalog: UCatalog) -> Self {
-        SeqScan::new(catalog)
+    fn from_parts(catalog: UCatalog) -> Result<Self, IndexError> {
+        Ok(SeqScan::new(catalog))
     }
 }
 
 enum CatalogSpec {
     Ready(UCatalog),
-    Values(Vec<f64>),
     Uniform(usize),
 }
 
@@ -823,11 +815,11 @@ enum CatalogSpec {
 ///
 /// // Invalid catalogs are typed errors, not panics:
 /// let err = UTree::<2>::builder()
-///     .catalog_values(vec![0.3, 0.1])
+///     .uniform_catalog(1)
 ///     .build()
 ///     .err()
 ///     .unwrap();
-/// assert!(err.to_string().contains("ascending"));
+/// assert!(err.to_string().contains("at least two"));
 /// ```
 pub struct IndexBuilder<const D: usize, B: IndexBackend<D>> {
     catalog: Option<CatalogSpec>,
@@ -855,12 +847,6 @@ impl<const D: usize, B: IndexBackend<D>> IndexBuilder<D, B> {
         self
     }
 
-    /// Uses raw catalog values, validated at build time.
-    pub fn catalog_values(mut self, values: Vec<f64>) -> Self {
-        self.catalog = Some(CatalogSpec::Values(values));
-        self
-    }
-
     /// Uses the evenly spaced catalog `{0, 0.5/(m−1), …, 0.5}`.
     pub fn uniform_catalog(mut self, m: usize) -> Self {
         self.catalog = Some(CatalogSpec::Uniform(m));
@@ -868,15 +854,15 @@ impl<const D: usize, B: IndexBackend<D>> IndexBuilder<D, B> {
     }
 
     /// Validates and constructs the backend. Without an explicit catalog,
-    /// the backend's paper default (Sec 6.2) is used.
+    /// the backend's paper default (Sec 6.2) is used. A catalog whose
+    /// entries do not fit a node page is [`IndexError::CatalogTooLarge`].
     pub fn build(self) -> Result<B, IndexError> {
         let catalog = match self.catalog {
             None => B::default_catalog(),
             Some(CatalogSpec::Ready(c)) => c,
-            Some(CatalogSpec::Values(values)) => UCatalog::try_new(values)?,
             Some(CatalogSpec::Uniform(m)) => UCatalog::try_uniform(m)?,
         };
-        Ok(B::from_parts(catalog))
+        B::from_parts(catalog)
     }
 
     /// Validates, constructs, and **bulk-loads** the backend in one step:
@@ -913,39 +899,26 @@ mod tests {
 
     #[test]
     fn builder_rejects_bad_catalogs_with_typed_errors() {
-        let e = UTree::<2>::builder()
-            .catalog_values(vec![0.1])
-            .build()
-            .err()
-            .unwrap();
-        assert_eq!(e, IndexError::CatalogTooSmall { len: 1 });
-
-        let e = UTree::<2>::builder()
-            .catalog_values(vec![0.0, 0.2, 0.2])
-            .build()
-            .err()
-            .unwrap();
-        assert_eq!(e, IndexError::CatalogNotAscending { index: 1 });
-
-        let e = UPcrTree::<2>::builder()
-            .catalog_values(vec![0.0, 0.7])
-            .build()
-            .err()
-            .unwrap();
-        assert_eq!(
-            e,
-            IndexError::CatalogValueOutOfRange {
-                index: 1,
-                value: 0.7
-            }
-        );
-
         let e = SeqScan::<2>::builder()
             .uniform_catalog(1)
             .build()
             .err()
             .unwrap();
         assert_eq!(e, IndexError::CatalogTooSmall { len: 1 });
+
+        // A 2-D U-PCR leaf entry is 16·m + 34 bytes: m = 61 still fits four
+        // to a page, m = 62 does not (and used to panic in the tree).
+        assert!(UPcrTree::<2>::builder().uniform_catalog(61).build().is_ok());
+        for m in [62, 64] {
+            let e = UPcrTree::<2>::builder()
+                .uniform_catalog(m)
+                .build()
+                .err()
+                .unwrap();
+            assert_eq!(e, IndexError::CatalogTooLarge { len: m, max: 61 });
+        }
+        // The U-tree's entries do not grow with m.
+        assert!(UTree::<2>::builder().uniform_catalog(64).build().is_ok());
     }
 
     #[test]
@@ -963,28 +936,38 @@ mod tests {
         let rect = Rect::new([0.0, 0.0], [10.0, 10.0]);
         assert_eq!(
             Query::range(rect).build().unwrap_err(),
-            QueryError::MissingThreshold
+            IndexError::MissingThreshold
         );
-        assert_eq!(
-            Query::range(rect).threshold(1.5).build().unwrap_err(),
-            QueryError::ThresholdOutOfRange { threshold: 1.5 }
-        );
-        let inverted = Rect {
-            min: [5.0, 0.0],
-            max: [0.0, 10.0],
-        };
-        assert_eq!(
-            Query::range(inverted).threshold(0.5).build().unwrap_err(),
-            QueryError::EmptyRegion { dim: 0 }
-        );
-        let non_finite = Rect {
-            min: [0.0, f64::NAN],
-            max: [10.0, 10.0],
-        };
-        assert_eq!(
-            Query::range(non_finite).threshold(0.5).build().unwrap_err(),
-            QueryError::NonFiniteRegion { dim: 1 }
-        );
+        for pq in [0.0, 1.0] {
+            assert!(Query::range(rect).threshold(pq).build().is_ok(), "{pq}");
+        }
+        for pq in [1.5, -0.2, f64::NAN] {
+            let e = Query::range(rect).threshold(pq).build().unwrap_err();
+            assert!(
+                matches!(e, IndexError::ThresholdOutOfRange { threshold } if threshold.to_bits() == pq.to_bits()),
+                "{pq}: {e:?}"
+            );
+        }
+        // Both builders hold a region to the same rules; the finite check
+        // runs first, so a NaN cannot slip past the orientation check.
+        for (min, max, expect) in [
+            ([5.0, 0.0], [0.0, 10.0], IndexError::EmptyRegion { dim: 0 }),
+            (
+                [0.0, f64::NAN],
+                [10.0, 10.0],
+                IndexError::NonFiniteRegion { dim: 1 },
+            ),
+            (
+                [0.0, 0.0],
+                [f64::INFINITY, 10.0],
+                IndexError::NonFiniteRegion { dim: 0 },
+            ),
+        ] {
+            let region = Rect { min, max };
+            let range = Query::range(region).threshold(0.5).build().unwrap_err();
+            let top = Query::range(region).top(3).build().unwrap_err();
+            assert_eq!((range, top), (expect.clone(), expect));
+        }
         let q = Query::range(rect)
             .threshold(0.5)
             .refine(Refine::reference(1e-8))
@@ -997,31 +980,34 @@ mod tests {
     #[test]
     fn builders_reject_zero_sample_monte_carlo() {
         // Regression: `MonteCarlo::new(0)` used to be an assert! panic hit
-        // mid-refinement; the builders now reject the mode up front with
-        // the typed error every other validation failure uses.
+        // mid-refinement, and a quadrature tolerance that is not a finite
+        // positive number used to hang the query; the builders now reject
+        // both modes up front with a typed error.
         let rect = Rect::new([0.0, 0.0], [10.0, 10.0]);
-        assert_eq!(
-            Query::range(rect)
+        let bad = [Refine::monte_carlo(0, 7)]
+            .into_iter()
+            .chain([0.0, -1.0, f64::NAN, f64::INFINITY].map(Refine::reference));
+        for refine in bad {
+            let expect = match refine {
+                Refine::Reference { tol } => IndexError::InvalidTolerance { tol },
+                Refine::MonteCarlo { .. } => IndexError::ZeroSampleCount,
+            };
+            let range = Query::range(rect).threshold(0.5).refine(refine).build();
+            let top = Query::range(rect).top(3).refine(refine).build();
+            // Compared through Debug: NaN != NaN under PartialEq.
+            assert_eq!(format!("{:?}", range.unwrap_err()), format!("{expect:?}"));
+            assert_eq!(format!("{:?}", top.unwrap_err()), format!("{expect:?}"));
+        }
+        // n1 >= 1 and a positive tolerance pass, and the typed path exists
+        // on the estimator too.
+        for refine in [Refine::monte_carlo(1, 7), Refine::reference(1e-12)] {
+            assert!(Query::range(rect)
                 .threshold(0.5)
-                .refine(Refine::monte_carlo(0, 7))
+                .refine(refine)
                 .build()
-                .unwrap_err(),
-            QueryError::ZeroSampleCount
-        );
-        assert_eq!(
-            Query::range(rect)
-                .top(3)
-                .refine(Refine::monte_carlo(0, 7))
-                .build()
-                .unwrap_err(),
-            QueryError::ZeroSampleCount
-        );
-        // n1 >= 1 passes, and the typed path exists on the estimator too.
-        assert!(Query::range(rect)
-            .threshold(0.5)
-            .refine(Refine::monte_carlo(1, 7))
-            .build()
-            .is_ok());
+                .is_ok());
+            assert!(Query::range(rect).top(3).refine(refine).build().is_ok());
+        }
         assert!(uncertain_pdf::MonteCarlo::try_new(0).is_err());
     }
 

@@ -35,13 +35,6 @@ impl UCatalog {
         Ok(Self { values })
     }
 
-    /// [`Self::try_new`], panicking on invalid values (kept for
-    /// infallible call sites with literal catalogs).
-    pub fn new(values: Vec<f64>) -> Self {
-        // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-        Self::try_new(values).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The paper's evenly spaced catalog `{0, 0.5/(m−1), …, 0.5}`,
     /// returning a typed error when `m < 2`.
     pub fn try_uniform(m: usize) -> Result<Self, IndexError> {
@@ -59,7 +52,9 @@ impl UCatalog {
 
     /// The U-tree default from Sec 6.2: m = 15, values `0, 1/28, …, 14/28`.
     pub fn paper_utree_default() -> Self {
-        Self::new((0..15).map(|j| j as f64 / 28.0).collect())
+        Self {
+            values: (0..15).map(|j| j as f64 / 28.0).collect(),
+        }
     }
 
     /// Number of values m.
@@ -152,11 +147,13 @@ mod tests {
         assert_eq!(c.first(), 0.0);
         assert!((c.last() - 0.5).abs() < 1e-12);
         assert!((c.value(1) - 1.0 / 28.0).abs() < 1e-15);
+        // Built without validation, so check it passes validation.
+        assert_eq!(UCatalog::try_new(c.values().to_vec()), Ok(c));
     }
 
     #[test]
     fn largest_leq_and_smallest_geq() {
-        let c = UCatalog::new(vec![0.0, 0.1, 0.25, 0.4]);
+        let c = UCatalog::try_new(vec![0.0, 0.1, 0.25, 0.4]).unwrap();
         assert_eq!(c.largest_leq(0.3), Some(2));
         assert_eq!(c.largest_leq(0.25), Some(2));
         assert_eq!(c.largest_leq(0.05), Some(0));
@@ -187,14 +184,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ascending")]
-    fn unsorted_rejected() {
-        UCatalog::new(vec![0.2, 0.1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "[0, 0.5]")]
-    fn out_of_range_rejected() {
-        UCatalog::new(vec![0.0, 0.6]);
+    fn invalid_values_are_typed_errors() {
+        let e = |values: Vec<f64>| UCatalog::try_new(values).unwrap_err();
+        assert_eq!(e(vec![0.1]), IndexError::CatalogTooSmall { len: 1 });
+        assert_eq!(
+            e(vec![0.0, 0.2, 0.2]),
+            IndexError::CatalogNotAscending { index: 1 }
+        );
+        assert_eq!(
+            e(vec![0.2, 0.1]),
+            IndexError::CatalogNotAscending { index: 0 }
+        );
+        assert_eq!(
+            e(vec![0.0, 0.7]),
+            IndexError::CatalogValueOutOfRange {
+                index: 1,
+                value: 0.7
+            }
+        );
+        assert!(e(vec![0.0, 0.6]).to_string().contains("[0, 0.5]"));
     }
 }

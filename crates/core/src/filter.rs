@@ -49,23 +49,18 @@ pub trait PcrAccess<const D: usize> {
 /// Per-query precomputation for the filter rules and probability bounds.
 ///
 /// Which catalog index each rule consults depends only on `(catalog, p_q)`
-/// — never on the entry under test — yet the original per-entry
-/// [`filter_object`] re-ran up to four catalog binary searches for every
-/// leaf entry of a traversal. A `PreparedQuery` performs that selection
-/// (and the rule-1-vs-rule-2 branch decision, with its `PROB_EPS` gate)
-/// once; backends build it before the traversal and the per-entry check
-/// drops to pure rectangle arithmetic.
-///
-/// The decision procedure is **identical** to [`filter_object`] — the
-/// wrapper delegates through here, so the rule-by-rule unit tests hold for
-/// both surfaces.
+/// — never on the entry under test. A `PreparedQuery` performs that
+/// selection (and the rule-1-vs-rule-2 branch decision, with its
+/// `PROB_EPS` gate) once per query; backends build it before the traversal
+/// and the per-entry check ([`filter_object_planned`],
+/// [`prob_bounds_planned`]) drops to pure rectangle arithmetic.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedQuery<'c, const D: usize> {
     /// The search region `r_q`.
     pub rq: Rect<D>,
     /// The probability threshold `p_q` (0 for bounds-only ranking use).
     pub pq: f64,
-    /// The catalog values, for the `prob_bounds` sweep.
+    /// The catalog values, for the `prob_bounds_planned` sweep.
     values: &'c [f64],
     /// Rule-1 catalog index — `Some` exactly when the high-threshold
     /// branch (`p_q > 1 − p_m − ε`) is taken, in which case rule 2 is not.
@@ -128,22 +123,7 @@ impl<'c, const D: usize> PreparedQuery<'c, D> {
 
 /// Applies the paper's rules in the prescribed order
 /// (Sec 4.1: rules 1→4→3 for `p_q > 0.5`, rules 2→5→3 otherwise, with the
-/// catalog-aware value selection of Observation 2).
-///
-/// Convenience wrapper building a [`PreparedQuery`] per call; traversals
-/// that test many entries against one query should build the plan once and
-/// call [`filter_object_planned`].
-pub fn filter_object<const D: usize, A: PcrAccess<D>>(
-    acc: &A,
-    mbr: &Rect<D>,
-    catalog: &UCatalog,
-    rq: &Rect<D>,
-    pq: f64,
-) -> FilterOutcome {
-    filter_object_planned(acc, mbr, &PreparedQuery::new(catalog, rq, pq))
-}
-
-/// [`filter_object`] with the per-query catalog selection already done.
+/// catalog-aware value selection of Observation 2 done once in `plan`).
 pub fn filter_object_planned<const D: usize, A: PcrAccess<D>>(
     acc: &A,
     mbr: &Rect<D>,
@@ -253,18 +233,9 @@ fn covers_slab<const D: usize>(rq: &Rect<D>, mbr: &Rect<D>, dim: usize, lo: f64,
 /// backend may report without refinement, because it is decided by the
 /// (backend-identical) MBR alone rather than by the tightness of the PCR
 /// approximation at hand.
-pub fn prob_bounds<const D: usize, A: PcrAccess<D>>(
-    acc: &A,
-    mbr: &Rect<D>,
-    catalog: &UCatalog,
-    rq: &Rect<D>,
-) -> (f64, f64) {
-    prob_bounds_planned(acc, mbr, &PreparedQuery::ranking(catalog, rq))
-}
-
-/// [`prob_bounds`] against a pre-built [`PreparedQuery`] — the form
-/// ranking traversals use, amortising the per-query setup over every
-/// entry whose bounds the frontier requests.
+///
+/// `plan` is the query's [`PreparedQuery::ranking`], built once and
+/// shared by every entry whose bounds the frontier requests.
 pub fn prob_bounds_planned<const D: usize, A: PcrAccess<D>>(
     acc: &A,
     mbr: &Rect<D>,
@@ -358,13 +329,24 @@ mod tests {
     use crate::pcr::PcrSet;
     use uncertain_pdf::ObjectPdf;
 
+    /// The rules for one entry against a plan prepared for this call.
+    fn decide<A: PcrAccess<2>>(
+        acc: &A,
+        mbr: &Rect<2>,
+        cat: &UCatalog,
+        rq: &Rect<2>,
+        pq: f64,
+    ) -> FilterOutcome {
+        filter_object_planned(acc, mbr, &PreparedQuery::new(cat, rq, pq))
+    }
+
     /// Uniform square object on [0,10]²: PCR faces are analytic
     /// (quantile p at coordinate 10·p), so every rule is hand-checkable.
     fn square() -> (ObjectPdf<2>, PcrSet<2>, UCatalog, Rect<2>) {
         let pdf = ObjectPdf::UniformBox {
             rect: Rect::new([0.0, 0.0], [10.0, 10.0]),
         };
-        let cat = UCatalog::new(vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]);
+        let cat = UCatalog::try_new(vec![0.0, 0.1, 0.2, 0.3, 0.4, 0.5]).unwrap();
         let pcrs = PcrSet::compute(&pdf, &cat);
         let mbr = pdf.mbr();
         (pdf, pcrs, cat, mbr)
@@ -376,17 +358,14 @@ mod tests {
         // pq = 0.8 > 1 - 0.5: rule 1 with pj = smallest >= 0.2 → 0.2.
         // pcr(0.2) = [2,8]². A query that misses part of it prunes.
         let rq = Rect::new([2.5, 0.0], [10.0, 10.0]); // cuts off left strip of pcr(0.2)
-        assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 0.8),
-            FilterOutcome::Pruned
-        );
+        assert_eq!(decide(&pcrs, &mbr, &cat, &rq, 0.8), FilterOutcome::Pruned);
         // Containing pcr(0.2) fully but not the MBR: candidate (0.8 can't
         // validate because rq misses 0.2 mass on the left... check rules).
         let rq2 = Rect::new([1.0, -1.0], [11.0, 11.0]);
         // rq2 covers the part of MBR right of pcr_1-(0.2)=2 ⇒ P >= 0.8:
         // rule 4 validates.
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq2, 0.8),
+            decide(&pcrs, &mbr, &cat, &rq2, 0.8),
             FilterOutcome::Validated
         );
     }
@@ -397,17 +376,14 @@ mod tests {
         // pq = 0.3 <= 0.5: rule 2 with pj = 0.3, pcr(0.3) = [3,7]².
         // rq strictly right of it ⇒ at most 0.3 mass ⇒ pruned.
         let rq = Rect::new([7.5, 0.0], [12.0, 10.0]);
-        assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 0.3),
-            FilterOutcome::Pruned
-        );
+        assert_eq!(decide(&pcrs, &mbr, &cat, &rq, 0.3), FilterOutcome::Pruned);
         // rq reaching into pcr(0.3): not prunable by rule 2 — and since it
         // covers the whole right side beyond pcr faces, validation rules
         // get their chance (rule 5: covers part of MBR right of
         // pcr_1+(0.3)=7 needs rq ⊇ [7,10]×[0,10]: yes!).
         let rq2 = Rect::new([6.5, -0.5], [12.0, 10.5]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq2, 0.3),
+            decide(&pcrs, &mbr, &cat, &rq2, 0.3),
             FilterOutcome::Validated
         );
     }
@@ -418,14 +394,14 @@ mod tests {
         // pq = 0.6: (1-pq)/2 = 0.2 ⇒ pj = 0.2, slab [2,8] on x (full y).
         let rq = Rect::new([1.9, -1.0], [8.1, 11.0]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 0.6),
+            decide(&pcrs, &mbr, &cat, &rq, 0.6),
             FilterOutcome::Validated
         );
         // Same query but y not fully covered: no validation possible; the
         // true probability is 0.6·1.0 boundary-ish ⇒ candidate.
         let rq2 = Rect::new([1.9, 0.5], [8.1, 11.0]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq2, 0.6),
+            decide(&pcrs, &mbr, &cat, &rq2, 0.6),
             FilterOutcome::Candidate
         );
     }
@@ -437,7 +413,7 @@ mod tests {
         // Covering MBR left of pcr_1-(0.1)=1 guarantees P >= 0.1.
         let rq = Rect::new([-2.0, -2.0], [1.0, 12.0]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 0.1),
+            decide(&pcrs, &mbr, &cat, &rq, 0.1),
             FilterOutcome::Validated
         );
     }
@@ -450,7 +426,7 @@ mod tests {
         // y, no side strip).
         let rq = Rect::new([4.0, 4.0], [6.0, 6.0]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 0.15),
+            decide(&pcrs, &mbr, &cat, &rq, 0.15),
             FilterOutcome::Candidate
         );
     }
@@ -460,7 +436,7 @@ mod tests {
         let (_, pcrs, cat, mbr) = square();
         let rq = Rect::new([-1.0, -1.0], [11.0, 11.0]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 1.0),
+            decide(&pcrs, &mbr, &cat, &rq, 1.0),
             FilterOutcome::Validated
         );
     }
@@ -471,7 +447,7 @@ mod tests {
         let rq = Rect::new([20.0, 20.0], [30.0, 30.0]);
         for pq in [0.05, 0.3, 0.5, 0.7, 0.95] {
             assert_eq!(
-                filter_object(&pcrs, &mbr, &cat, &rq, pq),
+                decide(&pcrs, &mbr, &cat, &rq, pq),
                 FilterOutcome::Pruned,
                 "pq={pq}"
             );
@@ -489,7 +465,7 @@ mod tests {
         let pdf = ObjectPdf::UniformBox {
             rect: Rect::new([0.0, 0.0], [10.0, 10.0]),
         };
-        let cat = UCatalog::new(vec![0.0, 0.2, 0.4]);
+        let cat = UCatalog::try_new(vec![0.0, 0.2, 0.4]).unwrap();
         let pcrs = PcrSet::compute(&pdf, &cat);
         let mbr = pdf.mbr();
         // pcr(0.4) = [4,6]²; rq cuts into it from the right but leaves its
@@ -503,7 +479,7 @@ mod tests {
             f64::from_bits(gate.to_bits() + 1), // one ulp above
         ] {
             assert_eq!(
-                filter_object(&pcrs, &mbr, &cat, &rq, pq),
+                decide(&pcrs, &mbr, &cat, &rq, pq),
                 FilterOutcome::Pruned,
                 "pq = {pq:.17} around 1 - p_m must take rule 1 and prune"
             );
@@ -512,7 +488,7 @@ mod tests {
         // rule-2 branch (P = 0.55 >= pq is plausible): the slack must not
         // drag far-away thresholds into rule 1.
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq, 0.5),
+            decide(&pcrs, &mbr, &cat, &rq, 0.5),
             FilterOutcome::Candidate
         );
     }
@@ -520,27 +496,28 @@ mod tests {
     #[test]
     fn prob_bounds_analytic_square() {
         let (_, pcrs, cat, mbr) = square();
+        let bounds = |rq| prob_bounds_planned(&pcrs, &mbr, &PreparedQuery::ranking(&cat, rq));
         // Fully containing: pinned to 1 on both sides.
         let all = Rect::new([-1.0, -1.0], [11.0, 11.0]);
-        assert_eq!(prob_bounds(&pcrs, &mbr, &cat, &all), (1.0, 1.0));
+        assert_eq!(bounds(&all), (1.0, 1.0));
         // Disjoint: pinned to 0.
         let none = Rect::new([20.0, 20.0], [30.0, 30.0]);
-        assert_eq!(prob_bounds(&pcrs, &mbr, &cat, &none), (0.0, 0.0));
+        assert_eq!(bounds(&none), (0.0, 0.0));
         // Left half (true P = 0.5): catalog resolution brackets it.
         let half = Rect::new([-1.0, -1.0], [5.0, 11.0]);
-        let (lo, hi) = prob_bounds(&pcrs, &mbr, &cat, &half);
+        let (lo, hi) = bounds(&half);
         assert!(lo <= 0.5 + 1e-9 && 0.5 <= hi + 1e-9, "({lo}, {hi})");
         assert!((lo - 0.5).abs() < 1e-6, "exact PCR face at 5 ⇒ tight lower");
         // Interior slab [4,6] × full (true P = 0.2): the two-sided cut
         // bound is exact at catalog faces.
         let slab = Rect::new([4.0, -1.0], [6.0, 11.0]);
-        let (lo, hi) = prob_bounds(&pcrs, &mbr, &cat, &slab);
+        let (lo, hi) = bounds(&slab);
         assert!((lo - 0.2).abs() < 1e-6, "lo = {lo}");
         assert!(lo <= 0.2 + 1e-9 && 0.2 <= hi + 1e-9);
         // Small corner box (true P = 0.01): the beyond-a-face rule caps
         // the upper bound at a small catalog value.
         let corner = Rect::new([0.0, 0.0], [1.0, 1.0]);
-        let (lo, hi) = prob_bounds(&pcrs, &mbr, &cat, &corner);
+        let (lo, hi) = bounds(&corner);
         assert_eq!(lo, 0.0);
         assert!(hi <= 0.2 + 1e-9, "hi = {hi}");
     }
@@ -568,7 +545,8 @@ mod tests {
                     min[1] + rng.gen_range(5.0..120.0),
                 ],
             );
-            let (lo, hi) = prob_bounds(&pcrs, &mbr, &cat, &rq);
+            let plan = PreparedQuery::ranking(&cat, &rq);
+            let (lo, hi) = prob_bounds_planned(&pcrs, &mbr, &plan);
             assert!(lo <= hi + 1e-12, "case {case}: inverted bounds");
             let p = uncertain_pdf::appearance_reference(&pdf, &rq, 1e-9);
             assert!(
@@ -578,7 +556,7 @@ mod tests {
             // The bounds must cohere with the threshold filter: a pruned
             // object can never have lo >= pq, a validated one never hi < pq.
             for pq in [0.15, 0.5, 0.85] {
-                match filter_object(&pcrs, &mbr, &cat, &rq, pq) {
+                match decide(&pcrs, &mbr, &cat, &rq, pq) {
                     FilterOutcome::Pruned => {
                         assert!(lo < pq + 1e-9, "case {case}: pruned but lo = {lo} >= {pq}")
                     }
@@ -618,8 +596,9 @@ mod tests {
             Rect::new([62.0, 40.0], [90.0, 60.0]),
         ] {
             let p = uncertain_pdf::appearance_reference(&pdf, &rq, 1e-9);
-            let (lo_cfb, hi_cfb) = prob_bounds(&view, &mbr, &cat, &rq);
-            let (lo_pcr, hi_pcr) = prob_bounds(&pcrs, &mbr, &cat, &rq);
+            let plan = PreparedQuery::ranking(&cat, &rq);
+            let (lo_cfb, hi_cfb) = prob_bounds_planned(&view, &mbr, &plan);
+            let (lo_pcr, hi_pcr) = prob_bounds_planned(&pcrs, &mbr, &plan);
             assert!(lo_cfb - 1e-6 <= p && p <= hi_cfb + 1e-6, "{rq:?}");
             // CFBs are the lossy compression of the PCRs: their bounds can
             // only be (weakly) looser.
@@ -635,34 +614,28 @@ mod tests {
         let (_, pcrs, cat, mbr) = square();
         // q1: pq=0.8, rq misses part of pcr(0.2) ⇒ pruned (Rule 1).
         let rq1 = Rect::new([3.0, 1.0], [12.0, 9.0]);
-        assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq1, 0.8),
-            FilterOutcome::Pruned
-        );
+        assert_eq!(decide(&pcrs, &mbr, &cat, &rq1, 0.8), FilterOutcome::Pruned);
         // q2: pq=0.2, rq beyond the right pcr(0.2) face ⇒ pruned (Rule 2).
         let rq2 = Rect::new([8.5, 2.0], [12.0, 8.0]);
-        assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq2, 0.2),
-            FilterOutcome::Pruned
-        );
+        assert_eq!(decide(&pcrs, &mbr, &cat, &rq2, 0.2), FilterOutcome::Pruned);
         // q3: pq=0.6, rq covers the [2,8] x-slab ⇒ validated (Rule 3).
         let rq3 = Rect::new([1.5, -0.5], [8.5, 10.5]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq3, 0.6),
+            decide(&pcrs, &mbr, &cat, &rq3, 0.6),
             FilterOutcome::Validated
         );
         // q4: pq=0.8, rq covers MBR right of the left pcr(0.2) face
         // ⇒ validated (Rule 4).
         let rq4 = Rect::new([1.5, -0.5], [10.5, 10.5]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq4, 0.8),
+            decide(&pcrs, &mbr, &cat, &rq4, 0.8),
             FilterOutcome::Validated
         );
         // q5: pq=0.2, rq covers MBR left of the left pcr(0.2) face
         // ⇒ validated (Rule 5).
         let rq5 = Rect::new([-0.5, -0.5], [2.0, 10.5]);
         assert_eq!(
-            filter_object(&pcrs, &mbr, &cat, &rq5, 0.2),
+            decide(&pcrs, &mbr, &cat, &rq5, 0.2),
             FilterOutcome::Validated
         );
     }

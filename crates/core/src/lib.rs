@@ -30,7 +30,7 @@
 //!
 //! Besides threshold queries, the same machinery answers **probabilistic
 //! top-k ranking** (`Query::range(..).top(k)` /
-//! [`ProbIndex::rank_topk`]): [`filter::prob_bounds`] grades the filter
+//! [`ProbIndex::rank_topk`]): [`filter::prob_bounds_planned`] grades the filter
 //! rules into per-object probability bounds, and the trees run a
 //! best-first, lazily-refining traversal that computes only a fraction of
 //! the appearance probabilities a scan would. The trees are additionally generic over their
@@ -86,18 +86,17 @@ pub mod upcr;
 
 pub use api::{
     IndexBackend, IndexBuilder, IndexError, Match, ProbIndex, Provenance, Query, QueryBuilder,
-    QueryError, QueryOutcome, RankBuilder, RankOutcome, RankQuery, RankedMatch, Refine,
+    QueryOutcome, RankBuilder, RankOutcome, RankQuery, RankedMatch,
 };
 pub use catalog::UCatalog;
 pub use catalog_store::{IndexCatalog, IndexDef};
 pub use cfb::{fit_cfb_pair, Cfb, CfbPair, CfbView};
 pub use filter::{
-    filter_object, filter_object_planned, prob_bounds, prob_bounds_planned, FilterOutcome,
-    PcrAccess, PreparedQuery,
+    filter_object_planned, prob_bounds_planned, FilterOutcome, PcrAccess, PreparedQuery,
 };
 pub use key::{PcrKey, PcrMetrics, UKey, UMetrics};
 pub use pcr::PcrSet;
-pub use query::{ProbRangeQuery, QueryCtx, QueryStats, RefineMode};
+pub use query::{QueryCtx, QueryStats, Refine};
 pub use seqscan::SeqScan;
 pub use service::{QueryService, ServiceReply, ServiceReport, ServiceRequest};
 pub use shard::{canonicalize, shard_of, ShardedIndex};

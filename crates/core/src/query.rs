@@ -1,6 +1,5 @@
 //! Prob-range queries, execution statistics and the shared refinement step.
 
-use crate::api::QueryError;
 use crate::object_codec::decode_object;
 use page_store::{ObjectHeap, PageId, PageStore, RecordAddr};
 use rand::rngs::SmallRng;
@@ -11,43 +10,10 @@ use std::ops::AddAssign;
 use uncertain_geom::Rect;
 use uncertain_pdf::{appearance_reference, MonteCarlo, PreparedPdf, RefineScratch};
 
-/// A probabilistic range query `q = (r_q, p_q)` (paper Sec 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbRangeQuery<const D: usize> {
-    /// The search region `r_q`.
-    pub region: Rect<D>,
-    /// The probability threshold `p_q ∈ [0, 1]`.
-    pub threshold: f64,
-}
-
-impl<const D: usize> ProbRangeQuery<D> {
-    /// Creates a query, returning a typed error when `threshold` is
-    /// outside `[0, 1]` or the region has a non-finite or inverted bound.
-    ///
-    /// This is the single validation path: the fluent builder
-    /// ([`crate::api::QueryBuilder::build`]) delegates here, so a query
-    /// constructed directly from a pre-generated workload is held to
-    /// exactly the same rules — a NaN/∞ region can no longer slip into a
-    /// traversal as a silently empty (or garbage) search box.
-    pub fn try_new(region: Rect<D>, threshold: f64) -> Result<Self, QueryError> {
-        crate::api::validate_region(&region)?;
-        if !(0.0..=1.0).contains(&threshold) {
-            return Err(QueryError::ThresholdOutOfRange { threshold });
-        }
-        Ok(Self { region, threshold })
-    }
-
-    /// [`Self::try_new`], panicking on an out-of-range threshold.
-    pub fn new(region: Rect<D>, threshold: f64) -> Self {
-        // xlint: allow(panic-freedom) -- documented infallible convenience wrapper; the try_ variant carries the fallible contract
-        Self::try_new(region, threshold).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
 /// How candidate appearance probabilities are evaluated in the refinement
 /// step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefineMode {
+pub enum Refine {
     /// The paper's Monte-Carlo estimator (Eq. 3) with a deterministic
     /// seed. Every object draws from its own stream, derived from the seed
     /// and the object's id, so its estimate does not depend on the backend,
@@ -73,21 +39,23 @@ pub enum RefineMode {
     },
 }
 
-impl RefineMode {
+impl Refine {
     /// The paper's Monte-Carlo estimator with `n1` samples and a seed.
     pub fn monte_carlo(n1: usize, seed: u64) -> Self {
-        RefineMode::MonteCarlo { n1, seed }
+        Refine::MonteCarlo { n1, seed }
     }
 
-    /// Deterministic quadrature with the given tolerance.
+    /// Deterministic quadrature with the given tolerance. The builders
+    /// accept only a finite `tol > 0`; anything else is
+    /// [`crate::IndexError::InvalidTolerance`].
     pub fn reference(tol: f64) -> Self {
-        RefineMode::Reference { tol }
+        Refine::Reference { tol }
     }
 }
 
-impl Default for RefineMode {
+impl Default for Refine {
     fn default() -> Self {
-        RefineMode::MonteCarlo {
+        Refine::MonteCarlo {
             n1: 1_000_000,
             seed: 0xC0FFEE,
         }
@@ -193,7 +161,7 @@ impl AddAssign<QueryStats> for QueryStats {
 /// allocations across a whole workload.
 ///
 /// No Monte-Carlo generator lives here: every candidate seeds its own
-/// from the query's [`RefineMode`] seed and its id, which is what makes
+/// from the query's [`Refine`] seed and its id, which is what makes
 /// results byte-identical however queries are scheduled across threads.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
@@ -287,13 +255,13 @@ fn appearance<const D: usize>(
     id: u64,
     rq: &Rect<D>,
     threshold: Option<f64>,
-    mode: RefineMode,
+    mode: Refine,
     scratch: &mut RefineScratch,
 ) -> (f64, usize) {
     let obj = decode_object::<D>(bytes);
     debug_assert_eq!(obj.id, id, "heap record id mismatch");
     match mode {
-        RefineMode::MonteCarlo { n1, seed } => {
+        Refine::MonteCarlo { n1, seed } => {
             let mut rng = SmallRng::seed_from_u64(refine_seed(seed, id));
             let prepared = PreparedPdf::new(&obj.pdf);
             let mc = MonteCarlo::new(n1);
@@ -306,7 +274,7 @@ fn appearance<const D: usize>(
                 }
             }
         }
-        RefineMode::Reference { tol } => (appearance_reference(&obj.pdf, rq, tol), 0),
+        Refine::Reference { tol } => (appearance_reference(&obj.pdf, rq, tol), 0),
     }
 }
 
@@ -321,7 +289,7 @@ pub(crate) fn refine_one<const D: usize, S: PageStore>(
     addr: RecordAddr,
     id: u64,
     rq: &Rect<D>,
-    mode: RefineMode,
+    mode: Refine,
     ctx: &mut QueryCtx,
 ) -> io::Result<(f64, usize)> {
     let t0 = std::time::Instant::now();
@@ -349,7 +317,7 @@ pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
     heap: &ObjectHeap<S>,
     rq: &Rect<D>,
     pq: f64,
-    mode: RefineMode,
+    mode: Refine,
     ctx: &mut QueryCtx,
 ) -> io::Result<()> {
     let QueryCtx {
@@ -414,14 +382,7 @@ mod tests {
         let rq = Rect::new([-1.0, -1.0], [9.0, 11.0]); // 90% of obj 1, 0% of 2
         let mut ctx = QueryCtx::new();
         ctx.candidates.extend([(a1, 1), (a2, 2)]);
-        refine_ctx(
-            &heap,
-            &rq,
-            0.5,
-            RefineMode::Reference { tol: 1e-9 },
-            &mut ctx,
-        )
-        .unwrap();
+        refine_ctx(&heap, &rq, 0.5, Refine::Reference { tol: 1e-9 }, &mut ctx).unwrap();
         let got = &ctx.refined;
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0, 1);
@@ -444,7 +405,7 @@ mod tests {
         let a = heap.insert(&encode_object(&obj)).unwrap();
         let rq = Rect::new([40.0, 40.0], [50.0, 60.0]); // left half: P = 0.5
         let n1 = 60_000;
-        let mode = RefineMode::MonteCarlo { n1, seed: 7 };
+        let mode = Refine::MonteCarlo { n1, seed: 7 };
         // Far thresholds are decided on a fraction of the budget, close
         // ones spend more of it; the stats count what was drawn.
         let mut spent = Vec::new();
@@ -484,7 +445,7 @@ mod tests {
         let gone = heap.insert(&encode_object(&obj(2))).unwrap();
         heap.remove(gone).unwrap();
         let rq = Rect::new([-1.0, -1.0], [9.0, 11.0]);
-        let mode = RefineMode::monte_carlo(100, 3);
+        let mode = Refine::monte_carlo(100, 3);
 
         let mut ctx = QueryCtx::new();
         ctx.candidates.extend([(kept, 1), (gone, 2)]);
@@ -494,7 +455,10 @@ mod tests {
 
         let err = refine_one(&heap, gone, 2, &rq, mode, &mut ctx).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(matches!(QueryError::from(err), QueryError::Io { .. }));
+        assert!(matches!(
+            crate::IndexError::from(err),
+            crate::IndexError::Io { .. }
+        ));
     }
 
     #[test]
@@ -579,10 +543,10 @@ mod tests {
     fn stats_equality_derives() {
         assert_eq!(QueryStats::default(), QueryStats::default());
         assert_eq!(
-            RefineMode::monte_carlo(10, 3),
-            RefineMode::MonteCarlo { n1: 10, seed: 3 }
+            Refine::monte_carlo(10, 3),
+            Refine::MonteCarlo { n1: 10, seed: 3 }
         );
-        assert_ne!(RefineMode::reference(1e-6), RefineMode::reference(1e-7));
+        assert_ne!(Refine::reference(1e-6), Refine::reference(1e-7));
     }
 
     #[test]
@@ -594,68 +558,5 @@ mod tests {
         };
         assert!((s.directly_reported_fraction() - 0.9).abs() < 1e-12);
         assert_eq!(QueryStats::default().directly_reported_fraction(), 0.0);
-    }
-
-    #[test]
-    fn try_new_rejects_bad_thresholds() {
-        let r = Rect::new([0.0, 0.0], [1.0, 1.0]);
-        assert!(ProbRangeQuery::try_new(r, 0.0).is_ok());
-        assert!(ProbRangeQuery::try_new(r, 1.0).is_ok());
-        assert_eq!(
-            ProbRangeQuery::try_new(r, 1.01).unwrap_err(),
-            QueryError::ThresholdOutOfRange { threshold: 1.01 }
-        );
-        assert!(ProbRangeQuery::try_new(r, -0.2).is_err());
-    }
-
-    #[test]
-    fn try_new_rejects_bad_regions_like_the_builder() {
-        use crate::api::Query;
-        // Regression: the NaN/∞ checks used to live only in the fluent
-        // builder, so direct construction (pre-generated workloads)
-        // silently produced garbage traversal boxes.
-        let nan = Rect {
-            min: [0.0, f64::NAN],
-            max: [10.0, 10.0],
-        };
-        assert_eq!(
-            ProbRangeQuery::try_new(nan, 0.5).unwrap_err(),
-            QueryError::NonFiniteRegion { dim: 1 }
-        );
-        let inf = Rect {
-            min: [0.0, 0.0],
-            max: [f64::INFINITY, 10.0],
-        };
-        assert_eq!(
-            ProbRangeQuery::try_new(inf, 0.5).unwrap_err(),
-            QueryError::NonFiniteRegion { dim: 0 }
-        );
-        let inverted = Rect {
-            min: [5.0, 0.0],
-            max: [0.0, 10.0],
-        };
-        assert_eq!(
-            ProbRangeQuery::try_new(inverted, 0.5).unwrap_err(),
-            QueryError::EmptyRegion { dim: 0 }
-        );
-        // Both construction routes go through the same validation path.
-        assert_eq!(
-            Query::range(nan).threshold(0.5).build().unwrap_err(),
-            ProbRangeQuery::try_new(nan, 0.5).unwrap_err()
-        );
-        assert_eq!(
-            Query::range(inverted).threshold(0.5).build().unwrap_err(),
-            ProbRangeQuery::try_new(inverted, 0.5).unwrap_err()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn new_panics_on_nan_region() {
-        let nan = Rect {
-            min: [f64::NAN, 0.0],
-            max: [10.0, 10.0],
-        };
-        let _ = ProbRangeQuery::new(nan, 0.5);
     }
 }

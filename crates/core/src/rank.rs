@@ -1,7 +1,7 @@
 //! Best-first top-k ranking over PCR-derived probability bounds.
 //!
 //! The PCR/CFB machinery of Sec 4–5 yields cheap per-entry *bounds* on
-//! appearance probability ([`crate::filter::prob_bounds`]), which is
+//! appearance probability ([`crate::filter::prob_bounds_planned`]), which is
 //! exactly what probabilistic ranking needs (cf. Bernecker et al.,
 //! probabilistic pruning for similarity ranking in uncertain databases):
 //!

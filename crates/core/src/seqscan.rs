@@ -8,7 +8,7 @@
 //! so the harness and applications can swap it in transparently.
 
 use crate::api::{
-    outcome_from_ctx, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome, RankOutcome,
+    outcome_from_ctx, IndexBuilder, IndexError, ProbIndex, Query, QueryOutcome, RankOutcome,
     RankQuery, RankedMatch,
 };
 use crate::catalog::UCatalog;
@@ -240,7 +240,7 @@ impl<const D: usize> ProbIndex<D> for SeqScan<D> {
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
+    ) -> Result<QueryOutcome, IndexError> {
         ctx.begin();
         let rq = query.region();
         let pq = query.threshold();
@@ -292,7 +292,7 @@ impl<const D: usize> ProbIndex<D> for SeqScan<D> {
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
+    ) -> Result<RankOutcome, IndexError> {
         ctx.begin();
         let t0 = Instant::now();
         let rq = query.region();
@@ -334,19 +334,25 @@ impl<const D: usize> ProbIndex<D> for SeqScan<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{ProbRangeQuery, RefineMode};
+    use crate::query::Refine;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_geom::Point;
     use uncertain_geom::Rect;
     use uncertain_pdf::ObjectPdf;
 
+    /// A range query with quadrature refinement at tolerance `tol`.
     fn run<const D: usize, I: ProbIndex<D>>(
         index: &I,
-        q: ProbRangeQuery<D>,
-        mode: RefineMode,
+        rq: Rect<D>,
+        pq: f64,
+        tol: f64,
     ) -> (Vec<u64>, QueryStats) {
-        let out = index.execute(&Query::from_prob_range(q, mode));
+        let out = Query::range(rq)
+            .threshold(pq)
+            .refine(Refine::reference(tol))
+            .run(index)
+            .unwrap();
         (out.ids(), out.stats)
     }
 
@@ -375,9 +381,9 @@ mod tests {
             scan.insert(&o);
             tree.insert(&o);
         }
-        let q = ProbRangeQuery::new(Rect::new([2000.0, 2000.0], [3500.0, 3500.0]), 0.4);
-        let (mut a, s_scan) = run(&scan, q, RefineMode::reference(1e-9));
-        let (mut b, s_tree) = run(&tree, q, RefineMode::reference(1e-9));
+        let rq = Rect::new([2000.0, 2000.0], [3500.0, 3500.0]);
+        let (mut a, s_scan) = run(&scan, rq, 0.4, 1e-9);
+        let (mut b, s_tree) = run(&tree, rq, 0.4, 1e-9);
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
@@ -395,8 +401,7 @@ mod tests {
         for id in 0..150u64 {
             scan.insert(&ball(id, 100.0 + id as f64 * 50.0, 5000.0, 20.0));
         }
-        let q = ProbRangeQuery::new(Rect::new([0.0, 0.0], [1.0, 1.0]), 0.5);
-        let (ids, stats) = run(&scan, q, RefineMode::reference(1e-9));
+        let (ids, stats) = run(&scan, Rect::new([0.0, 0.0], [1.0, 1.0]), 0.5, 1e-9);
         assert!(ids.is_empty());
         let expected_pages = 150_usize.div_ceil(41); // leaf capacity 41 in 2D
         assert_eq!(stats.node_reads as usize, expected_pages);
@@ -420,8 +425,12 @@ mod tests {
         assert_eq!(scan.len(), 80);
         assert!(!scan.delete(&objs[0]), "double delete must fail");
         // Survivors all answer; removed ids never appear.
-        let q = ProbRangeQuery::new(Rect::new([0.0, 0.0], [10_000.0, 10_000.0]), 0.01);
-        let (ids, _) = run(&scan, q, RefineMode::reference(1e-8));
+        let (ids, _) = run(
+            &scan,
+            Rect::new([0.0, 0.0], [10_000.0, 10_000.0]),
+            0.01,
+            1e-8,
+        );
         assert_eq!(ids.len(), 80);
         assert!(ids.iter().all(|id| id % 3 != 0));
     }

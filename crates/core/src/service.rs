@@ -254,8 +254,9 @@ fn execute<const D: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Query, Refine};
+    use crate::api::Query;
     use crate::catalog::UCatalog;
+    use crate::query::Refine;
     use rstar_base::TreeConfig;
     use uncertain_geom::{Point, Rect};
     use uncertain_pdf::{ObjectPdf, UncertainObject};

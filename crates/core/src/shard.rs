@@ -20,7 +20,7 @@
 //! is entry-local: validation/pruning and probability bounds come from
 //! the object's own CFB payload, and refinement — range and ranking
 //! alike — draws from a per-`(seed, id)` stream (see
-//! [`crate::query::RefineMode`]).
+//! [`crate::query::Refine`]).
 //!
 //! Per-object provenance and probabilities survive re-partitioning, so
 //! shard counts can change offline (rebuild) without changing any answer.
@@ -34,7 +34,7 @@
 //! fluent query builders.
 
 use crate::api::{
-    Match, ProbIndex, Provenance, Query, QueryError, QueryOutcome, RankOutcome, RankQuery,
+    IndexError, Match, ProbIndex, Provenance, Query, QueryOutcome, RankOutcome, RankQuery,
     RankedMatch,
 };
 use crate::catalog::UCatalog;
@@ -166,7 +166,7 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for ShardedIndex<D, S> {
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
+    ) -> Result<QueryOutcome, IndexError> {
         let mut stats = QueryStats::default();
         let mut matches: Vec<Match> = Vec::new();
         for shard in &self.shards {
@@ -187,7 +187,7 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for ShardedIndex<D, S> {
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
+    ) -> Result<RankOutcome, IndexError> {
         let k = query.k();
         let mut stats = QueryStats::default();
         let mut matches: Vec<RankedMatch> = Vec::with_capacity(k);
@@ -231,7 +231,7 @@ impl<const D: usize, S: PageStore> ProbIndex<D> for ShardedIndex<D, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Refine;
+    use crate::query::Refine;
     use uncertain_geom::{Point, Rect};
     use uncertain_pdf::ObjectPdf;
 

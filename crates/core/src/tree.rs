@@ -5,7 +5,7 @@
 //! differs between the two; every method of the tree is written against it.
 
 use crate::api::{
-    or_panic, outcome_from_ctx, sealed, IndexBuilder, ProbIndex, Query, QueryError, QueryOutcome,
+    or_panic, outcome_from_ctx, sealed, IndexBuilder, IndexError, ProbIndex, Query, QueryOutcome,
     RankOutcome, RankQuery,
 };
 use crate::catalog::UCatalog;
@@ -254,11 +254,22 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P> {
     }
 
     /// An empty in-memory tree over the given catalog.
+    ///
+    /// # Panics
+    ///
+    /// If an entry over `catalog` leaves a node page fewer than
+    /// [`rstar_base::MIN_FANOUT`] entries (U-PCR with a large catalog);
+    /// [`ProbTree::builder`] returns [`crate::IndexError::CatalogTooLarge`]
+    /// instead.
     pub fn new(catalog: UCatalog) -> Self {
         Self::with_config(catalog, TreeConfig::default())
     }
 
     /// An empty in-memory tree with explicit R* tuning.
+    ///
+    /// # Panics
+    ///
+    /// As [`ProbTree::new`], on a catalog too large for a node page.
     pub fn with_config(catalog: UCatalog, cfg: TreeConfig) -> Self {
         Self::with_stores(catalog, cfg, PageFile::new(), PageFile::new())
     }
@@ -634,12 +645,12 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
     ///
     /// Callers usually reach this through
     /// [`crate::api::QueryBuilder::run`] or [`ProbIndex::execute`]; a
-    /// storage failure mid-traversal surfaces as [`QueryError::Io`].
+    /// storage failure mid-traversal surfaces as [`IndexError::Io`].
     pub fn try_execute_with(
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
+    ) -> Result<QueryOutcome, IndexError> {
         ctx.begin();
         let rq = query.region();
         let pq = query.threshold();
@@ -778,7 +789,7 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbIndex<D> for ProbTre
         &self,
         query: &Query<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<QueryOutcome, QueryError> {
+    ) -> Result<QueryOutcome, IndexError> {
         ProbTree::try_execute_with(self, query, ctx)
     }
 
@@ -786,7 +797,7 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbIndex<D> for ProbTre
     /// Observation-4 bound — the smallest catalog value `p_j` whose
     /// `e.MBR(p_j)` misses `r_q` caps every subtree object's appearance
     /// probability at `p_j` — and leaf entries by the
-    /// [`crate::filter::prob_bounds`] of the payload's PCR view. A
+    /// [`crate::filter::prob_bounds_planned`] of the payload's PCR view. A
     /// candidate is only refined while its upper bound still beats the
     /// current k-th lower bound, so most probability computations are
     /// skipped.
@@ -794,7 +805,7 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbIndex<D> for ProbTre
         &self,
         query: &RankQuery<D>,
         ctx: &mut QueryCtx,
-    ) -> Result<RankOutcome, QueryError> {
+    ) -> Result<RankOutcome, IndexError> {
         let rq = *query.region();
         let levels: Vec<(f64, f64)> = (0..self.catalog.len())
             .map(|j| (self.catalog.value(j), self.catalog.fraction(j)))
@@ -833,28 +844,21 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbIndex<D> for ProbTre
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{ProbRangeQuery, QueryStats, RefineMode};
+    use crate::query::{QueryStats, Refine};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_geom::Point;
 
-    /// Legacy-tuple shim over the new API so the tests exercise `execute`.
+    /// A range query with quadrature refinement at tolerance `tol`, run
+    /// through `execute`.
     fn run<const D: usize, P: FilterPayload<D>>(
         tree: &ProbTree<D, P>,
-        q: ProbRangeQuery<D>,
-        mode: RefineMode,
+        rq: Rect<D>,
+        pq: f64,
+        tol: f64,
     ) -> (Vec<u64>, QueryStats) {
-        let out = tree.execute(&Query::from_prob_range(q, mode));
-        (out.ids(), out.stats)
-    }
-
-    fn run_opts<const D: usize, P: FilterPayload<D>>(
-        tree: &ProbTree<D, P>,
-        q: ProbRangeQuery<D>,
-        mode: RefineMode,
-        opts: QueryOptions,
-    ) -> (Vec<u64>, QueryStats) {
-        let out = tree.execute(&Query::from_prob_range(q, mode).with_options(opts));
+        let q = Query::range(rq).threshold(pq);
+        let out = tree.execute(&q.refine(Refine::reference(tol)).build().unwrap());
         (out.ids(), out.stats)
     }
 
@@ -895,8 +899,7 @@ mod tests {
     #[test]
     fn empty_tree_query() {
         let tree = UTree::<2>::new(UCatalog::uniform(4));
-        let q = ProbRangeQuery::new(Rect::new([0.0, 0.0], [100.0, 100.0]), 0.5);
-        let (ids, stats) = run(&tree, q, RefineMode::Reference { tol: 1e-8 });
+        let (ids, stats) = run(&tree, Rect::new([0.0, 0.0], [100.0, 100.0]), 0.5, 1e-8);
         assert!(ids.is_empty());
         assert_eq!(stats.results, 0);
     }
@@ -907,14 +910,17 @@ mod tests {
         tree.insert(&ball(7, 500.0, 500.0, 100.0));
         // Fully containing query at high threshold: hit, and validated
         // without probability computation.
-        let q = ProbRangeQuery::new(Rect::new([300.0, 300.0], [700.0, 700.0]), 0.95);
-        let (ids, stats) = run(&tree, q, RefineMode::Reference { tol: 1e-8 });
+        let (ids, stats) = run(&tree, Rect::new([300.0, 300.0], [700.0, 700.0]), 0.95, 1e-8);
         assert_eq!(ids, vec![7]);
         assert_eq!(stats.validated, 1);
         assert_eq!(stats.prob_computations, 0);
         // Disjoint query: pruned without probability computation.
-        let q2 = ProbRangeQuery::new(Rect::new([5000.0, 5000.0], [6000.0, 6000.0]), 0.1);
-        let (ids2, stats2) = run(&tree, q2, RefineMode::Reference { tol: 1e-8 });
+        let (ids2, stats2) = run(
+            &tree,
+            Rect::new([5000.0, 5000.0], [6000.0, 6000.0]),
+            0.1,
+            1e-8,
+        );
         assert!(ids2.is_empty());
         assert_eq!(stats2.prob_computations, 0);
     }
@@ -930,8 +936,7 @@ mod tests {
             let side = rng.gen_range(200.0..1500.0);
             let pq = rng.gen_range(0.05..0.95);
             let rq = Rect::cube(&Point::new([cx, cy]), side);
-            let q = ProbRangeQuery::new(rq, pq);
-            let (mut got, _) = run(&tree, q, RefineMode::Reference { tol: 1e-9 });
+            let (mut got, _) = run(&tree, rq, pq, 1e-9);
             got.sort_unstable();
             // Brute force with the same reference evaluator; skip objects
             // whose true probability is within ε of the threshold (filter
@@ -960,7 +965,6 @@ mod tests {
 
     #[test]
     fn rank_topk_matches_brute_force_ranking() {
-        use crate::api::Refine;
         let (tree, objs) = build_random(400, 11);
         let mut rng = SmallRng::seed_from_u64(8);
         for qi in 0..12 {
@@ -1009,7 +1013,6 @@ mod tests {
 
     #[test]
     fn rank_topk_skips_most_probability_computations() {
-        use crate::api::Refine;
         let (tree, _) = build_random(1500, 23);
         let q = Query::range(Rect::new([2000.0, 2000.0], [7000.0, 7000.0]))
             .top(10)
@@ -1031,8 +1034,12 @@ mod tests {
     #[test]
     fn filter_avoids_most_probability_computations() {
         let (tree, _) = build_random(1500, 23);
-        let q = ProbRangeQuery::new(Rect::new([3000.0, 3000.0], [5000.0, 5000.0]), 0.6);
-        let (ids, stats) = run(&tree, q, RefineMode::Reference { tol: 1e-8 });
+        let (ids, stats) = run(
+            &tree,
+            Rect::new([3000.0, 3000.0], [5000.0, 5000.0]),
+            0.6,
+            1e-8,
+        );
         assert!(!ids.is_empty());
         // The entire point of the paper: most decided objects never reach
         // the integrator.
@@ -1053,8 +1060,12 @@ mod tests {
         tree.check_invariants().unwrap();
         assert_eq!(tree.len(), 150);
         // Deleted objects never appear in results.
-        let q = ProbRangeQuery::new(Rect::new([0.0, 0.0], [10_000.0, 10_000.0]), 0.01);
-        let (ids, _) = run(&tree, q, RefineMode::Reference { tol: 1e-8 });
+        let (ids, _) = run(
+            &tree,
+            Rect::new([0.0, 0.0], [10_000.0, 10_000.0]),
+            0.01,
+            1e-8,
+        );
         for o in objs.iter().take(150) {
             assert!(!ids.contains(&o.id), "deleted {} still reported", o.id);
         }
@@ -1097,8 +1108,12 @@ mod tests {
         );
         tree.insert(&UncertainObject::new(4, ObjectPdf::Histogram(h)));
         // A query around the cluster with a generous region takes all four.
-        let q = ProbRangeQuery::new(Rect::new([600.0, 600.0], [1500.0, 1500.0]), 0.9);
-        let (mut ids, _) = run(&tree, q, RefineMode::Reference { tol: 1e-8 });
+        let (mut ids, _) = run(
+            &tree,
+            Rect::new([600.0, 600.0], [1500.0, 1500.0]),
+            0.9,
+            1e-8,
+        );
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3, 4]);
     }
@@ -1114,9 +1129,14 @@ mod tests {
     /// ablation of it answers the same.
     fn ablated_ids<P: FilterPayload<2>>() -> Vec<u64> {
         let (tree, _) = build_random_in::<P>(500, 77);
-        let q = ProbRangeQuery::new(Rect::new([2500.0, 2500.0], [5000.0, 5500.0]), 0.55);
-        let mode = RefineMode::Reference { tol: 1e-8 };
-        let (mut full, s_full) = run(&tree, q, mode);
+        let q = Query::range(Rect::new([2500.0, 2500.0], [5000.0, 5500.0]))
+            .threshold(0.55)
+            .refine(Refine::reference(1e-8));
+        let with = |opts| {
+            let out = tree.execute(&q.options(opts).build().unwrap());
+            (out.ids(), out.stats)
+        };
+        let (mut full, s_full) = with(QueryOptions::default());
         full.sort_unstable();
         for opts in [
             QueryOptions {
@@ -1133,7 +1153,7 @@ mod tests {
                 observation4: false,
             },
         ] {
-            let (mut got, s) = run_opts(&tree, q, mode, opts);
+            let (mut got, s) = with(opts);
             got.sort_unstable();
             assert_eq!(got, full, "ablation {opts:?} changed the answers");
             if !opts.validation {
@@ -1266,7 +1286,11 @@ mod tests {
                     let rq = Rect::cube(&c, rng.gen_range(300.0..2000.0));
                     for frac in [0.0, 0.4, 1.0] {
                         total += tree
-                            .visit(|key, _| rq.intersects(&key.interp(frac)), |_| {})
+                            .visit_with(
+                                &mut Vec::new(),
+                                |key, _| rq.intersects(&key.interp(frac)),
+                                |_| {},
+                            )
                             .unwrap();
                     }
                 }
@@ -1307,8 +1331,7 @@ mod tests {
         }
         tree.check_invariants().unwrap();
         let rq = Rect::new([2000.0, 2000.0, 2000.0], [6000.0, 6000.0, 6000.0]);
-        let q = ProbRangeQuery::new(rq, 0.5);
-        let (mut got, _) = run(&tree, q, RefineMode::Reference { tol: 1e-7 });
+        let (mut got, _) = run(&tree, rq, 0.5, 1e-7);
         got.sort_unstable();
         let mut expect: Vec<u64> = objs
             .iter()

@@ -122,18 +122,24 @@ impl<const D: usize> FilterPayload<D> for Pcrs {
 mod tests {
     use super::*;
     use crate::api::{ProbIndex, Query};
-    use crate::query::{ProbRangeQuery, QueryStats, RefineMode};
+    use crate::query::{QueryStats, Refine};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use uncertain_geom::Point;
     use uncertain_pdf::UncertainObject;
 
+    /// A range query with quadrature refinement at tolerance `tol`.
     fn run<const D: usize, I: ProbIndex<D>>(
         index: &I,
-        q: ProbRangeQuery<D>,
-        mode: RefineMode,
+        rq: Rect<D>,
+        pq: f64,
+        tol: f64,
     ) -> (Vec<u64>, QueryStats) {
-        let out = index.execute(&Query::from_prob_range(q, mode));
+        let out = Query::range(rq)
+            .threshold(pq)
+            .refine(Refine::reference(tol))
+            .run(index)
+            .unwrap();
         (out.ids(), out.stats)
     }
 
@@ -169,11 +175,7 @@ mod tests {
                 rng.gen_range(300.0..1500.0),
             );
             let pq = rng.gen_range(0.05..0.95);
-            let (mut got, _) = run(
-                &tree,
-                ProbRangeQuery::new(rq, pq),
-                RefineMode::reference(1e-9),
-            );
+            let (mut got, _) = run(&tree, rq, pq, 1e-9);
             got.sort_unstable();
             let mut expect = Vec::new();
             let mut boundary = Vec::new();
@@ -221,9 +223,8 @@ mod tests {
                 rng.gen_range(400.0..2000.0),
             );
             let pq = rng.gen_range(0.1..0.9);
-            let q = ProbRangeQuery::new(rq, pq);
-            let (mut a, _) = run(&upcr, q, RefineMode::Reference { tol: 1e-9 });
-            let (mut b, _) = run(&utree, q, RefineMode::Reference { tol: 1e-9 });
+            let (mut a, _) = run(&upcr, rq, pq, 1e-9);
+            let (mut b, _) = run(&utree, rq, pq, 1e-9);
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "structures disagree at rq={rq:?} pq={pq}");
@@ -238,8 +239,12 @@ mod tests {
         }
         tree.check_invariants().unwrap();
         assert_eq!(tree.len(), 100);
-        let q = ProbRangeQuery::new(Rect::new([0.0, 0.0], [10_000.0, 10_000.0]), 0.01);
-        let (ids, _) = run(&tree, q, RefineMode::Reference { tol: 1e-8 });
+        let (ids, _) = run(
+            &tree,
+            Rect::new([0.0, 0.0], [10_000.0, 10_000.0]),
+            0.01,
+            1e-8,
+        );
         assert_eq!(ids.len(), 100);
         assert!(ids.iter().all(|id| id % 2 == 1));
     }

@@ -4,19 +4,14 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uncertain_geom::{Point, Rect};
-use utree_query_types::ProbRangeQuery;
-
-// The query type lives in the `utree` crate; re-exported under a narrow
-// alias module to keep this crate's dependency surface explicit.
-mod utree_query_types {
-    pub use utree::ProbRangeQuery;
-}
+use utree::{Query, QueryBuilder};
 
 /// A set of prob-range queries sharing `q_s` and `p_q`.
 #[derive(Debug, Clone)]
 pub struct Workload<const D: usize> {
-    /// The queries.
-    pub queries: Vec<ProbRangeQuery<D>>,
+    /// The queries, region and threshold set; the caller picks the
+    /// refinement (`q.refine(mode).run(&index)`).
+    pub queries: Vec<QueryBuilder<D>>,
     /// Side length of every query region.
     pub qs: f64,
     /// Probability threshold of every query.
@@ -51,7 +46,7 @@ pub fn workload<const D: usize>(
     let queries = (0..count)
         .map(|_| {
             let c = centers[rng.gen_range(0..centers.len())];
-            ProbRangeQuery::new(Rect::cube(&c, qs), pq)
+            Query::range(Rect::cube(&c, qs)).threshold(pq)
         })
         .collect();
     Workload { queries, qs, pq }
@@ -67,12 +62,13 @@ mod tests {
         let w = workload(&centers, 500.0, 0.6, 100, 42);
         assert_eq!(w.len(), 100);
         for q in &w.queries {
-            assert_eq!(q.threshold, 0.6);
+            let q = q.build().unwrap();
+            assert_eq!(q.threshold(), 0.6);
             for i in 0..2 {
-                assert!((q.region.extent(i) - 500.0).abs() < 1e-9);
+                assert!((q.region().extent(i) - 500.0).abs() < 1e-9);
             }
             // centred on one of the given centers
-            let c = q.region.center();
+            let c = q.region().center();
             assert!(
                 centers.iter().any(|p| p.distance(&c) < 1e-9),
                 "query not centred on a data point"

@@ -19,12 +19,6 @@ impl<const D: usize> Point<D> {
         Self::new([0.0; D])
     }
 
-    /// Coordinate on dimension `dim`.
-    #[inline]
-    pub fn coord(&self, dim: usize) -> f64 {
-        self.coords[dim]
-    }
-
     /// Euclidean distance to `other`.
     pub fn distance(&self, other: &Self) -> f64 {
         self.distance_sq(other).sqrt()
@@ -116,8 +110,7 @@ mod tests {
     #[test]
     fn from_array() {
         let p: Point<2> = [1.0, 2.0].into();
-        assert_eq!(p.coord(0), 1.0);
-        assert_eq!(p.coord(1), 2.0);
+        assert_eq!(p.coords, [1.0, 2.0]);
     }
 
     #[test]

@@ -171,18 +171,6 @@ impl<const D: usize> Rect<D> {
         self.union(other).area() - self.area()
     }
 
-    /// Clamps `self` to lie within `bounds` (used by the data generators to
-    /// keep uncertainty regions inside the domain).
-    pub fn clamp_to(&self, bounds: &Self) -> Self {
-        let mut min = [0.0; D];
-        let mut max = [0.0; D];
-        for i in 0..D {
-            min[i] = self.min[i].max(bounds.min[i]).min(bounds.max[i]);
-            max[i] = self.max[i].min(bounds.max[i]).max(bounds.min[i]);
-        }
-        Self { min, max }
-    }
-
     /// True if all corners are finite numbers.
     pub fn is_finite(&self) -> bool {
         self.min
@@ -286,13 +274,5 @@ mod tests {
         let b = Rect::new([3.0, 4.0, 1.0], [5.0, 6.0, 3.0]);
         // centers (1,1,1) and (4,5,2): distance sqrt(9+16+1)
         assert!((a.centroid_distance(&b) - 26.0f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clamp_to_domain() {
-        let domain = r2([0.0, 0.0], [100.0, 100.0]);
-        let r = r2([-5.0, 90.0], [5.0, 110.0]);
-        let c = r.clamp_to(&domain);
-        assert_eq!(c, r2([0.0, 90.0], [5.0, 100.0]));
     }
 }

@@ -26,7 +26,8 @@ fn bulk_tree(store: FaultStore<PageFile>, mut data: Vec<RectLeaf<2>>) -> io::Res
 /// Conventional range query: ids of rectangles intersecting `query`.
 fn range(tree: &FaultTree, query: &Rect<2>) -> io::Result<Vec<u64>> {
     let mut out = Vec::new();
-    tree.visit(
+    tree.visit_with(
+        &mut Vec::new(),
         |key, _| key.intersects(query),
         |rec| {
             if rec.rect.intersects(query) {
@@ -126,7 +127,7 @@ fn read_fault_surfaces_from_stats_walk() {
     assert!(tree.store().read_tripped());
 }
 
-/// A read fault during query descent surfaces from `visit`.
+/// A read fault during query descent surfaces from `visit_with`.
 #[test]
 fn read_fault_surfaces_from_try_range() {
     let store = FaultStore::new(PageFile::new(), 0, FaultMode::Fail);

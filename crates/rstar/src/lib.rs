@@ -34,4 +34,4 @@ pub use bulk::str_order_by;
 pub use codec::{InnerEntry, NodeCodec};
 pub use metrics::{rect_covers_eps, KeyMetrics, LeafRecord};
 pub use split::rstar_split;
-pub use tree::{RStarTreeBase, TreeConfig, TreeStats};
+pub use tree::{RStarTreeBase, TreeConfig, TreeStats, MIN_FANOUT};

@@ -189,7 +189,8 @@ mod tests {
     /// Conventional range query: ids of rectangles intersecting `query`.
     fn range<const D: usize>(tree: &RectTree<D>, query: &Rect<D>) -> Vec<u64> {
         let mut out = Vec::new();
-        tree.visit(
+        tree.visit_with(
+            &mut Vec::new(),
             |key, _| key.intersects(query),
             |rec| {
                 if rec.rect.intersects(query) {

@@ -16,6 +16,11 @@ use std::sync::Arc;
 /// criterion (the R*-tree paper's constant).
 const CHOOSE_SUBTREE_CANDIDATES: usize = 32;
 
+/// The fewest entries a node page may hold, leaf and inner alike (the
+/// split and the packer's minimum fill assume it).
+/// [`RStarTreeBase::with_store`] asserts it of the codec's capacities.
+pub const MIN_FANOUT: usize = 4;
+
 /// Tuning knobs (R* defaults from Beckmann et al.).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
@@ -116,9 +121,17 @@ where
     }
 
     /// Creates an empty tree on the given store.
+    ///
+    /// # Panics
+    ///
+    /// If the codec fits fewer than [`MIN_FANOUT`] leaf or inner entries
+    /// to a page.
     pub fn with_store(mut file: S, metrics: M, codec: C, cfg: TreeConfig) -> io::Result<Self> {
-        assert!(codec.leaf_capacity() >= 4, "leaf fanout too small");
-        assert!(codec.inner_capacity() >= 4, "inner fanout too small");
+        assert!(codec.leaf_capacity() >= MIN_FANOUT, "leaf fanout too small");
+        assert!(
+            codec.inner_capacity() >= MIN_FANOUT,
+            "inner fanout too small"
+        );
         let root = file.allocate()?;
         let mut tree = Self {
             file,
@@ -785,19 +798,12 @@ where
     /// concurrently (the shared [`Self::io_stats`] counters still record
     /// every read globally).
     ///
+    /// The traversal stack is the caller's, so per-query contexts can
+    /// reuse the allocation across queries (one stack per worker thread);
+    /// it is cleared on entry.
+    ///
     /// Takes `&self`: traversal never mutates the tree, so any number of
     /// concurrent queries can run over one shared (read-only) tree.
-    pub fn visit<FI, FL>(&self, descend: FI, on_record: FL) -> io::Result<u64>
-    where
-        FI: FnMut(&M::Key, usize) -> bool,
-        FL: FnMut(&L),
-    {
-        self.visit_with(&mut Vec::new(), descend, on_record)
-    }
-
-    /// [`Self::visit`] with a caller-provided traversal stack, so per-query
-    /// contexts can reuse the allocation across queries (one stack per
-    /// worker thread). The stack is cleared on entry.
     pub fn visit_with<FI, FL>(
         &self,
         stack: &mut Vec<(PageId, usize)>,
@@ -834,7 +840,8 @@ where
 
     /// Visits every record (uncounted traversal would lie; this one counts).
     pub fn for_each_record<FL: FnMut(&L)>(&self, on_record: FL) -> io::Result<()> {
-        self.visit(|_, _| true, on_record).map(|_| ())
+        self.visit_with(&mut Vec::new(), |_, _| true, on_record)
+            .map(|_| ())
     }
 
     /// Loads **one** node page and streams its contents to the caller:
@@ -963,10 +970,10 @@ where
 /// Node sizes for packing `n` entries into nodes of capacity `cap` at full
 /// fan-out. Every node but the last is full; a trailing remainder below
 /// `min` is fixed by rebalancing the final two nodes evenly, so every
-/// non-root node satisfies the R* minimum fill (`cap ≥ 4` and
+/// non-root node satisfies the R* minimum fill (`cap ≥ MIN_FANOUT` and
 /// `min ≤ 0.4·cap` guarantee the even split clears `min` on both sides).
 fn pack_sizes(n: usize, cap: usize, min: usize) -> Vec<usize> {
-    debug_assert!(n > 0 && cap >= 4 && min <= cap);
+    debug_assert!(n > 0 && cap >= MIN_FANOUT && min <= cap);
     let full = n / cap;
     let rem = n % cap;
     if rem == 0 {

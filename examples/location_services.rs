@@ -21,7 +21,7 @@ fn downtown_report<I: ProbIndex<2>>(
     index: &I,
     downtown: Rect<2>,
     pq: f64,
-) -> Result<QueryOutcome, QueryError> {
+) -> Result<QueryOutcome, IndexError> {
     Query::range(downtown).threshold(pq).run(index)
 }
 

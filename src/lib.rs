@@ -65,9 +65,8 @@
 //! CRC-framed log and fsyncs it before it returns and before any page
 //! reaches the backing file, `open` replays committed batches after a
 //! crash, and `checkpoint()` folds the log back into the snapshot. See
-//! `docs/API.md` for the
-//! storage-backend and durability guides and the migration table from
-//! the 0.1 tuple API.
+//! `docs/API.md` for the API guide, including storage backends and
+//! durability. Every failure is one [`prelude::IndexError`].
 
 pub use datagen as data;
 pub use page_store as store;
@@ -89,10 +88,10 @@ pub mod prelude {
     pub use utree::{canonicalize, shard_of};
     pub use utree::{
         DiskUPcrTree, DiskUTree, FilterOutcome, IndexBuilder, IndexCatalog, IndexDef, IndexError,
-        InsertStats, Match, ProbIndex, ProbRangeQuery, Provenance, Query, QueryBuilder, QueryCtx,
-        QueryError, QueryOptions, QueryOutcome, QueryService, QueryStats, RankOutcome, RankQuery,
-        RankedMatch, Refine, RefineMode, SeqScan, ServiceReply, ServiceReport, ServiceRequest,
-        ShardedIndex, UCatalog, UPcrTree, UTree,
+        InsertStats, Match, ProbIndex, Provenance, Query, QueryBuilder, QueryCtx, QueryOptions,
+        QueryOutcome, QueryService, QueryStats, RankOutcome, RankQuery, RankedMatch, Refine,
+        SeqScan, ServiceReply, ServiceReport, ServiceRequest, ShardedIndex, UCatalog, UPcrTree,
+        UTree,
     };
 }
 

@@ -64,11 +64,7 @@ fn workloads(seed: u64) -> Vec<Vec<Query<2>>> {
             } else {
                 Refine::reference(1e-7)
             };
-            Query::range(q.region)
-                .threshold(pq)
-                .refine(refine)
-                .build()
-                .expect("valid query")
+            q.threshold(pq).refine(refine).build().expect("valid query")
         })
         .collect::<Vec<_>>()
         .chunks(QUERIES_PER_THREAD)

@@ -34,9 +34,7 @@ fn utree_beats_upcr_on_node_accesses() {
     let mut tree_io = 0u64;
     let mut upcr_io = 0u64;
     for q in &w.queries {
-        let builder = Query::range(q.region)
-            .threshold(q.threshold)
-            .refine(Refine::reference(1e-6));
+        let builder = q.refine(Refine::reference(1e-6));
         let a = builder.run(&tree).unwrap();
         let b = builder.run(&upcr).unwrap();
         assert_eq!(
@@ -63,11 +61,7 @@ fn most_results_are_validated_without_integration() {
     let w = datagen::workload(&centers, 1_500.0, 0.6, 20, 5);
     let mut acc = QueryStats::default();
     for q in &w.queries {
-        let outcome = Query::range(q.region)
-            .threshold(q.threshold)
-            .refine(Refine::reference(1e-6))
-            .run(&tree)
-            .unwrap();
+        let outcome = q.refine(Refine::reference(1e-6)).run(&tree).unwrap();
         acc += &outcome.stats;
     }
     assert!(acc.results > 0);
@@ -91,11 +85,7 @@ fn upcr_io_grows_with_catalog_size() {
         t.bulk_load(&objs);
         let mut io = 0u64;
         for q in &w.queries {
-            let outcome = Query::range(q.region)
-                .threshold(q.threshold)
-                .refine(Refine::reference(1e-6))
-                .run(&t)
-                .unwrap();
+            let outcome = q.refine(Refine::reference(1e-6)).run(&t).unwrap();
             io += outcome.stats.node_reads;
         }
         io
@@ -124,9 +114,7 @@ fn incremental_equals_rebuilt() {
     let centers: Vec<Point<2>> = objs.iter().map(|o| o.mbr().center()).collect();
     let w = datagen::workload(&centers, 1_200.0, 0.4, 15, 77);
     for q in &w.queries {
-        let builder = Query::range(q.region)
-            .threshold(q.threshold)
-            .refine(Refine::reference(1e-8));
+        let builder = q.refine(Refine::reference(1e-8));
         let a = builder.run(&incremental).unwrap().sorted_ids();
         let b = builder.run(&rebuilt).unwrap().sorted_ids();
         assert_eq!(a, b);
@@ -144,12 +132,7 @@ fn filter_decides_most_inspected_entries() {
     let mut decided = 0u64;
     let mut undecided = 0u64;
     for q in &w.queries {
-        let s = Query::range(q.region)
-            .threshold(q.threshold)
-            .refine(Refine::reference(1e-6))
-            .run(&tree)
-            .unwrap()
-            .stats;
+        let s = q.refine(Refine::reference(1e-6)).run(&tree).unwrap().stats;
         decided += s.pruned + s.validated;
         undecided += s.candidates;
         assert_eq!(s.visited, s.pruned + s.validated + s.candidates);

@@ -42,8 +42,8 @@ fn saved_utree_reopens_with_identical_outcomes() {
 
     let mode = Refine::reference(1e-8);
     for (i, q) in workload.queries.iter().enumerate() {
-        let mem = tree.execute(&Query::from_prob_range(*q, mode));
-        let disk = reopened.execute(&Query::from_prob_range(*q, mode));
+        let q = q.refine(mode).build().unwrap();
+        let (mem, disk) = (tree.execute(&q), reopened.execute(&q));
         assert_eq!(
             mem.matches, disk.matches,
             "query {i} disagrees after the round trip"
@@ -108,8 +108,8 @@ fn saved_upcr_reopens_with_identical_outcomes() {
 
     let mode = Refine::reference(1e-8);
     for q in &workload.queries {
-        let mem = tree.execute(&Query::from_prob_range(*q, mode));
-        let disk = reopened.execute(&Query::from_prob_range(*q, mode));
+        let q = q.refine(mode).build().unwrap();
+        let (mem, disk) = (tree.execute(&q), reopened.execute(&q));
         assert_eq!(mem.matches, disk.matches);
         assert_eq!(mem.stats.node_reads, disk.stats.node_reads);
     }

@@ -11,7 +11,9 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use utree_repro::geom::{Point, Rect};
-use utree_repro::index::{filter_object, fit_cfb_pair, CfbView, FilterOutcome, PcrSet, UCatalog};
+use utree_repro::index::{
+    filter_object_planned, fit_cfb_pair, CfbView, FilterOutcome, PcrSet, PreparedQuery, UCatalog,
+};
 use utree_repro::lp::LinearProgram;
 use utree_repro::pdf::{appearance_reference, ObjectPdf};
 
@@ -138,8 +140,9 @@ fn filter_never_lies() {
         const SLACK: f64 = 2e-3; // quantile grid + quadrature noise
 
         // Observation 2 (exact PCRs)…
+        let plan = PreparedQuery::new(&cat, &rq, pq);
         let pcrs = PcrSet::compute(&pdf, &cat);
-        match filter_object(&pcrs, &mbr, &cat, &rq, pq) {
+        match filter_object_planned(&pcrs, &mbr, &plan) {
             FilterOutcome::Pruned => assert!(
                 truth < pq + SLACK,
                 "case {case}: PCR filter pruned an object with P={truth} >= pq={pq}"
@@ -157,7 +160,7 @@ fn filter_never_lies() {
             pair: &pair,
             catalog: &cat,
         };
-        match filter_object(&view, &mbr, &cat, &rq, pq) {
+        match filter_object_planned(&view, &mbr, &plan) {
             FilterOutcome::Pruned => assert!(
                 truth < pq + SLACK,
                 "case {case}: CFB filter pruned an object with P={truth} >= pq={pq}"
@@ -192,8 +195,9 @@ fn cfb_and_pcr_filters_are_consistent() {
             pair: &pair,
             catalog: &cat,
         };
-        let a = filter_object(&pcrs, &mbr, &cat, &rq, pq);
-        let b = filter_object(&view, &mbr, &cat, &rq, pq);
+        let plan = PreparedQuery::new(&cat, &rq, pq);
+        let a = filter_object_planned(&pcrs, &mbr, &plan);
+        let b = filter_object_planned(&view, &mbr, &plan);
         assert!(
             !(a == FilterOutcome::Pruned && b == FilterOutcome::Validated),
             "case {case}: PCR pruned but CFB validated ({pdf:?}, rq={rq:?}, pq={pq})"

@@ -239,7 +239,7 @@ fn rank_builder_validates() {
     let rect = Rect::new([0.0, 0.0], [10.0, 10.0]);
     assert_eq!(
         Query::range(rect).top(0).build().unwrap_err(),
-        QueryError::ZeroK
+        IndexError::ZeroK
     );
     let nan = Rect {
         min: [f64::NAN, 0.0],
@@ -247,8 +247,20 @@ fn rank_builder_validates() {
     };
     assert_eq!(
         Query::range(nan).top(3).build().unwrap_err(),
-        QueryError::NonFiniteRegion { dim: 0 }
+        IndexError::NonFiniteRegion { dim: 0 }
     );
+    // A quadrature tolerance that is not a finite positive number never
+    // converges: refused up front instead of hanging the query.
+    for tol in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let e = Query::range(rect)
+            .top(3)
+            .refine(Refine::reference(tol))
+            .build();
+        assert!(
+            matches!(e, Err(IndexError::InvalidTolerance { tol: t }) if t.to_bits() == tol.to_bits()),
+            "tol {tol}: {e:?}"
+        );
+    }
     let q = Query::range(rect)
         .top(3)
         .refine(Refine::reference(1e-8))
