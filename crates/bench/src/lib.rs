@@ -641,7 +641,7 @@ fn update_io<const D: usize>(ds: &Dataset<D>) -> [f64; 2] {
         ms(t0.elapsed().as_nanos()),
     );
     let name = ds.name;
-    eprintln!("fig11 {name}: CPU/object PCR {pcr:.3} + simplex {lp:.3} ms, deletion {del:.3} ms");
+    eprintln!("fig11 {name}: CPU/object PCR {pcr:.3} + CFB fit {lp:.3} ms, deletion {del:.3} ms");
     [ins.io_reads + ins.io_writes, tree.io_counters()].map(|pages| pages as f64 * IO_MS / n)
 }
 

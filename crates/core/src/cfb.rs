@@ -8,8 +8,11 @@
 //!
 //! Fitting minimises (maximises, for the inner box) the summed margin
 //! `Σ_j MARGIN(cfb(p_j))` (Formula 7), which decomposes per dimension into
-//! tiny linear programs solved with the Simplex method, exactly as the
-//! paper prescribes.
+//! the tiny linear programs of Sec 4.4. The paper solves them with the
+//! Simplex method; here each has a closed-form optimum — a supporting line
+//! of the convex hull of the PCR faces at the catalog mean — and the
+//! Simplex method only runs for an inner box whose two faces Eq. 14 ties
+//! together in a way the closed form does not cover ([`fit_cfb_pair`]).
 
 use crate::catalog::UCatalog;
 use crate::filter::PcrAccess;
@@ -118,95 +121,167 @@ impl<const D: usize> PcrAccess<D> for CfbView<'_, D> {
     }
 }
 
-/// Fits the optimal (summed-margin) outer and inner CFBs to an object's
-/// PCRs via per-dimension Simplex LPs (paper Sec 4.4), then nudges the
-/// results to be exactly feasible under floating point and conservatively
-/// f32-rounded for on-page storage.
-pub fn fit_cfb_pair<const D: usize>(pcrs: &PcrSet<D>, catalog: &UCatalog) -> CfbPair<D> {
-    let m = catalog.len() as f64;
-    let p_sum = catalog.sum();
-    let ps = catalog.values();
+impl<const D: usize> CfbPair<D> {
+    /// The on-page pair: outer box rounded outward, inner box inward.
+    fn rounded(&self) -> Self {
+        CfbPair {
+            outer: self.outer.round_outward(),
+            inner: self.inner.round_inward(),
+        }
+    }
+}
 
-    let mut outer = Cfb {
+/// Fits the optimal (summed-margin) outer and inner CFBs to an object's
+/// PCRs (paper Sec 4.4), then nudges the results to be exactly feasible
+/// under floating point and conservatively f32-rounded for on-page
+/// storage.
+///
+/// Each face's LP has a closed-form optimum. The Simplex method only runs
+/// for an inner box whose faces Eq. 14 couples while the top PCR is a box
+/// rather than a point in that dimension — never for a catalog ending at
+/// 0.5, where `pcr(0.5)` is a point.
+pub fn fit_cfb_pair<const D: usize>(pcrs: &PcrSet<D>, catalog: &UCatalog) -> CfbPair<D> {
+    fit_repaired(pcrs, catalog).0.rounded()
+}
+
+/// The optimal CFB pair before f32 rounding, already repaired to exact
+/// feasibility, and the number of dimensions whose inner box needed the
+/// Sec 4.4 LP.
+///
+/// Every objective `Σ_j face(p_j)` equals `m · face(p̄)` at the catalog
+/// mean `p̄ = P/m`, so:
+/// * an outer face is the supporting line at `p̄` of the lower (upper)
+///   convex hull of its PCR faces `(p_j, c_j)`;
+/// * the inner faces, ignoring Eq. 14, are the mirrored supporting lines.
+///   Eq. 14 (`lo ≤ hi`) is linear in `p`, so checking it at `p₁` and `p_m`
+///   checks it everywhere. When it fails and the top PCR is a point in
+///   this dimension (always, for a catalog ending at 0.5), Eq. 14 at `p_m`
+///   pins both faces to that point and each slope is a min/max over the
+///   other catalog values. Nested PCRs make the lower slope `≥ 0 ≥` the
+///   upper one, so Eq. 14 then holds; the LP runs only when the top PCR is
+///   not a point (or a NaN face defeats every comparison).
+pub(crate) fn fit_repaired<const D: usize>(
+    pcrs: &PcrSet<D>,
+    catalog: &UCatalog,
+) -> (CfbPair<D>, usize) {
+    let ps = catalog.values();
+    let p_bar = catalog.sum() / catalog.len() as f64;
+    let last = ps.len() - 1;
+    let zero = Cfb {
         alpha: Rect::new([0.0; D], [0.0; D]),
         beta_lo: [0.0; D],
         beta_hi: [0.0; D],
     };
-    let mut inner = outer;
-
+    let mut pair = CfbPair {
+        outer: zero,
+        inner: zero,
+    };
+    let mut lp_dims = 0;
     for i in 0..D {
-        let faces_lo: Vec<f64> = pcrs.rects().iter().map(|r| r.min[i]).collect();
-        let faces_hi: Vec<f64> = pcrs.rects().iter().map(|r| r.max[i]).collect();
-
-        // ---- outer, lower face: maximize m·α − P·β
-        //      s.t. α − β·p_j <= pcr_j (stay below every PCR lower face)
-        let (a, b) = {
-            let mut lp = LinearProgram::maximize(vec![m, -p_sum]);
-            for (p, c) in ps.iter().zip(&faces_lo) {
-                lp.less_eq(vec![1.0, -p], *c);
-            }
-            match lp.solve() {
-                Ok(s) => (s.x[0], s.x[1]),
-                // Safe fallback: a constant box at the widest PCR.
-                Err(_) => (faces_lo.iter().cloned().fold(f64::INFINITY, f64::min), 0.0),
-            }
-        };
-        outer.alpha.min[i] = a;
-        outer.beta_lo[i] = b;
-
-        // ---- outer, upper face: minimize m·α − P·β
-        //      s.t. α − β·p_j >= pcr_j
-        let (a, b) = {
-            let mut lp = LinearProgram::maximize(vec![-m, p_sum]);
-            for (p, c) in ps.iter().zip(&faces_hi) {
-                lp.greater_eq(vec![1.0, -p], *c);
-            }
-            match lp.solve() {
-                Ok(s) => (s.x[0], s.x[1]),
-                Err(_) => (
-                    faces_hi.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                    0.0,
-                ),
-            }
-        };
-        outer.alpha.max[i] = a;
-        outer.beta_hi[i] = b;
-
-        // ---- inner: maximize Σ_j margins = m·(α⁺−α⁻) − P·(β⁺−β⁻)
-        //      s.t. α⁻−β⁻p_j >= pcr_j⁻, α⁺−β⁺p_j <= pcr_j⁺,
-        //           α⁻−β⁻p_j <= α⁺−β⁺p_j       (Eq. 14)
-        // Variables: [α⁻, β⁻, α⁺, β⁺].
-        let sol = {
-            let mut lp = LinearProgram::maximize(vec![-m, p_sum, m, -p_sum]);
-            for ((p, lo), hi) in ps.iter().zip(&faces_lo).zip(&faces_hi) {
-                lp.greater_eq(vec![1.0, -p, 0.0, 0.0], *lo);
-                lp.less_eq(vec![0.0, 0.0, 1.0, -p], *hi);
-                lp.less_eq(vec![1.0, -p, -1.0, *p], 0.0);
-            }
-            lp.solve()
-        };
-        match sol {
-            Ok(s) => {
-                inner.alpha.min[i] = s.x[0];
-                inner.beta_lo[i] = s.x[1];
-                inner.alpha.max[i] = s.x[2];
-                inner.beta_hi[i] = s.x[3];
-            }
-            Err(_) => {
-                // Fallback: the degenerate point at the smallest PCR's
-                // center — inside every (nested) PCR.
-                let last = pcrs.rect(pcrs.len() - 1);
-                let mid = 0.5 * (last.min[i] + last.max[i]);
-                inner.alpha.min[i] = mid;
-                inner.beta_lo[i] = 0.0;
-                inner.alpha.max[i] = mid;
-                inner.beta_hi[i] = 0.0;
+        let lo = |j: usize| pcrs.rect(j).min[i];
+        let hi = |j: usize| pcrs.rect(j).max[i];
+        let (outer, inner) = (&mut pair.outer, &mut pair.inner);
+        (outer.alpha.min[i], outer.beta_lo[i]) = support_below(ps, lo, p_bar);
+        (outer.alpha.max[i], outer.beta_hi[i]) = support_above(ps, hi, p_bar);
+        (inner.alpha.min[i], inner.beta_lo[i]) = support_above(ps, lo, p_bar);
+        (inner.alpha.max[i], inner.beta_hi[i]) = support_below(ps, hi, p_bar);
+        let eq14 = |c: &Cfb<D>, j: usize| c.face_lo(i, ps[j]) <= c.face_hi(i, ps[j]);
+        if eq14(inner, 0) && eq14(inner, last) {
+            continue;
+        }
+        if lo(last) == hi(last) {
+            let (p_m, c_m) = (ps[last], lo(last));
+            let slope = |c: f64, p: f64| (c_m - c) / (p_m - p);
+            let s_lo = (0..last)
+                .map(|j| slope(lo(j), ps[j]))
+                .fold(f64::INFINITY, f64::min);
+            let s_hi = (0..last)
+                .map(|j| slope(hi(j), ps[j]))
+                .fold(f64::NEG_INFINITY, f64::max);
+            inner.alpha.min[i] = c_m - s_lo * p_m;
+            inner.beta_lo[i] = -s_lo;
+            inner.alpha.max[i] = c_m - s_hi * p_m;
+            inner.beta_hi[i] = -s_hi;
+            // Both faces meet at `p_m` by construction (up to rounding).
+            if eq14(inner, 0) {
+                continue;
             }
         }
+        lp_dims += 1;
+        lp_inner(pcrs, catalog, i, inner);
     }
+    repair(&mut pair, pcrs, ps);
+    (pair, lp_dims)
+}
 
-    // Exact feasibility repair: shift intercepts by the worst violation so
-    // the conservative inclusions hold with zero tolerance.
+/// The line `α − β·p` below every point `(p_j, c(j))` that is highest at
+/// `p_bar`: the edge of the lower convex hull spanning `p_bar`, found by
+/// gift-wrapping the hull from `p₁` (no allocation, O(m) per hull vertex
+/// walked). At a hull vertex exactly on `p_bar` every slope between its
+/// two edges is optimal; the walk stops on one of its two edges.
+fn support_below(ps: &[f64], c: impl Fn(usize) -> f64, p_bar: f64) -> (f64, f64) {
+    let mut a = 0;
+    loop {
+        // Next hull vertex: the smallest slope from `a`, farthest on ties.
+        let slope = |k: usize| (c(k) - c(a)) / (ps[k] - ps[a]);
+        let mut b = a + 1;
+        let mut s = slope(b);
+        for k in a + 2..ps.len() {
+            let sk = slope(k);
+            if sk <= s {
+                (b, s) = (k, sk);
+            }
+        }
+        if ps[b] >= p_bar || b + 1 == ps.len() {
+            return (c(a) - s * ps[a], -s);
+        }
+        a = b;
+    }
+}
+
+/// [`support_below`] mirrored: the line above every point that is lowest
+/// at `p_bar` (the upper hull's edge spanning it).
+fn support_above(ps: &[f64], c: impl Fn(usize) -> f64, p_bar: f64) -> (f64, f64) {
+    let (alpha, beta) = support_below(ps, |j| -c(j), p_bar);
+    (-alpha, -beta)
+}
+
+/// The Sec 4.4 inner-box LP of dimension `i`: maximise the summed margin
+/// `m·(α⁺−α⁻) − P·(β⁺−β⁻)` s.t. `α⁻−β⁻p_j ≥ pcr_j⁻`, `α⁺−β⁺p_j ≤ pcr_j⁺`
+/// and `α⁻−β⁻p_j ≤ α⁺−β⁺p_j` (Eq. 14), over `[α⁻, β⁻, α⁺, β⁺]`.
+fn lp_inner<const D: usize>(pcrs: &PcrSet<D>, catalog: &UCatalog, i: usize, inner: &mut Cfb<D>) {
+    let m = catalog.len() as f64;
+    let p_sum = catalog.sum();
+    let mut lp = LinearProgram::maximize(vec![-m, p_sum, m, -p_sum]);
+    for (p, r) in catalog.values().iter().zip(pcrs.rects()) {
+        lp.greater_eq(vec![1.0, -p, 0.0, 0.0], r.min[i]);
+        lp.less_eq(vec![0.0, 0.0, 1.0, -p], r.max[i]);
+        lp.less_eq(vec![1.0, -p, -1.0, *p], 0.0);
+    }
+    match lp.solve() {
+        Ok(s) => {
+            inner.alpha.min[i] = s.x[0];
+            inner.beta_lo[i] = s.x[1];
+            inner.alpha.max[i] = s.x[2];
+            inner.beta_hi[i] = s.x[3];
+        }
+        Err(_) => {
+            // Fallback: the degenerate point at the smallest PCR's
+            // center — inside every (nested) PCR.
+            let last = pcrs.rect(pcrs.len() - 1);
+            let mid = 0.5 * (last.min[i] + last.max[i]);
+            inner.alpha.min[i] = mid;
+            inner.beta_lo[i] = 0.0;
+            inner.alpha.max[i] = mid;
+            inner.beta_hi[i] = 0.0;
+        }
+    }
+}
+
+/// Exact feasibility repair: shifts intercepts by the worst violation so
+/// the conservative inclusions hold with zero tolerance.
+fn repair<const D: usize>(pair: &mut CfbPair<D>, pcrs: &PcrSet<D>, ps: &[f64]) {
+    let CfbPair { outer, inner } = pair;
     for i in 0..D {
         let mut out_lo_shift = 0.0f64; // need face_lo <= pcr_lo
         let mut out_hi_shift = 0.0f64;
@@ -223,11 +298,6 @@ pub fn fit_cfb_pair<const D: usize>(pcrs: &PcrSet<D>, catalog: &UCatalog) -> Cfb
         outer.alpha.max[i] += out_hi_shift;
         inner.alpha.min[i] += in_lo_shift;
         inner.alpha.max[i] -= in_hi_shift;
-    }
-
-    CfbPair {
-        outer: outer.round_outward(),
-        inner: inner.round_inward(),
     }
 }
 
@@ -386,5 +456,247 @@ mod tests {
             std::mem::size_of::<CfbPair<2>>(),
             8 * d * std::mem::size_of::<f64>()
         );
+    }
+
+    // ---- the closed form against the Sec 4.4 LP ----
+
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use uncertain_pdf::HistogramPdf;
+
+    /// Sec 4.4 verbatim: three Simplex LPs per dimension, then the same
+    /// repair as [`fit_repaired`] (unrounded).
+    fn lp_fit<const D: usize>(pcrs: &PcrSet<D>, catalog: &UCatalog) -> CfbPair<D> {
+        let m = catalog.len() as f64;
+        let p_sum = catalog.sum();
+        let ps = catalog.values();
+        let zero = Cfb {
+            alpha: Rect::new([0.0; D], [0.0; D]),
+            beta_lo: [0.0; D],
+            beta_hi: [0.0; D],
+        };
+        let mut pair = CfbPair {
+            outer: zero,
+            inner: zero,
+        };
+        for i in 0..D {
+            // Outer lower face: maximise m·α − P·β s.t. α − β·p_j ≤ pcr_j⁻.
+            let mut lp = LinearProgram::maximize(vec![m, -p_sum]);
+            for (p, r) in ps.iter().zip(pcrs.rects()) {
+                lp.less_eq(vec![1.0, -p], r.min[i]);
+            }
+            let s = lp.solve().unwrap();
+            (pair.outer.alpha.min[i], pair.outer.beta_lo[i]) = (s.x[0], s.x[1]);
+            // Outer upper face: minimise m·α − P·β s.t. α − β·p_j ≥ pcr_j⁺.
+            let mut lp = LinearProgram::maximize(vec![-m, p_sum]);
+            for (p, r) in ps.iter().zip(pcrs.rects()) {
+                lp.greater_eq(vec![1.0, -p], r.max[i]);
+            }
+            let s = lp.solve().unwrap();
+            (pair.outer.alpha.max[i], pair.outer.beta_hi[i]) = (s.x[0], s.x[1]);
+            lp_inner(pcrs, catalog, i, &mut pair.inner);
+        }
+        repair(&mut pair, pcrs, ps);
+        pair
+    }
+
+    /// `Σ_j face(p_j)` for the four faces of dimension `i`:
+    /// outer lo, outer hi, inner lo, inner hi.
+    fn summed_faces<const D: usize>(pair: &CfbPair<D>, ps: &[f64], i: usize) -> [f64; 4] {
+        let sum = |f: &dyn Fn(f64) -> f64| ps.iter().map(|&p| f(p)).sum::<f64>();
+        [
+            sum(&|p| pair.outer.face_lo(i, p)),
+            sum(&|p| pair.outer.face_hi(i, p)),
+            sum(&|p| pair.inner.face_lo(i, p)),
+            sum(&|p| pair.inner.face_hi(i, p)),
+        ]
+    }
+
+    fn bits<const D: usize>(pair: &CfbPair<D>) -> Vec<u64> {
+        [pair.outer, pair.inner]
+            .iter()
+            .flat_map(|c| {
+                (0..D).flat_map(move |i| {
+                    [c.alpha.min[i], c.alpha.max[i], c.beta_lo[i], c.beta_hi[i]].map(f64::to_bits)
+                })
+            })
+            .collect()
+    }
+
+    /// Checks one object: (a) every face's summed margin equals the LP's
+    /// after repair, (b) the rounded pair is exactly conservative at every
+    /// catalog value, (c) optionally, the rounded pair is the LP's bit for
+    /// bit. Returns how many dimensions needed the LP.
+    fn check_against_lp<const D: usize>(
+        pdf: &ObjectPdf<D>,
+        cat: &UCatalog,
+        byte_equal: bool,
+    ) -> usize {
+        let pcrs = PcrSet::compute(pdf, cat);
+        let (fit, lp_dims) = fit_repaired(&pcrs, cat);
+        let oracle = lp_fit(&pcrs, cat);
+        let ps = cat.values();
+        for i in 0..D {
+            let (got, want) = (summed_faces(&fit, ps, i), summed_faces(&oracle, ps, i));
+            for f in 0..4 {
+                let tol = 1e-9 * got[f].abs().max(want[f].abs()).max(1.0);
+                assert!(
+                    (got[f] - want[f]).abs() <= tol,
+                    "face {f} of dim {i}: closed form {} vs LP {} for {pdf:?} on {ps:?}",
+                    got[f],
+                    want[f]
+                );
+            }
+        }
+        let rounded = fit.rounded();
+        for (j, &p) in ps.iter().enumerate() {
+            let r = pcrs.rect(j);
+            for i in 0..D {
+                assert!(
+                    rounded.outer.face_lo(i, p) <= r.min[i],
+                    "outer lo {i} at {p}"
+                );
+                assert!(
+                    rounded.outer.face_hi(i, p) >= r.max[i],
+                    "outer hi {i} at {p}"
+                );
+                assert!(
+                    rounded.inner.face_lo(i, p) >= r.min[i],
+                    "inner lo {i} at {p}"
+                );
+                assert!(
+                    rounded.inner.face_hi(i, p) <= r.max[i],
+                    "inner hi {i} at {p}"
+                );
+            }
+        }
+        if byte_equal {
+            assert_eq!(
+                bits(&rounded),
+                bits(&oracle.rounded()),
+                "closed form {rounded:?} vs LP {:?} for {pdf:?} on {ps:?}",
+                oracle.rounded()
+            );
+        }
+        lp_dims
+    }
+
+    fn arb_center<const D: usize>(rng: &mut SmallRng) -> Point<D> {
+        Point::new(std::array::from_fn(|_| rng.gen_range(100.0..9_900.0)))
+    }
+
+    fn arb_shape<const D: usize>(rng: &mut SmallRng, shape: usize) -> ObjectPdf<D> {
+        match shape {
+            0 => ObjectPdf::UniformBall {
+                center: arb_center(rng),
+                radius: rng.gen_range(20.0..400.0),
+            },
+            1 => {
+                let radius = rng.gen_range(50.0..400.0);
+                ObjectPdf::ConGauBall {
+                    center: arb_center(rng),
+                    radius,
+                    sigma: radius * rng.gen_range(0.3..0.9),
+                }
+            }
+            2 => {
+                let lo = arb_center::<D>(rng).coords;
+                let hi = std::array::from_fn(|i| lo[i] + rng.gen_range(20.0..600.0));
+                ObjectPdf::UniformBox {
+                    rect: Rect::new(lo, hi),
+                }
+            }
+            _ => {
+                let lo = arb_center::<D>(rng).coords;
+                let hi = std::array::from_fn(|i| lo[i] + rng.gen_range(20.0..600.0));
+                let bins: [usize; D] = std::array::from_fn(|_| rng.gen_range(1..7usize));
+                let cells = bins.iter().product();
+                let weights = (0..cells).map(|_| rng.gen_range(0.0..1.0)).collect();
+                ObjectPdf::Histogram(HistogramPdf::new(Rect::new(lo, hi), bins, weights))
+            }
+        }
+    }
+
+    fn catalogs() -> Vec<UCatalog> {
+        let mut cats = vec![UCatalog::paper_utree_default()];
+        cats.extend((2..=20).map(UCatalog::uniform));
+        cats
+    }
+
+    /// Catalogs whose top value is below 0.5: the top PCR is a box, not
+    /// a point, so Eq. 14 can bind without pinning the inner faces.
+    fn short_catalogs() -> Vec<UCatalog> {
+        [
+            vec![0.0, 0.05, 0.3, 0.45],
+            vec![0.0, 0.1, 0.2, 0.3],
+            vec![0.0, 0.02, 0.15, 0.25, 0.4],
+        ]
+        .into_iter()
+        .map(|v| UCatalog::try_new(v).unwrap())
+        .collect()
+    }
+
+    fn differential<const D: usize>(seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for cat in catalogs() {
+            for case in 0..24 {
+                let shape = case % 4;
+                let pdf = arb_shape::<D>(&mut rng, shape);
+                let lp_dims = check_against_lp(&pdf, &cat, shape < 3);
+                assert_eq!(lp_dims, 0, "LP ran for {pdf:?} on {:?}", cat.values());
+            }
+        }
+        for cat in short_catalogs() {
+            let mut lp_ran = 0;
+            for case in 0..40 {
+                let shape = case % 4;
+                let pdf = arb_shape::<D>(&mut rng, shape);
+                lp_ran += check_against_lp(&pdf, &cat, shape < 3);
+            }
+            if cat.values() == [0.0, 0.05, 0.3, 0.45] {
+                assert!(lp_ran > 0, "Eq. 14 never bound on {:?}", cat.values());
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_lp_1d() {
+        differential::<1>(0xcfb1);
+    }
+
+    #[test]
+    fn closed_form_matches_lp_2d() {
+        differential::<2>(0xcfb2);
+    }
+
+    #[test]
+    fn closed_form_matches_lp_3d() {
+        differential::<3>(0xcfb3);
+    }
+
+    /// Histograms whose marginal quantiles kink exactly at the paper
+    /// catalog's mean `p̄ = 7/28 = 0.25`, on both faces: the hull has a
+    /// vertex on `p̄` and every slope between its edges is optimal.
+    #[test]
+    fn kink_at_the_catalog_mean_keeps_the_lp_optimum() {
+        let cat = UCatalog::paper_utree_default();
+        let rect = Rect::new([1000.0, 2000.0], [1400.0, 2300.0]);
+        // Marginal masses (2, 1, 2, 1, 2)/8 put a density step at
+        // cumulative mass 0.25 from either end.
+        let step = [2.0, 1.0, 2.0, 1.0, 2.0];
+        let mut weights = Vec::new();
+        for a in step {
+            for b in [3.0, 1.0, 1.0, 3.0] {
+                weights.push(a * b);
+            }
+        }
+        let pdf = ObjectPdf::Histogram(HistogramPdf::new(rect, [5, 4], weights));
+        assert_eq!(check_against_lp(&pdf, &cat, false), 0);
+        let pdf = ObjectPdf::Histogram(HistogramPdf::new(
+            Rect::new([-50.0], [70.0]),
+            [5],
+            step.to_vec(),
+        ));
+        assert_eq!(check_against_lp(&pdf, &cat, false), 0);
     }
 }

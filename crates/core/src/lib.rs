@@ -13,7 +13,8 @@
 //!    at the catalog values ([`UCatalog`]);
 //! 2. a [`FilterPayload`] decides what an index entry keeps of them:
 //!    [`Cfbs`] compresses them into two linear *conservative functional
-//!    boxes* by Simplex LP ([`cfb::fit_cfb_pair`], 8d floats per object),
+//!    boxes*, the closed-form optimum of the paper's Sec 4.4 LPs
+//!    ([`cfb::fit_cfb_pair`], 8d floats per object),
 //!    [`Pcrs`] stores them verbatim;
 //! 3. [`ProbTree`] — one type for both of the paper's trees, [`UTree`] =
 //!    `ProbTree<D, Cfbs>` and the comparison structure [`UPcrTree`] =

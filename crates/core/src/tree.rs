@@ -71,7 +71,7 @@ impl Default for QueryOptions {
 pub struct InsertStats {
     /// Nanoseconds computing the PCRs (marginal CDF inversion).
     pub pcr_nanos: u128,
-    /// Nanoseconds in the Simplex CFB fitting.
+    /// Nanoseconds fitting the CFBs (zero for U-PCR).
     pub lp_nanos: u128,
     /// Index page reads caused by the insertion.
     pub io_reads: u64,
@@ -539,13 +539,16 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
         }
     }
 
-    /// Bulk-loads an empty tree with **Sort-Tile-Recursive packing**: one
-    /// pass computes every object's filter payload, the objects are
-    /// STR-ordered by MBR centre, heap records are appended in exactly
-    /// that order (leaf-adjacent objects share heap pages), and the index
-    /// is built bottom-up with leaves at full fan-out — no R*-splits, no
-    /// re-insertions, and a level-contiguous page layout that
-    /// [`ProbTree::save`]/[`ProbTree::open`] serve read-optimised.
+    /// Bulk-loads an empty tree with **Sort-Tile-Recursive packing**: the
+    /// objects are STR-ordered by the centres of their stored MBRs, then
+    /// each object in that order has its filter payload computed, its heap
+    /// record appended (leaf-adjacent objects share heap pages) and its
+    /// leaf entry written; the index is built bottom-up from those entries
+    /// with leaves at full fan-out — no R*-splits, no re-insertions, and a
+    /// level-contiguous page layout that [`ProbTree::save`]/[`ProbTree::open`]
+    /// serve read-optimised. Nothing but the input items (references, for
+    /// borrowed input), one `(centre, position)` pair per object and the
+    /// leaf entries is held at once.
     ///
     /// On a non-empty tree this falls back to the plain insert loop (the
     /// packed build assumes it owns the page file). Either way the
@@ -565,45 +568,40 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
             }
             return acc;
         }
-        // Payload phase: filter data for every object, phase clocks summed
-        // across the build.
+        let objs: Vec<It::Item> = objs.into_iter().collect();
+        if objs.is_empty() {
+            return InsertStats::default();
+        }
+        let mut order: Vec<([f64; D], usize)> = objs
+            .iter()
+            .enumerate()
+            .map(|(k, obj)| (storable_mbr(&obj.borrow().pdf).center().coords, k))
+            .collect();
+        let leaf_cap = self.tree.codec().leaf_capacity();
+        str_order_by(&mut order, leaf_cap, &|t: &([f64; D], usize)| t.0);
         let mut pcr_nanos = 0u128;
         let mut lp_nanos = 0u128;
-        let mut staged: Vec<(P::Data, Rect<D>, Vec<u8>, u64)> = Vec::new();
-        for obj in objs {
-            let obj = obj.borrow();
+        let reads0 = self.tree.io_stats().reads();
+        let writes0 = self.tree.io_stats().writes();
+        let mut records: Vec<P::Leaf> = Vec::with_capacity(order.len());
+        for (_, k) in order {
+            let obj = objs[k].borrow();
             let (data, p, l) = P::compute(&obj.pdf, &self.catalog);
             pcr_nanos += p;
             lp_nanos += l;
-            staged.push((data, storable_mbr(&obj.pdf), encode_object(obj), obj.id));
+            let addr = self
+                .heap
+                .insert(&encode_object(obj))
+                // xlint: allow(panic-freedom) -- invariant: heap store failed during bulk load
+                .expect("heap store failed during bulk load");
+            records.push(P::leaf(
+                data,
+                storable_mbr(&obj.pdf),
+                addr,
+                obj.id,
+                &self.catalog,
+            ));
         }
-        if staged.is_empty() {
-            return InsertStats {
-                pcr_nanos,
-                lp_nanos,
-                ..InsertStats::default()
-            };
-        }
-        let leaf_cap = self.tree.codec().leaf_capacity();
-        str_order_by(&mut staged, leaf_cap, &|t: &(
-            P::Data,
-            Rect<D>,
-            Vec<u8>,
-            u64,
-        )| t.1.center().coords);
-        let reads0 = self.tree.io_stats().reads();
-        let writes0 = self.tree.io_stats().writes();
-        let records: Vec<P::Leaf> = staged
-            .into_iter()
-            .map(|(data, mbr, bytes, id)| {
-                let addr = self
-                    .heap
-                    .insert(&bytes)
-                    // xlint: allow(panic-freedom) -- invariant: heap store failed during bulk load
-                    .expect("heap store failed during bulk load");
-                P::leaf(data, mbr, addr, id, &self.catalog)
-            })
-            .collect();
         self.tree
             .bulk_rebuild_ordered(records)
             // xlint: allow(panic-freedom) -- invariant: index store failed during bulk load
@@ -1168,7 +1166,7 @@ mod tests {
     fn insert_stats_report_cpu_breakdown() {
         let mut tree = UTree::<2>::new(UCatalog::paper_utree_default());
         let stats = tree.insert(&ball(1, 5000.0, 5000.0, 250.0));
-        assert!(stats.lp_nanos > 0, "Simplex time must be measured");
+        assert!(stats.lp_nanos > 0, "CFB fitting time must be measured");
         assert!(stats.pcr_nanos > 0, "PCR time must be measured");
         assert!(stats.io_writes > 0, "insertion must write pages");
     }

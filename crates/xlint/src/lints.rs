@@ -13,6 +13,9 @@ pub enum Lint {
     /// `unwrap`/`expect` directly on a fallible `PageStore`/`Wal`-style
     /// I/O call.
     IoFallibility,
+    /// `partial_cmp(…)` defaulted with `unwrap_or…`: not a total order
+    /// once a key is NaN, and `sort_by` may panic on it.
+    TotalOrder,
     /// Taking a pool shard latch while a backend `RwLock` guard is live
     /// (inverts the strict shard → backend order).
     LockOrder,
@@ -33,6 +36,7 @@ impl Lint {
         match self {
             Lint::PanicFreedom => "panic-freedom",
             Lint::IoFallibility => "io-fallibility",
+            Lint::TotalOrder => "total-order",
             Lint::LockOrder => "lock-order",
             Lint::AtomicsJustification => "atomics-justification",
             Lint::DocCoverage => "doc-coverage",
@@ -46,6 +50,7 @@ impl Lint {
         &[
             Lint::PanicFreedom,
             Lint::IoFallibility,
+            Lint::TotalOrder,
             Lint::LockOrder,
             Lint::AtomicsJustification,
             Lint::DocCoverage,
@@ -131,7 +136,8 @@ fn truncate(s: &str) -> String {
     }
 }
 
-/// Runs the enabled lints over one file.
+/// Runs the enabled lints over one file; `total-order` runs on every
+/// scanned file.
 pub fn run_all(file: &SourceFile, set: LintSet, out: &mut Vec<Finding>) {
     if set.panic_freedom {
         panic_freedom(file, out);
@@ -139,6 +145,7 @@ pub fn run_all(file: &SourceFile, set: LintSet, out: &mut Vec<Finding>) {
     if set.io_fallibility {
         io_fallibility(file, out);
     }
+    total_order(file, out);
     if set.lock_order {
         lock_order(file, out);
     }
@@ -206,6 +213,39 @@ fn has_io_call(code: &str) -> bool {
         .any(|(i, _)| code.as_bytes().get(i + 7) != Some(&b')'))
 }
 
+/// Whether `pred` holds for `code_before` (line `n`'s code up to its
+/// trigger) or, when line `n` continues a chain broken across lines
+/// (starts with `.`), for one of up to three lines above it in the same
+/// statement.
+fn chain_reaches(
+    file: &SourceFile,
+    n: usize,
+    code_before: &str,
+    pred: impl Fn(&str) -> bool,
+) -> bool {
+    if pred(code_before) {
+        return true;
+    }
+    let Some(line) = file.lines.get(n - 1) else {
+        return false;
+    };
+    if !line.code.trim_start().starts_with('.') {
+        return false;
+    }
+    for back in 1..=3usize {
+        let Some(prev) = n.checked_sub(back + 1).and_then(|i| file.lines.get(i)) else {
+            break;
+        };
+        if pred(&prev.code) {
+            return true;
+        }
+        if prev.code.trim_end().ends_with(';') {
+            break; // previous statement — stop the walk
+        }
+    }
+    false
+}
+
 fn io_fallibility(file: &SourceFile, out: &mut Vec<Finding>) {
     for (n, line) in file.numbered() {
         if line.in_test {
@@ -215,29 +255,32 @@ fn io_fallibility(file: &SourceFile, out: &mut Vec<Finding>) {
         if !(code.contains(".unwrap()") || code.contains(".expect(")) {
             continue;
         }
-        // The unwrapped receiver may sit on this line or, for chained
-        // calls broken across lines, a couple of lines above.
-        let mut is_io = has_io_call(code);
-        if !is_io && code.trim_start().starts_with('.') {
-            for back in 1..=3usize {
-                let Some(prev) = n.checked_sub(back + 1).and_then(|i| file.lines.get(i)) else {
-                    break;
-                };
-                if has_io_call(&prev.code) {
-                    is_io = true;
-                    break;
-                }
-                if prev.code.trim_end().ends_with(';') {
-                    break; // previous statement — stop the walk
-                }
-            }
-        }
-        if is_io {
+        if chain_reaches(file, n, code, has_io_call) {
             out.push(finding(
                 Lint::IoFallibility,
                 file,
                 n,
                 "unwrap on io::Result",
+            ));
+        }
+    }
+}
+
+fn total_order(file: &SourceFile, out: &mut Vec<Finding>) {
+    for (n, line) in file.numbered() {
+        if line.in_test {
+            continue;
+        }
+        let code = line.code.as_str();
+        let Some(at) = code.find(".unwrap_or") else {
+            continue;
+        };
+        if chain_reaches(file, n, &code[..at], |c| c.contains("partial_cmp(")) {
+            out.push(finding(
+                Lint::TotalOrder,
+                file,
+                n,
+                "partial_cmp defaulted with unwrap_or; use total_cmp",
             ));
         }
     }
@@ -499,6 +542,18 @@ mod tests {
         let src = "fn a(s: &S) {\n    s.read_into(id, &mut buf).unwrap();\n    s.write(id, data)\n        .expect(\"boom\");\n    lk.write().unwrap();\n}\n";
         let f = run(src);
         assert_eq!(count(&f, Lint::IoFallibility), 2, "{f:?}");
+    }
+
+    #[test]
+    fn defaulted_partial_cmp_fires_including_chained_next_line() {
+        let src = "fn a(v: &mut [f64]) {\n    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Equal));\n    v.sort_by(|a, b| {\n        a.partial_cmp(b)\n            .unwrap_or(Equal)\n    });\n    v.sort_by(|a, b| a.total_cmp(b));\n    let o = a.partial_cmp(b)?;\n    x.unwrap_or(0);\n}\n";
+        let f = run(src);
+        let lines: Vec<usize> = f
+            .iter()
+            .filter(|x| x.lint == Lint::TotalOrder)
+            .map(|x| x.line)
+            .collect();
+        assert_eq!(lines, vec![2, 5], "{f:?}");
     }
 
     #[test]

@@ -27,9 +27,10 @@ pub struct ScanConfig {
 impl ScanConfig {
     /// The repo's committed configuration.
     ///
-    /// * `panic-freedom`, `lock-order` and `atomics-justification` run on
-    ///   every library crate (the bench harness, examples and the offline
-    ///   `rand` shim are exempt: they are not serving-path code).
+    /// * `panic-freedom`, `total-order`, `lock-order` and
+    ///   `atomics-justification` run on every library crate (the bench
+    ///   harness, examples and the offline `rand` shim are exempt: they are
+    ///   not serving-path code).
     /// * `io-fallibility` runs where `PageStore`/`Wal` calls live:
     ///   `store`, `rstar` and `core`.
     /// * `doc-coverage` runs on the crates whose rustdoc is the public

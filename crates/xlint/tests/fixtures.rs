@@ -57,6 +57,22 @@ fn io_fallibility_flags_store_calls_including_chains() {
 }
 
 #[test]
+fn total_order_flags_defaulted_partial_cmp_including_chains() {
+    let r = analyze(&fixture_root(), &ScanConfig::all_lints_in("violations")).unwrap();
+    let file = "violations/order.rs";
+    let lines: Vec<usize> = r
+        .findings
+        .iter()
+        .filter(|f| f.file == file && f.lint == Lint::TotalOrder && !f.waived)
+        .map(|f| f.line)
+        .collect();
+    // Same line, split across lines (reported on the `unwrap_or` line),
+    // `unwrap_or_else`; `total_cmp`, a `?`-propagated `partial_cmp`, an
+    // unrelated `unwrap_or` and the test module are clean.
+    assert_eq!(lines, vec![4, 11, 16], "{}", r.to_json());
+}
+
+#[test]
 fn lock_order_flags_shard_after_backend_only() {
     let r = analyze(&fixture_root(), &ScanConfig::all_lints_in("violations")).unwrap();
     let file = "violations/locks.rs";

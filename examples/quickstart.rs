@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let load = tree.bulk_load(&objects);
     println!(
-        "indexed {} objects ({} page writes, {:.1} µs of Simplex CFB fitting)",
+        "indexed {} objects ({} page writes, {:.1} µs of CFB fitting)",
         tree.len(),
         load.io_writes,
         load.lp_nanos as f64 / 1e3

@@ -8,7 +8,8 @@
 //!
 //! * [`geom`] — d-dimensional geometry;
 //! * [`pdf`] — pdf models, marginal CDFs, appearance probability;
-//! * [`lp`] — the Simplex solver behind CFB fitting;
+//! * [`lp`] — the Simplex solver of the paper's Sec 4.4 CFB LPs (CFB
+//!   fitting uses their closed form, and the LP only when Eq. 14 binds);
 //! * [`store`] — paged storage behind the [`store::PageStore`] trait:
 //!   in-memory page file, durable disk file, LRU buffer pool;
 //! * [`rstar`] — the generic R*-tree machinery (insertion, forced

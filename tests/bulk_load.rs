@@ -4,11 +4,14 @@
 //! equivalence must survive a save/open round trip and a WAL recovery.
 //! Plus the `InsertStats` regression tests for the loop path.
 
+mod common;
+
 use std::path::PathBuf;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use utree_repro::index::{Cfbs, FilterPayload, IndexBackend, Pcrs, ProbTree};
 use utree_repro::prelude::*;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -328,4 +331,78 @@ fn packed_bulk_load_stats_are_build_level() {
     let zero = empty.bulk_load(Vec::<UncertainObject<2>>::new());
     assert_eq!(zero, InsertStats::default());
     assert!(empty.is_empty());
+}
+
+/// Digests of a saved tree's node and heap pages.
+fn page_digests<const D: usize, P: FilterPayload<D>>(
+    tree: &ProbTree<D, P>,
+    name: &str,
+) -> [u64; 2] {
+    let dir = temp_dir(name);
+    tree.save(&dir).unwrap();
+    let digests = ["index.pg", "heap.pg"].map(|f| common::file_fnv(&dir.join(f)));
+    let _ = std::fs::remove_dir_all(&dir);
+    digests
+}
+
+/// The I/O half of `InsertStats` (the CPU clocks differ run to run).
+fn io_counts(stats: &InsertStats) -> (u64, u64) {
+    (stats.io_reads, stats.io_writes)
+}
+
+/// Borrowed, owned and filtered (no lower size bound) inputs all build
+/// the same pages: `bulk_load` orders by position in the collected input,
+/// never by how the iterator delivered it.
+fn every_input_form_builds_the_same<P: FilterPayload<2>>(name: &str)
+where
+    ProbTree<2, P>: IndexBackend<2>,
+{
+    let objs = dataset::<2>(500, 123);
+    let build = || ProbTree::<2, P>::builder().build().unwrap();
+    let mut borrowed = build();
+    let want_stats = borrowed.bulk_load(&objs);
+    let want = page_digests(&borrowed, &format!("{name}-borrowed"));
+    assert!(want_stats.io_writes > 0);
+
+    let mut owned = build();
+    let stats = owned.bulk_load(objs.clone());
+    assert_eq!(page_digests(&owned, &format!("{name}-owned")), want);
+    assert_eq!(io_counts(&stats), io_counts(&want_stats));
+
+    let mut filtered = build();
+    let iter = objs.iter().filter(|_| true);
+    assert_eq!(iter.size_hint(), (0, Some(objs.len())));
+    let stats = filtered.bulk_load(iter);
+    assert_eq!(page_digests(&filtered, &format!("{name}-filtered")), want);
+    assert_eq!(io_counts(&stats), io_counts(&want_stats));
+
+    let mut empty = build();
+    assert_eq!(
+        empty.bulk_load(objs.iter().filter(|_| false)),
+        InsertStats::default()
+    );
+    assert!(empty.is_empty());
+}
+
+#[test]
+fn every_input_form_builds_the_same_utree() {
+    every_input_form_builds_the_same::<Cfbs>("forms-utree");
+    // A one-shard `ShardedIndex` routes every object to its only shard,
+    // which must come out as the directly bulk-loaded tree.
+    let objs = dataset::<2>(500, 123);
+    let mut direct = UTree::<2>::builder().build().unwrap();
+    let want_stats = direct.bulk_load(&objs);
+    let mut sharded =
+        ShardedIndex::<2>::new(UTree::<2>::default_catalog(), TreeConfig::default(), 1);
+    let stats = sharded.bulk_load(&objs);
+    assert_eq!(
+        page_digests(&sharded.shards()[0], "forms-sharded"),
+        page_digests(&direct, "forms-direct")
+    );
+    assert_eq!(io_counts(&stats), io_counts(&want_stats));
+}
+
+#[test]
+fn every_input_form_builds_the_same_upcr() {
+    every_input_form_builds_the_same::<Pcrs>("forms-upcr");
 }
