@@ -283,22 +283,49 @@ fn lp_inner<const D: usize>(pcrs: &PcrSet<D>, catalog: &UCatalog, i: usize, inne
 fn repair<const D: usize>(pair: &mut CfbPair<D>, pcrs: &PcrSet<D>, ps: &[f64]) {
     let CfbPair { outer, inner } = pair;
     for i in 0..D {
-        let mut out_lo_shift = 0.0f64; // need face_lo <= pcr_lo
-        let mut out_hi_shift = 0.0f64;
-        let mut in_lo_shift = 0.0f64; // need face_lo >= pcr_lo
-        let mut in_hi_shift = 0.0f64;
-        for (j, &p) in ps.iter().enumerate() {
-            let r = pcrs.rect(j);
-            out_lo_shift = out_lo_shift.max(outer.face_lo(i, p) - r.min[i]);
-            out_hi_shift = out_hi_shift.max(r.max[i] - outer.face_hi(i, p));
-            in_lo_shift = in_lo_shift.max(r.min[i] - inner.face_lo(i, p));
-            in_hi_shift = in_hi_shift.max(inner.face_hi(i, p) - r.max[i]);
-        }
-        outer.alpha.min[i] -= out_lo_shift;
-        outer.alpha.max[i] += out_hi_shift;
-        inner.alpha.min[i] += in_lo_shift;
-        inner.alpha.max[i] -= in_hi_shift;
+        let lo = |j: usize| pcrs.rect(j).min[i];
+        let hi = |j: usize| pcrs.rect(j).max[i];
+        outer.alpha.min[i] =
+            shift_until_feasible(outer.alpha.min[i], outer.beta_lo[i], true, ps, lo);
+        outer.alpha.max[i] =
+            shift_until_feasible(outer.alpha.max[i], outer.beta_hi[i], false, ps, hi);
+        inner.alpha.min[i] =
+            shift_until_feasible(inner.alpha.min[i], inner.beta_lo[i], false, ps, lo);
+        inner.alpha.max[i] =
+            shift_until_feasible(inner.alpha.max[i], inner.beta_hi[i], true, ps, hi);
     }
+}
+
+/// The intercept that puts the face `alpha − beta·p` at or `below` (else
+/// at or above) every PCR face `c(j)`, evaluated as [`Cfb`] evaluates it.
+///
+/// A shift under half an ulp of `alpha` rounds away (a face through exact
+/// values, as a histogram's can be, may need one), so every step moves at
+/// least one ulp. A NaN face counts as no violation.
+fn shift_until_feasible(
+    mut alpha: f64,
+    beta: f64,
+    below: bool,
+    ps: &[f64],
+    c: impl Fn(usize) -> f64,
+) -> f64 {
+    // Bounded only against a pathological input: a step covers the whole
+    // violation unless it rounds away, so one or two steps end the loop.
+    for _ in 0..64 {
+        let worst = ps.iter().enumerate().fold(0.0f64, |w, (j, &p)| {
+            let face = alpha - beta * p;
+            w.max(if below { face - c(j) } else { c(j) - face })
+        });
+        if worst <= 0.0 {
+            break;
+        }
+        alpha = if below {
+            (alpha - worst).min(alpha.next_down())
+        } else {
+            (alpha + worst).max(alpha.next_up())
+        };
+    }
+    alpha
 }
 
 #[cfg(test)]
@@ -369,9 +396,10 @@ mod tests {
                 pair.outer.eval(p).contains_rect(pcrs.rect(j)),
                 "outer at {p}"
             );
-            // Con-Gau marginals are tabulated (1024-cell grid), so the
-            // degenerate pcr(0.5) point carries ~1e-3 of quantile noise;
-            // 0.05 is still 4 orders below the radius-250 object scale.
+            // Con-Gau marginals come from a shared 1024-cell unit table;
+            // here the degenerate pcr(0.5) point is the center to the last
+            // bit, and the inner CFB misses it only by its f32 rounding
+            // (~6e-5). 0.05 is 4 orders below the radius-250 object scale.
             assert!(
                 contains_eps(pcrs.rect(j), &pair.inner.eval(p), 0.05),
                 "inner at {p}: pcr={:?} cfb_in={:?}",

@@ -7,6 +7,7 @@
 //! density evaluation, uniform support sampling, per-dimension marginal
 //! CDFs — has simple exact forms.
 
+use crate::marginal::NumericMarginal;
 use rand::Rng;
 use uncertain_geom::{Point, Rect};
 
@@ -146,27 +147,29 @@ impl<const D: usize> HistogramPdf<D> {
     }
 
     /// `P(X_dim <= t)`: exact piecewise-linear marginal CDF.
+    ///
+    /// Collapses the grid on every call; to evaluate more than one `t`,
+    /// hold the [`crate::ObjectPdf::marginal`] of the histogram instead.
     pub fn marginal_cdf(&self, dim: usize, t: f64) -> f64 {
+        self.marginal(dim).cdf(t)
+    }
+
+    /// The exact marginal of dimension `dim`: the grid collapsed onto
+    /// that axis once, in O(cells).
+    pub(crate) fn marginal(&self, dim: usize) -> NumericMarginal {
         assert!(dim < D);
-        if t <= self.rect.min[dim] {
-            return 0.0;
-        }
-        if t >= self.rect.max[dim] {
-            return 1.0;
-        }
-        // Collapse the grid onto `dim`.
-        let mut slab = vec![0.0; self.bins[dim]];
+        let n = self.bins[dim];
+        // Row-major with dimension 0 slowest: the index along `dim`
+        // advances once every `stride` cells.
+        let stride: usize = self.bins[dim + 1..].iter().product();
+        let mut cum = vec![0.0; n + 1];
         for (flat, &m) in self.mass.iter().enumerate() {
-            let idx = Self::unflatten(flat, &self.bins);
-            slab[idx[dim]] += m;
+            cum[1 + (flat / stride) % n] += m;
         }
-        let w = self.rect.extent(dim) / self.bins[dim] as f64;
-        let pos = (t - self.rect.min[dim]) / w;
-        let k = (pos.floor() as usize).min(self.bins[dim] - 1);
-        let frac = pos - k as f64;
-        let mut acc: f64 = slab[..k].iter().sum();
-        acc += slab[k] * frac;
-        acc.clamp(0.0, 1.0)
+        for k in 1..=n {
+            cum[k] += cum[k - 1];
+        }
+        NumericMarginal::from_cumulative(cum, self.rect.min[dim], self.rect.max[dim])
     }
 
     /// Draws a point *from the pdf itself* (used by tests; the Monte-Carlo

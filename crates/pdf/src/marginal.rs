@@ -2,17 +2,18 @@
 //!
 //! PCR computation (paper Sec 4.1) reduces to inverting the per-dimension
 //! cumulative density `o.cdf(x_i)`. For models without a closed form
-//! (Constrained-Gaussian) we tabulate the marginal density on a uniform grid
-//! once per object/dimension and reuse the table for every quantile query —
-//! this keeps index construction at tens of thousands of objects cheap.
-
-use crate::math::bisect_monotone;
+//! (Constrained-Gaussian, uniform balls in D ≥ 4) the marginal, written in
+//! `u = (x − c)/r`, depends only on the object's shape, not on its center
+//! or radius. So a [`NumericMarginal`] is tabulated once per shape on
+//! `[−1, 1]` and shared by every object of that shape (see
+//! `MarginalCdf::UnitTable` in the model module): inserting an object
+//! costs a table lookup, not a tabulation.
 
 /// Number of grid cells used by default when tabulating a marginal density.
 ///
 /// The trapezoid error is O((range/N)²) relative to the range; with N = 1024
-/// and the paper's radius-250 regions this is sub-1e-5 of the domain — far
-/// below the query-side tolerances.
+/// on a unit table this is sub-1e-5 of the object's diameter — far below
+/// the query-side tolerances.
 pub const DEFAULT_GRID: usize = 1024;
 
 /// A monotone piecewise-linear CDF on `[lo, hi]`, normalised to end at 1.
@@ -30,7 +31,6 @@ impl NumericMarginal {
     /// Tabulates `density` on `[lo, hi]` with `n` cells using the composite
     /// trapezoid rule, then normalises.
     pub fn from_density<F: Fn(f64) -> f64>(density: F, lo: f64, hi: f64, n: usize) -> Self {
-        assert!(hi > lo, "marginal support must be non-degenerate");
         assert!(n >= 2);
         let h = (hi - lo) / n as f64;
         let mut cdf = Vec::with_capacity(n + 1);
@@ -44,7 +44,18 @@ impl NumericMarginal {
             cdf.push(acc);
             prev = cur;
         }
-        let total_mass = acc;
+        Self::from_cumulative(cdf, lo, hi)
+    }
+
+    /// The CDF through cumulative masses `cum[k]` at `lo + k·(hi − lo)/n`,
+    /// `n = cum.len() − 1`, with `cum[0] = 0`; normalised by `cum[n]`.
+    /// Exact for a density that is constant on each cell, such as a
+    /// histogram's marginal.
+    pub(crate) fn from_cumulative(mut cdf: Vec<f64>, lo: f64, hi: f64) -> Self {
+        assert!(hi > lo, "marginal support must be non-degenerate");
+        assert!(cdf.len() >= 2, "a marginal needs at least one cell");
+        let n = cdf.len() - 1;
+        let total_mass = cdf[n];
         assert!(
             total_mass > 0.0 && total_mass.is_finite(),
             "marginal density must have positive finite mass, got {total_mass}"
@@ -90,7 +101,8 @@ impl NumericMarginal {
     }
 
     /// Smallest `t` with `P(X <= t) >= p` (linear interpolation inside the
-    /// straddling cell). `p` outside `[0,1]` clamps to the support ends.
+    /// straddling cell): on a flat (zero-mass) stretch, its left end. `p`
+    /// outside `[0,1]` clamps to the support ends.
     pub fn quantile(&self, p: f64) -> f64 {
         if p <= 0.0 {
             return self.lo;
@@ -98,7 +110,9 @@ impl NumericMarginal {
         if p >= 1.0 {
             return self.hi;
         }
-        // Binary search for the straddling cell.
+        // Binary search for the straddling cell, keeping cdf[a] < p <=
+        // cdf[b]: the cell found has mass, and every cell left of it ends
+        // below p.
         let mut a = 0;
         let mut b = self.cdf.len() - 1;
         while b - a > 1 {
@@ -113,18 +127,7 @@ impl NumericMarginal {
         let h = (self.hi - self.lo) / n as f64;
         let ca = self.cdf[a];
         let cb = self.cdf[b];
-        let x_a = self.lo + a as f64 * h;
-        if cb <= ca {
-            // Flat cell: every point has the same CDF; bisect for stability.
-            return bisect_monotone(
-                &|t| self.cdf(t),
-                x_a,
-                x_a + h,
-                p,
-                1e-12 * (self.hi - self.lo),
-            );
-        }
-        x_a + h * (p - ca) / (cb - ca)
+        self.lo + a as f64 * h + h * (p - ca) / (cb - ca)
     }
 }
 

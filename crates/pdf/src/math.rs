@@ -114,9 +114,10 @@ pub fn std_normal_cdf(z: f64) -> f64 {
 
 /// Fast error function (Abramowitz & Stegun 7.1.26, |ε| < 1.5e-7).
 ///
-/// Used in hot tabulation loops (Con-Gau marginals are sampled ~10³ times
-/// per object insertion) where the incomplete-gamma `erf` would dominate;
-/// 1.5e-7 is far below the grid error of the tabulation itself.
+/// Used in tabulation loops (a Con-Gau unit marginal samples it ~10³
+/// times, once per distinct `(D, r/σ)` shape) where the incomplete-gamma
+/// `erf` would dominate; 1.5e-7 is far below the grid error of the
+/// tabulation itself.
 pub fn erf_fast(x: f64) -> f64 {
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
