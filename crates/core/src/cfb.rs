@@ -48,21 +48,15 @@ impl<const D: usize> Cfb<D> {
         self.alpha.max[i] - self.beta_hi[i] * p
     }
 
-    /// The box at probability `p`. Numerically inverted faces (possible for
-    /// inner boxes near `p = 0.5`) collapse to their midpoint.
+    /// The box at probability `p`, face by face. Each face of an inner box
+    /// is conservative on its own, and at `p = 0.5` (where the PCR is a
+    /// point) inward rounding may leave the box empty with crossed faces;
+    /// the filter rules compare one face at a time, so they stay sound.
     pub fn eval(&self, p: f64) -> Rect<D> {
-        let mut min = [0.0; D];
-        let mut max = [0.0; D];
-        for i in 0..D {
-            min[i] = self.face_lo(i, p);
-            max[i] = self.face_hi(i, p);
-            if min[i] > max[i] {
-                let mid = 0.5 * (min[i] + max[i]);
-                min[i] = mid;
-                max[i] = mid;
-            }
+        Rect {
+            min: std::array::from_fn(|i| self.face_lo(i, p)),
+            max: std::array::from_fn(|i| self.face_hi(i, p)),
         }
-        Rect { min, max }
     }
 
     /// Rounds every parameter so the evaluated box can only *grow* under
@@ -347,13 +341,6 @@ mod tests {
         }
     }
 
-    /// Containment up to the numeric tolerance of PCR quantiles: at
-    /// p = 0.5 the PCR degenerates to a point whose coordinates carry the
-    /// bisection tolerance, so exact containment is not meaningful there.
-    fn contains_eps(outer: &Rect<2>, inner: &Rect<2>, eps: f64) -> bool {
-        rstar_base::rect_covers_eps(outer, inner, eps)
-    }
-
     #[test]
     fn outer_contains_every_pcr() {
         let cat = UCatalog::uniform(8);
@@ -375,7 +362,7 @@ mod tests {
         for (j, &p) in cat.values().iter().enumerate() {
             let inn = pair.inner.eval(p);
             assert!(
-                contains_eps(pcrs.rect(j), &inn, 1e-6),
+                pcrs.rect(j).contains_rect(&inn),
                 "pcr({p}) = {:?} must contain cfb_in = {inn:?}",
                 pcrs.rect(j)
             );
@@ -396,12 +383,8 @@ mod tests {
                 pair.outer.eval(p).contains_rect(pcrs.rect(j)),
                 "outer at {p}"
             );
-            // Con-Gau marginals come from a shared 1024-cell unit table;
-            // here the degenerate pcr(0.5) point is the center to the last
-            // bit, and the inner CFB misses it only by its f32 rounding
-            // (~6e-5). 0.05 is 4 orders below the radius-250 object scale.
             assert!(
-                contains_eps(pcrs.rect(j), &pair.inner.eval(p), 0.05),
+                pcrs.rect(j).contains_rect(&pair.inner.eval(p)),
                 "inner at {p}: pcr={:?} cfb_in={:?}",
                 pcrs.rect(j),
                 pair.inner.eval(p)
@@ -471,7 +454,7 @@ mod tests {
         };
         for j in 0..cat.len() {
             assert!(view.outer(j).contains_rect(pcrs.rect(j)));
-            assert!(contains_eps(pcrs.rect(j), &view.inner(j), 1e-6));
+            assert!(pcrs.rect(j).contains_rect(&view.inner(j)));
         }
     }
 

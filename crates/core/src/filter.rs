@@ -38,11 +38,15 @@ pub enum FilterOutcome {
 
 /// Conservative access to an object's PCR at catalog index `j`.
 ///
-/// Contract: `outer(j) ⊇ pcr(p_j) ⊇ inner(j)` for every `j`.
+/// Contract: `outer(j) ⊇ pcr(p_j) ⊇ inner(j)` for every `j`, face by
+/// face: every lower face of `inner(j)` lies at or above the PCR's and
+/// every upper face at or below it. At `p_j = 0.5` the PCR is a point and
+/// `inner(j)` may be empty (crossed faces); the rules never need it to be
+/// a valid box, because each compares one face at a time.
 pub trait PcrAccess<const D: usize> {
     /// A rectangle containing `pcr(p_j)`.
     fn outer(&self, j: usize) -> Rect<D>;
-    /// A rectangle contained in `pcr(p_j)`.
+    /// A rectangle whose every face lies inside `pcr(p_j)`'s.
     fn inner(&self, j: usize) -> Rect<D>;
 }
 

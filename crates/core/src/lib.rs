@@ -36,8 +36,8 @@
 //! best-first, lazily-refining traversal that computes only a fraction of
 //! the appearance probabilities a scan would. The trees are additionally generic over their
 //! [`page_store::PageStore`]: `save(dir)` persists an index on disk and
-//! [`DiskUTree`]`::open(dir, frames)` reopens it cold through a latched
-//! LRU buffer pool with identical query answers.
+//! [`DiskUTree`]`::open(dir, frames)` reopens it cold through an LRU
+//! buffer pool with identical query answers.
 //!
 //! Queries are **read-only** (`&self` end-to-end; per-query state lives in
 //! a [`QueryCtx`]), so one shared index serves concurrent readers, one

@@ -301,9 +301,6 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
     /// was saved; its logical I/O counters behave exactly like the
     /// in-memory tree's, while the pools' backend counters report the
     /// physical reads that actually hit the disk files.
-    ///
-    /// Pool latching is automatic (small pools exact-LRU, large pools
-    /// striped for concurrent readers).
     pub fn open<Q: AsRef<Path>>(dir: Q, buffer_pages: usize) -> io::Result<Self> {
         let dir = dir.as_ref();
         let (meta, index, heap) = persist::open_parts(dir, P::KIND, D, buffer_pages)?;

@@ -12,9 +12,8 @@
 //!   (positional I/O, free list persisted in a superblock), so indexes can
 //!   be saved and reopened cold;
 //! * [`BufferPool`] — a capacity-bounded LRU cache over any backend with
-//!   dirty-page write-back, lock-striped into per-shard latches so
-//!   concurrent readers of a shared index don't serialise on one global
-//!   lock. Its own [`IoStats`] count *logical* accesses (plus cache
+//!   dirty-page write-back behind one latch, so a shared index can serve
+//!   concurrent readers. Its own [`IoStats`] count *logical* accesses (plus cache
 //!   hits/misses); the wrapped backend keeps counting *physical*
 //!   transfers.
 //!

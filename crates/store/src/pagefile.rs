@@ -54,7 +54,7 @@ pub type PageId = u64;
 /// threads at once. Implementations that are `Sync` must keep those
 /// `&self` paths safe under concurrent callers (the in-memory file reads
 /// immutable pages, the disk file uses positional I/O, the buffer pool
-/// latches per shard). Mutating methods keep `&mut self`, so updates
+/// takes one latch). Mutating methods keep `&mut self`, so updates
 /// remain exclusive by construction.
 pub trait PageStore {
     /// Allocates a zeroed page (reusing freed pages first; uncounted).

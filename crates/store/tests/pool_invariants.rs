@@ -112,21 +112,12 @@ fn random_ops_respect_invariants_in_memory() {
 }
 
 #[test]
-fn random_ops_respect_invariants_across_shard_counts() {
-    // The same oracle holds whatever the latch striping: sharding changes
-    // *which* frame is evicted, never coherence or the counting contract.
-    for (capacity, shards, seed) in [(4usize, 2usize, 11u64), (8, 4, 12), (16, 8, 13), (9, 3, 14)] {
-        let mut pool = BufferPool::with_shards(PageFile::new(), capacity, shards);
-        drive(&mut pool, capacity, seed, 2_000);
-    }
-}
-
-#[test]
-fn single_latch_physical_reads_never_grow_with_capacity() {
-    // One latch is exact global LRU, and LRU is a stack algorithm: the
-    // pages resident at capacity c are a subset of those resident at any
-    // larger capacity, so one trace replayed through growing pools can
-    // only miss less. (Latch striping deliberately trades this away.)
+fn physical_reads_never_grow_with_capacity() {
+    // The pool evicts in exact global LRU order, and LRU is a stack
+    // algorithm: the pages resident at capacity c are a subset of those
+    // resident at any larger capacity, so one trace replayed through
+    // growing pools can only miss less. The capacities are the ones the
+    // benchmark's pools use.
     const PAGES: u64 = 400;
     let mut rng = SmallRng::seed_from_u64(23);
     // 70 % of reads go to a 48-page hot set, the rest anywhere.
@@ -136,14 +127,14 @@ fn single_latch_physical_reads_never_grow_with_capacity() {
             _ => rng.gen_range(0..PAGES),
         })
         .collect();
-    let physical: Vec<u64> = [4usize, 16, 64, 256]
+    let physical: Vec<u64> = [4usize, 16, 32, 64, 256, 1024]
         .iter()
         .map(|&capacity| {
             let mut file = PageFile::new();
             for _ in 0..PAGES {
                 file.allocate().unwrap();
             }
-            let pool = BufferPool::with_shards(file, capacity, 1);
+            let pool = BufferPool::new(file, capacity);
             for &id in &trace {
                 pool.read_page(id).unwrap();
             }
@@ -155,17 +146,17 @@ fn single_latch_physical_reads_never_grow_with_capacity() {
         "physical reads grew with capacity: {physical:?}"
     );
     assert!(
-        physical[3] < physical[0],
+        physical[physical.len() - 1] < physical[0],
         "the trace never exercised the cache: {physical:?}"
     );
 }
 
 #[test]
 fn concurrent_readers_observe_flushed_writes_exactly() {
-    // Fill a sharded pool, flush, then hammer it with counted reads from
-    // many threads: every read must return the exact page image, resident
+    // Fill a pool, flush, then hammer it with counted reads from many
+    // threads: every read must return the exact page image, resident
     // frames must stay bounded, and afterwards hits + misses == reads.
-    let mut pool = BufferPool::with_shards(PageFile::new(), 12, 4);
+    let mut pool = BufferPool::new(PageFile::new(), 12);
     let mut rng = SmallRng::seed_from_u64(41);
     let mut expected: HashMap<PageId, u64> = HashMap::new();
     for _ in 0..80 {
