@@ -211,7 +211,7 @@ impl<const D: usize> FilterPayload<D> for Cfbs {
 /// yields a disk-backed tree (aliases `DiskUTree` / `DiskUPcrTree`)
 /// reading a [`ProbTree::save`]d index cold from disk through a bounded
 /// LRU cache over a crash-safe write-ahead log — updates become durable
-/// via [`ProbTree::commit`]/`flush`, and reopening after a crash recovers
+/// via [`ProbTree::commit`], and reopening after a crash recovers
 /// a committed prefix. Query results are byte-identical across backends —
 /// only the I/O cost model changes.
 ///
@@ -348,11 +348,6 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
         let meta = persist::encode_meta(&self.saved_meta());
         let wal = self.wal_handle();
         commit_group(&wal, &mut self.journals()?, Some(&meta))
-    }
-
-    /// Same as [`Self::commit`].
-    pub fn flush(&mut self) -> io::Result<()> {
-        self.commit()
     }
 
     /// This tree's share of a WAL batch, ready for [`commit_group`]: pool

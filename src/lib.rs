@@ -8,8 +8,6 @@
 //!
 //! * [`geom`] — d-dimensional geometry;
 //! * [`pdf`] — pdf models, marginal CDFs, appearance probability;
-//! * [`lp`] — the Simplex solver of the paper's Sec 4.4 CFB LPs (CFB
-//!   fitting uses their closed form, and the LP only when Eq. 14 binds);
 //! * [`store`] — paged storage behind the [`store::PageStore`] trait:
 //!   in-memory page file, durable disk file, LRU buffer pool;
 //! * [`rstar`] — the generic R*-tree machinery (insertion, forced
@@ -72,7 +70,6 @@
 pub use datagen as data;
 pub use page_store as store;
 pub use rstar_base as rstar;
-pub use simplex_lp as lp;
 pub use uncertain_geom as geom;
 pub use uncertain_pdf as pdf;
 pub use utree as index;

@@ -151,7 +151,7 @@ fn reopened_tree_supports_further_updates() {
     }
     assert_eq!(reopened.len(), 210);
     reopened.check_invariants().expect("tree stays sound");
-    reopened.flush().expect("flush to disk");
+    reopened.commit().expect("commit to disk");
 
     // Everything — old and new — answers a domain-spanning query.
     let everything = Query::range(Rect::new([0.0, 0.0], [10_000.0, 10_000.0]))
@@ -162,11 +162,11 @@ fn reopened_tree_supports_further_updates() {
     let out = reopened.execute(&everything);
     assert_eq!(out.len(), 210);
 
-    // flush() persisted pages AND metadata: a cold reopen sees the
+    // commit() persisted pages AND metadata: a cold reopen sees the
     // post-update superstructure, not the originally saved one.
     drop(reopened);
     let cold = DiskUTree::<2>::open(&dir, 16).unwrap();
-    assert_eq!(cold.len(), 210, "flush must persist the updated metadata");
+    assert_eq!(cold.len(), 210, "commit must persist the updated metadata");
     cold.check_invariants().unwrap();
     assert_eq!(cold.execute(&everything).matches, out.matches);
 

@@ -10,12 +10,12 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use simplex_lp::LinearProgram;
 use utree_repro::data;
 use utree_repro::geom::{Point, Rect};
 use utree_repro::index::{
     filter_object_planned, fit_cfb_pair, CfbView, FilterOutcome, PcrSet, PreparedQuery, UCatalog,
 };
-use utree_repro::lp::LinearProgram;
 use utree_repro::pdf::{appearance_reference, ObjectPdf};
 
 const CASES: usize = 64;
