@@ -25,11 +25,13 @@
 //!
 //! * **commit** is [`page_store::wal::commit_group`] (the write-ahead
 //!   rule);
-//! * **recovery on open** is [`recover`]: scan the log, discard a torn or
-//!   uncommitted tail, replay every committed batch onto the snapshot
-//!   files (store tag = position in the segment list), and hand back the
-//!   journaled, pool-wrapped stores plus the log's last metadata blob —
-//!   which, when present, is authoritative over the metadata file. Full
+//! * **recovery on open** is [`recover`]: open the snapshot files first
+//!   (a directory missing one is refused before its log is created or
+//!   truncated), then let [`Wal::recover`] replay every committed batch
+//!   onto them in one pass over the log (store tag = position in the
+//!   segment list) and cut off a torn or uncommitted tail, and hand back
+//!   the journaled, pool-wrapped stores plus the log's last metadata blob
+//!   — which, when present, is authoritative over the metadata file. Full
 //!   page images make the replay idempotent over any partially-applied
 //!   base, so a crash at any point — mid-append, mid-apply, even
 //!   mid-checkpoint — lands on some committed prefix;
@@ -39,9 +41,10 @@
 //! Every replacement write goes through [`page_store::replace_file`]
 //! (temp file → fsync → rename → fsync the parent directory).
 
-use page_store::wal::{self, Wal, WalStore};
+use crate::DiskStore;
 use page_store::{
-    replace_file, BufferPool, ByteReader, ByteWriter, DiskPageFile, PageId, PageStore, PAGE_SIZE,
+    replace_file, BufferPool, ByteReader, ByteWriter, DiskPageFile, PageId, PageStore,
+    ReplayTarget, Wal, WalStore, PAGE_SIZE,
 };
 use rstar_base::TreeConfig;
 use std::io;
@@ -60,10 +63,6 @@ pub(crate) const KIND_UPCR: u8 = 1;
 
 const MAGIC: [u8; 4] = *b"UIDX";
 const VERSION: u16 = 1;
-
-/// The node store every disk-backed tree runs on: an LRU pool over a
-/// journaling wrapper over the snapshot file.
-pub(crate) type DiskStore = BufferPool<WalStore<DiskPageFile>>;
 
 /// The part of a tree's superstructure that every update moves: where the
 /// root is, how tall and how full the tree is, and which heap page inserts
@@ -241,7 +240,8 @@ pub(crate) fn write_meta(path: &Path, meta: &SavedMeta) -> io::Result<()> {
 }
 
 pub(crate) fn read_meta(path: &Path) -> io::Result<SavedMeta> {
-    let bytes = std::fs::read(path)?;
+    let bytes = std::fs::read(path)
+        .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
     decode_meta(&bytes, &path.display())
 }
 
@@ -308,7 +308,7 @@ impl ReplayFile {
     }
 }
 
-impl wal::ReplayTarget for ReplayFile {
+impl ReplayTarget for ReplayFile {
     fn apply_image(&mut self, page: PageId, data: &[u8; PAGE_SIZE]) -> io::Result<()> {
         self.file.write(page, data)?;
         if page >= self.n_pages {
@@ -386,25 +386,23 @@ pub(crate) struct Recovered {
     pub meta: Option<Vec<u8>>,
 }
 
-/// Recovery on open, once (see the module docs): `dir`'s log is scanned
-/// and every committed batch replayed onto `segments` before any of them
-/// is wrapped for use.
+/// Recovery on open, once (see the module docs): every segment is opened
+/// first, so a missing or foreign one is refused before `dir`'s log is
+/// created or truncated; then the log replays every committed batch onto
+/// the segments before any of them is wrapped for use.
 pub(crate) fn recover(
     dir: &Path,
     segments: &[PathBuf],
     buffer_pages: usize,
 ) -> io::Result<Recovered> {
     validate_pool_params(buffer_pages)?;
-    let recovery = Wal::recover(dir.join(WAL_FILE))?;
     let mut files = open_segments(segments)?;
-    let meta = {
-        let mut targets: Vec<&mut dyn wal::ReplayTarget> = files
-            .iter_mut()
-            .map(|rf| rf as &mut dyn wal::ReplayTarget)
-            .collect();
-        wal::replay(&recovery.batches, &mut targets)?
-    };
-    let wal = Arc::new(Mutex::new(recovery.wal));
+    let mut targets: Vec<&mut dyn ReplayTarget> = files
+        .iter_mut()
+        .map(|rf| rf as &mut dyn ReplayTarget)
+        .collect();
+    let (wal, meta) = Wal::recover(dir.join(WAL_FILE), &mut targets)?;
+    let wal = Arc::new(Mutex::new(wal));
     let stores = wrap_segments(files, &wal, 0, buffer_pages)?;
     Ok(Recovered { stores, wal, meta })
 }
@@ -611,7 +609,6 @@ mod tests {
         base.flush().unwrap();
 
         let mut rf = ReplayFile::new(base);
-        use wal::ReplayTarget;
         let img = {
             let mut b = [0u8; PAGE_SIZE];
             b[..5].copy_from_slice(b"fresh");

@@ -18,6 +18,7 @@ use crate::pcr::PcrSet;
 use crate::persist;
 use crate::query::{refine_ctx, QueryCtx};
 use crate::rank::RankLeaf;
+use crate::DiskStore;
 use page_store::{
     commit_group, f32_round_down, f32_round_up, DiskPageFile, ObjectHeap, PageFile, PageStore,
     RecordAddr, Wal, WalStore,
@@ -291,7 +292,7 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
     }
 }
 
-impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
+impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, DiskStore> {
     /// Opens a [`ProbTree::save`]d index directory, reading node and heap
     /// pages from disk through two LRU buffer pools of `buffer_pages`
     /// frames each. The directory must hold this payload's structure at
@@ -316,8 +317,8 @@ impl<const D: usize, P: FilterPayload<D>> ProbTree<D, P, persist::DiskStore> {
         cfg: TreeConfig,
         shape: persist::TreeShape,
         catalog: Arc<UCatalog>,
-        index: persist::DiskStore,
-        heap: persist::DiskStore,
+        index: DiskStore,
+        heap: DiskStore,
         origin: &dyn std::fmt::Display,
     ) -> io::Result<Self> {
         shape.check(&index, &heap, origin)?;

@@ -8,7 +8,6 @@
 //! CDFs — has simple exact forms.
 
 use crate::marginal::NumericMarginal;
-use rand::Rng;
 use uncertain_geom::{Point, Rect};
 
 /// A piecewise-constant pdf on a regular grid over a rectangle.
@@ -172,29 +171,6 @@ impl<const D: usize> HistogramPdf<D> {
         NumericMarginal::from_cumulative(cum, self.rect.min[dim], self.rect.max[dim])
     }
 
-    /// Draws a point *from the pdf itself* (used by tests; the Monte-Carlo
-    /// estimator of Eq. 3 samples the support uniformly instead).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Point<D> {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        let mut chosen = self.mass.len() - 1;
-        for (i, &m) in self.mass.iter().enumerate() {
-            acc += m;
-            if u <= acc {
-                chosen = i;
-                break;
-            }
-        }
-        let idx = Self::unflatten(chosen, &self.bins);
-        let mut coords = [0.0; D];
-        for i in 0..D {
-            let w = self.rect.extent(i) / self.bins[i] as f64;
-            let lo = self.rect.min[i] + idx[i] as f64 * w;
-            coords[i] = rng.gen_range(lo..=lo + w);
-        }
-        Point::new(coords)
-    }
-
     /// Exact probability that the object lies inside `rq` (sum of clipped
     /// cell masses). Used as ground truth in tests and as a fast refinement
     /// path for histogram objects.
@@ -290,18 +266,6 @@ mod tests {
         // Density ∝ x on [0,1]²: P(X₀ <= 0.5) should be 0.25.
         let h = HistogramPdf::from_fn(Rect::new([0.0, 0.0], [1.0, 1.0]), [64, 4], |p| p.coords[0]);
         assert!((h.marginal_cdf(0, 0.5) - 0.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn sample_respects_support() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let h = uniform_grid();
-        let mut rng = SmallRng::seed_from_u64(1);
-        for _ in 0..200 {
-            let p = h.sample(&mut rng);
-            assert!(h.rect().contains_point(&p));
-        }
     }
 
     #[test]

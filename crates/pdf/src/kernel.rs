@@ -88,8 +88,7 @@ pub struct RefineScratch {
     masks: Vec<f64>,
     /// Per-sample squared distance to the ball center (ball pdfs only).
     dist2: Vec<f64>,
-    /// Monte-Carlo samples drawn through this scratch since the last
-    /// [`RefineScratch::reset_samples`].
+    /// Monte-Carlo samples drawn through this scratch.
     samples: u64,
 }
 
@@ -114,15 +113,10 @@ impl RefineScratch {
         }
     }
 
-    /// Monte-Carlo samples drawn through this scratch since the last
-    /// [`RefineScratch::reset_samples`].
+    /// Monte-Carlo samples drawn through this scratch so far (callers
+    /// take deltas per refinement pass).
     pub fn samples(&self) -> u64 {
         self.samples
-    }
-
-    /// Zeroes the sample counter (callers snapshot per refinement pass).
-    pub fn reset_samples(&mut self) {
-        self.samples = 0;
     }
 }
 
@@ -508,6 +502,11 @@ mod tests {
         let mut scratch = RefineScratch::new();
         let mc = MonteCarlo::new(100);
         let mut rng = SmallRng::seed_from_u64(1);
+        // One sampled estimate first, so the delta below starts above zero.
+        let partial = Rect::new([0.0, 0.0], [2.0, 2.0]);
+        mc.estimate_with(&prepared, &partial, &mut rng, &mut scratch);
+        let before = scratch.samples();
+        assert_eq!(before, 100);
         let disjoint = Rect::new([5.0, 5.0], [6.0, 6.0]);
         assert_eq!(
             mc.estimate_with(&prepared, &disjoint, &mut rng, &mut scratch),
@@ -518,8 +517,10 @@ mod tests {
             mc.estimate_with(&prepared, &containing, &mut rng, &mut scratch),
             1.0
         );
-        assert_eq!(scratch.samples(), 0, "short-circuits must not sample");
-        scratch.reset_samples();
-        assert_eq!(scratch.samples(), 0);
+        assert_eq!(
+            scratch.samples() - before,
+            0,
+            "short-circuits must not sample"
+        );
     }
 }

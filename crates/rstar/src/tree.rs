@@ -256,11 +256,6 @@ where
         self.height
     }
 
-    /// The metrics strategy.
-    pub fn metrics(&self) -> &M {
-        &self.metrics
-    }
-
     /// The node codec.
     pub fn codec(&self) -> &C {
         &self.codec

@@ -75,9 +75,14 @@ impl DiskPageFile {
     /// from the superblock.
     pub fn open<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let labelled = |e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&path)
+            .map_err(labelled)?;
         let mut sb = [0u8; PAGE_SIZE];
-        file.read_exact_at(&mut sb, 0)?;
+        file.read_exact_at(&mut sb, 0).map_err(labelled)?;
         if sb[..4] != MAGIC {
             return Err(corrupt(&path, "bad superblock magic"));
         }

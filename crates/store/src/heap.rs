@@ -128,44 +128,46 @@ impl<S: PageStore> ObjectHeap<S> {
     /// Reads one record (counted as one page read).
     pub fn get(&self, addr: RecordAddr) -> io::Result<Option<Vec<u8>>> {
         let buf = self.file.read_page(addr.page)?;
-        Ok(Self::record_in(&buf[..], addr.slot))
+        Self::record_in(&buf, addr)
     }
 
     /// Reads a whole page and returns every live record with its slot —
     /// the refinement step's one-I/O-per-page access path.
     pub fn page_records(&self, page: PageId) -> io::Result<Vec<(u16, Vec<u8>)>> {
         let buf = self.file.read_page(page)?;
-        let n_slots = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-        let mut out = Vec::with_capacity(n_slots);
+        let n_slots = u16::from_le_bytes([buf[0], buf[1]]);
+        let mut out = Vec::with_capacity(n_slots as usize);
         for slot in 0..n_slots {
-            if let Some(rec) = Self::record_in(&buf[..], slot as u16) {
-                out.push((slot as u16, rec));
+            if let Some(rec) = Self::record_in(&buf, RecordAddr { page, slot })? {
+                out.push((slot, rec));
             }
         }
         Ok(out)
     }
 
-    fn record_in(buf: &[u8], slot: u16) -> Option<Vec<u8>> {
-        let n_slots = u16::from_le_bytes([buf[0], buf[1]]);
-        if slot >= n_slots {
-            return None;
-        }
-        let off = HEADER + slot as usize * SLOT;
+    /// The record at `addr` in its page image `buf`: `None` for a
+    /// tombstone or a slot past the table.
+    fn record_in(buf: &[u8; PAGE_SIZE], addr: RecordAddr) -> io::Result<Option<Vec<u8>>> {
+        let Some(off) = slot_offset(buf, addr)? else {
+            return Ok(None);
+        };
         let start = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
         let len = u16::from_le_bytes([buf[off + 2], buf[off + 3]]) as usize;
         if len == 0 {
-            return None;
+            return Ok(None);
         }
-        Some(buf[start..start + len].to_vec())
+        buf.get(start..start + len)
+            .map(|rec| Some(rec.to_vec()))
+            .ok_or_else(|| corrupt_slot(addr, "record runs past the page end"))
     }
 
     /// Tombstones a record (read + write of its page). Space is not
     /// compacted — deletions in the paper's workload are index-side.
     pub fn remove(&mut self, addr: RecordAddr) -> io::Result<()> {
         let mut buf = self.file.read_page(addr.page)?;
-        let n_slots = u16::from_le_bytes([buf[0], buf[1]]);
-        assert!(addr.slot < n_slots, "remove of unknown slot");
-        let off = HEADER + addr.slot as usize * SLOT;
+        let Some(off) = slot_offset(&buf, addr)? else {
+            return Err(corrupt_slot(addr, "slot past the slot table"));
+        };
         buf[off + 2..off + 4].copy_from_slice(&0u16.to_le_bytes());
         self.file.write(addr.page, &buf[..])
     }
@@ -174,6 +176,27 @@ impl<S: PageStore> ObjectHeap<S> {
     pub fn size_bytes(&self) -> u64 {
         self.file.size_bytes()
     }
+}
+
+/// Byte offset of `addr`'s slot descriptor in its page image `buf`:
+/// `None` for a slot past the table, `InvalidData` when the table itself
+/// runs past the page.
+fn slot_offset(buf: &[u8; PAGE_SIZE], addr: RecordAddr) -> io::Result<Option<usize>> {
+    if addr.slot >= u16::from_le_bytes([buf[0], buf[1]]) {
+        return Ok(None);
+    }
+    let off = HEADER + addr.slot as usize * SLOT;
+    if off + SLOT > PAGE_SIZE {
+        return Err(corrupt_slot(addr, "slot table runs past the page end"));
+    }
+    Ok(Some(off))
+}
+
+fn corrupt_slot(addr: RecordAddr, msg: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("heap page {} slot {}: {msg}", addr.page, addr.slot),
+    )
 }
 
 #[cfg(test)]
@@ -228,6 +251,55 @@ mod tests {
         let a = h.insert(b"dead").unwrap();
         h.remove(a).unwrap();
         assert!(h.get(a).unwrap().is_none());
+    }
+
+    #[test]
+    fn corrupt_slots_are_invalid_data_not_panics() {
+        let mut h = ObjectHeap::new();
+        let a = h.insert(b"alpha").unwrap();
+        let b = h.insert(b"beta").unwrap();
+        // Slot `b` now claims 100 bytes from offset 4090: past the page end.
+        let mut page = h.file().peek_page(a.page).unwrap();
+        let off = HEADER + b.slot as usize * SLOT;
+        page[off..off + 2].copy_from_slice(&4090u16.to_le_bytes());
+        page[off + 2..off + 4].copy_from_slice(&100u16.to_le_bytes());
+        h.file_mut().write(a.page, &page[..]).unwrap();
+        let names_it = |e: io::Error| {
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                e.to_string().contains(&format!("page {} slot 1", a.page)),
+                "{e}"
+            );
+        };
+        assert_eq!(h.get(a).unwrap().unwrap(), b"alpha", "slot 0 is intact");
+        names_it(h.get(b).unwrap_err());
+        names_it(h.page_records(a.page).unwrap_err());
+        // A slot count whose table runs past the page end.
+        page[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        h.file_mut().write(a.page, &page[..]).unwrap();
+        let far = RecordAddr {
+            page: a.page,
+            slot: u16::MAX - 1,
+        };
+        assert_eq!(h.get(far).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        assert!(h.page_records(a.page).is_err());
+        assert_eq!(
+            h.remove(far).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
+        // Removing a slot the page never had is refused the same way.
+        page[0..2].copy_from_slice(&2u16.to_le_bytes());
+        h.file_mut().write(a.page, &page[..]).unwrap();
+        let unknown = RecordAddr {
+            page: a.page,
+            slot: 2,
+        };
+        let e = h.remove(unknown).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            e.to_string().contains(&format!("page {} slot 2", a.page)),
+            "{e}"
+        );
     }
 
     #[test]

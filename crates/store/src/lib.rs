@@ -65,4 +65,4 @@ pub use fault::{FaultCounters, FaultMode, FaultStore};
 pub use heap::{ObjectHeap, RecordAddr};
 pub use iostats::IoStats;
 pub use pagefile::{PageFile, PageId, PageStore, PAGE_SIZE};
-pub use wal::{commit_group, fsync_dir, replace_file, ReplayTarget, Wal, WalRecord, WalStore};
+pub use wal::{commit_group, fsync_dir, replace_file, ReplayTarget, Wal, WalStore};

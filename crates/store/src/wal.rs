@@ -12,10 +12,12 @@
 //!   discarded on recovery. Record kinds are full page images, allocation
 //!   state changes (`Alloc`/`Release`), an opaque tree-metadata blob, and
 //!   a commit marker. Everything between two commit markers is one atomic
-//!   batch: recovery replays *committed batches only* and truncates the
-//!   rest, so a reopened store always equals some prefix of commits.
-//!   [`Wal::commit`] appends the marker and fsyncs the log before it
-//!   returns: every commit is durable when it returns.
+//!   batch: [`Wal::recover`] reads the log once, applies each batch to its
+//!   [`ReplayTarget`]s when the batch's commit marker arrives (page images
+//!   straight from the read buffer, never copied out), and then truncates
+//!   the torn or uncommitted rest, so a reopened store always equals some
+//!   prefix of commits. [`Wal::commit`] appends the marker and fsyncs the
+//!   log before it returns: every commit is durable when it returns.
 //! * [`WalStore`] wraps any [`PageStore`] and journals every mutation
 //!   *before* it reaches the wrapped backend (write-ahead rule): writes
 //!   land in an in-memory shadow table, staging serializes them into the
@@ -118,46 +120,13 @@ pub fn replace_file(path: &Path, write: impl FnOnce(&Path) -> io::Result<()>) ->
     fsync_parent(path)
 }
 
-/// A decoded log record (the replay-side view; appends go through the
-/// typed [`Wal`] methods without materializing this enum).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
-    /// Full after-image of one page of store `store`.
-    PageImage {
-        /// Tag of the store the page belongs to (see [`WalStore::attach`]).
-        store: u8,
-        /// The page the image replaces on replay.
-        page: PageId,
-        /// The full page contents.
-        data: Box<[u8; PAGE_SIZE]>,
-    },
-    /// Page `page` of store `store` was allocated (zeroed).
-    Alloc {
-        /// Tag of the store the page belongs to.
-        store: u8,
-        /// The allocated page.
-        page: PageId,
-    },
-    /// Page `page` of store `store` was released to the free list.
-    Release {
-        /// Tag of the store the page belongs to.
-        store: u8,
-        /// The released page.
-        page: PageId,
-    },
-    /// Opaque tree-level metadata; the last committed one wins.
-    Meta(Vec<u8>),
-    /// Batch boundary: everything since the previous marker is atomic.
-    Commit,
-}
-
 /// One frame as reported by [`Wal::scan`] (crash-test support: the frame
 /// boundaries are exactly the interesting truncation points).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameInfo {
     /// Byte offset one past the end of the frame.
     pub end: u64,
-    /// Record kind ([`WalRecord`] discriminant as stored).
+    /// Record kind, the frame's kind byte as stored.
     pub kind: u8,
 }
 
@@ -167,16 +136,6 @@ impl FrameInfo {
     pub fn is_commit(&self) -> bool {
         self.kind == KIND_COMMIT
     }
-}
-
-/// The result of opening a log with recovery: the reusable [`Wal`] plus
-/// every fully committed batch, in commit order.
-pub struct WalRecovery {
-    /// The log, truncated past its last commit marker and ready to append.
-    pub wal: Wal,
-    /// The committed batches (records between commit markers, markers
-    /// excluded), ready for [`replay`].
-    pub batches: Vec<Vec<WalRecord>>,
 }
 
 /// An append-only, CRC-framed, LSN-stamped log file.
@@ -216,61 +175,74 @@ impl Wal {
         })
     }
 
-    /// Opens (or creates) the log at `path` with crash recovery: scans the
-    /// frames, collects fully committed batches, discards the torn or
-    /// uncommitted tail by truncating the file back to the last commit
-    /// marker, and returns a log ready to append after that point.
+    /// Opens (or creates) the log at `path` with crash recovery, in one
+    /// pass over the bytes it reads: each committed batch is applied to
+    /// `targets[store tag]` when its commit marker arrives (records for a
+    /// tag without a target are ignored), page images straight from the
+    /// read buffer. The torn or uncommitted tail is then cut off by
+    /// truncating the file back to the last marker. Returns a log ready to
+    /// append after that point plus the last committed metadata blob.
     ///
     /// Tolerated states: a missing file and a sub-header file (a crash
     /// during creation) both become a fresh empty log. A present header
     /// with wrong magic is an error — that file is not ours to truncate.
-    pub fn recover<P: AsRef<Path>>(path: P) -> io::Result<WalRecovery> {
+    /// A target's I/O failure aborts recovery before the log is touched.
+    pub fn recover<P: AsRef<Path>>(
+        path: P,
+        targets: &mut [&mut dyn ReplayTarget],
+    ) -> io::Result<(Self, Option<Vec<u8>>)> {
         let path = path.as_ref().to_path_buf();
-        if !path.exists() {
-            return Ok(WalRecovery {
-                wal: Self::create(&path)?,
-                batches: Vec::new(),
-            });
-        }
-        let bytes = std::fs::read(&path)?;
+        let bytes = match std::fs::read(&path) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            Err(_) => Vec::new(),
+            Ok(bytes) => bytes,
+        };
         if bytes.len() < HEADER as usize {
-            // Crash between file creation and the header write.
-            return Ok(WalRecovery {
-                wal: Self::create(&path)?,
-                batches: Vec::new(),
-            });
+            // Missing, or a crash between file creation and the header write.
+            return Ok((Self::create(&path)?, None));
         }
-        let mut batches = Vec::new();
-        let mut cur = Vec::new();
+        let mut batch: Vec<(u8, &[u8])> = Vec::new();
+        let mut meta = None;
         let mut committed_end = HEADER;
         let mut next_lsn = 1u64;
-        for (record, lsn, end) in frames(&bytes, &path)? {
-            match record {
-                WalRecord::Commit => {
-                    batches.push(std::mem::take(&mut cur));
-                    committed_end = end as u64;
-                    next_lsn = lsn + 1;
-                }
-                rec => cur.push(rec),
+        for (kind, lsn, body, end) in frames(&bytes, &path)? {
+            if kind != KIND_COMMIT {
+                batch.push((kind, body));
+                continue;
             }
+            for (kind, body) in batch.drain(..) {
+                if kind == KIND_META {
+                    meta = Some(body);
+                } else if let Some(target) = targets.get_mut(body[0] as usize) {
+                    let page = u64::from_le_bytes(byte_array(&body[1..9]));
+                    match (kind, body[9..].first_chunk()) {
+                        (KIND_PAGE_IMAGE, Some(image)) => target.apply_image(page, image)?,
+                        (KIND_ALLOC, _) => target.apply_alloc(page)?,
+                        (KIND_RELEASE, _) => target.apply_release(page)?,
+                        // `decode_frame` sized every body for its kind.
+                        _ => {}
+                    }
+                }
+            }
+            committed_end = end as u64;
+            next_lsn = lsn + 1;
         }
+        let meta = meta.map(<[u8]>::to_vec);
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         if bytes.len() as u64 > committed_end {
             // Torn tail and/or uncommitted trailing records: roll back.
             file.set_len(committed_end)?;
             file.sync_all()?;
         }
-        Ok(WalRecovery {
-            wal: Self {
-                file,
-                path,
-                end: committed_end,
-                buf: Vec::new(),
-                next_lsn,
-                syncs: 0,
-            },
-            batches,
-        })
+        let wal = Self {
+            file,
+            path,
+            end: committed_end,
+            buf: Vec::new(),
+            next_lsn,
+            syncs: 0,
+        };
+        Ok((wal, meta))
     }
 
     /// Read-only frame scan (no truncation): the frames [`recover`] reads,
@@ -283,9 +255,9 @@ impl Wal {
         let path = path.as_ref();
         let bytes = std::fs::read(path)?;
         Ok(frames(&bytes, path)?
-            .map(|(record, _, end)| FrameInfo {
+            .map(|(kind, _, _, end)| FrameInfo {
                 end: end as u64,
-                kind: record_kind(&record),
+                kind,
             })
             .collect())
     }
@@ -385,16 +357,6 @@ impl Wal {
     }
 }
 
-fn record_kind(rec: &WalRecord) -> u8 {
-    match rec {
-        WalRecord::PageImage { .. } => KIND_PAGE_IMAGE,
-        WalRecord::Alloc { .. } => KIND_ALLOC,
-        WalRecord::Release { .. } => KIND_RELEASE,
-        WalRecord::Meta(_) => KIND_META,
-        WalRecord::Commit => KIND_COMMIT,
-    }
-}
-
 /// The frames of a whole log image, checked for our header. A file too
 /// short to hold the header has no frames; a foreign header is
 /// `InvalidData` (`path` labels it).
@@ -412,34 +374,36 @@ fn frames<'a>(bytes: &'a [u8], path: &Path) -> io::Result<Frames<'a>> {
     })
 }
 
-/// Walks a log image frame by frame, yielding `(record, lsn, end_offset)`.
-/// This is the one rule for where a log ends: at the first frame that
-/// does not decode (see [`decode_frame`]) or whose LSN does not follow its
-/// predecessor's.
+/// Walks a log image frame by frame, yielding `(kind, lsn, body,
+/// end_offset)` with the body borrowed from the image. This is the one
+/// rule for where a log ends: at the first frame that does not decode (see
+/// [`decode_frame`]) or whose LSN does not follow its predecessor's.
 struct Frames<'a> {
     bytes: &'a [u8],
     off: usize,
     next_lsn: Option<u64>,
 }
 
-impl Iterator for Frames<'_> {
-    type Item = (WalRecord, u64, usize);
+impl<'a> Iterator for Frames<'a> {
+    type Item = (u8, u64, &'a [u8], usize);
 
     fn next(&mut self) -> Option<Self::Item> {
-        let (record, lsn, end) = decode_frame(self.bytes, self.off)?;
+        let frame @ (_, lsn, _, end) = decode_frame(self.bytes, self.off)?;
         if self.next_lsn.is_some_and(|want| lsn != want) {
             return None;
         }
         self.next_lsn = Some(lsn + 1);
         self.off = end;
-        Some((record, lsn, end))
+        Some(frame)
     }
 }
 
-/// Decodes the frame at `off`, returning `(record, lsn, end_offset)`; any
-/// framing violation (short prefix, insane length, bad CRC, unknown kind,
-/// malformed body) reads as end-of-log.
-fn decode_frame(bytes: &[u8], off: usize) -> Option<(WalRecord, u64, usize)> {
+/// Decodes the frame at `off`, returning `(kind, lsn, body, end_offset)`;
+/// any framing violation (short prefix, insane length, bad CRC, unknown
+/// kind, a body of the wrong length for its kind) reads as end-of-log.
+/// Image, alloc and release bodies are `[store: u8][page: u64]`, an image
+/// followed by its `PAGE_SIZE` bytes.
+fn decode_frame(bytes: &[u8], off: usize) -> Option<(u8, u64, &[u8], usize)> {
     let prefix = bytes.get(off..off + FRAME_PREFIX)?;
     let len = u32::from_le_bytes(byte_array(&prefix[..4])) as usize;
     let crc = u32::from_le_bytes(byte_array(&prefix[4..8]));
@@ -453,41 +417,14 @@ fn decode_frame(bytes: &[u8], off: usize) -> Option<(WalRecord, u64, usize)> {
     let lsn = u64::from_le_bytes(byte_array(&payload[..8]));
     let kind = payload[8];
     let body = &payload[PAYLOAD_PREFIX..];
-    let record = match kind {
-        KIND_PAGE_IMAGE => {
-            if body.len() != 1 + 8 + PAGE_SIZE {
-                return None;
-            }
-            let mut data = Box::new([0u8; PAGE_SIZE]);
-            data.copy_from_slice(&body[9..]);
-            WalRecord::PageImage {
-                store: body[0],
-                page: u64::from_le_bytes(byte_array(&body[1..9])),
-                data,
-            }
-        }
-        KIND_ALLOC | KIND_RELEASE => {
-            if body.len() != 1 + 8 {
-                return None;
-            }
-            let store = body[0];
-            let page = u64::from_le_bytes(byte_array(&body[1..9]));
-            if kind == KIND_ALLOC {
-                WalRecord::Alloc { store, page }
-            } else {
-                WalRecord::Release { store, page }
-            }
-        }
-        KIND_META => WalRecord::Meta(body.to_vec()),
-        KIND_COMMIT => {
-            if !body.is_empty() {
-                return None;
-            }
-            WalRecord::Commit
-        }
-        _ => return None,
+    let well_formed = match kind {
+        KIND_PAGE_IMAGE => body.len() == 1 + 8 + PAGE_SIZE,
+        KIND_ALLOC | KIND_RELEASE => body.len() == 1 + 8,
+        KIND_META => true,
+        KIND_COMMIT => body.is_empty(),
+        _ => false,
     };
-    Some((record, lsn, off + FRAME_PREFIX + len))
+    well_formed.then_some((kind, lsn, body, off + FRAME_PREFIX + len))
 }
 
 /// Where committed records land during recovery. Implemented by the
@@ -502,41 +439,6 @@ pub trait ReplayTarget {
     fn apply_alloc(&mut self, page: PageId) -> io::Result<()>;
     /// Re-applies a release: the page joins the free list (idempotently).
     fn apply_release(&mut self, page: PageId) -> io::Result<()>;
-}
-
-/// Replays committed batches onto per-store targets (`targets[store
-/// tag]`); records for tags without a target are ignored. Returns the last
-/// committed metadata blob, if any; a target's I/O failure aborts the
-/// replay (recovery must not report success over a half-applied base).
-pub fn replay(
-    batches: &[Vec<WalRecord>],
-    targets: &mut [&mut dyn ReplayTarget],
-) -> io::Result<Option<Vec<u8>>> {
-    let mut meta = None;
-    for batch in batches {
-        for rec in batch {
-            match rec {
-                WalRecord::PageImage { store, page, data } => {
-                    if let Some(t) = targets.get_mut(*store as usize) {
-                        t.apply_image(*page, data)?;
-                    }
-                }
-                WalRecord::Alloc { store, page } => {
-                    if let Some(t) = targets.get_mut(*store as usize) {
-                        t.apply_alloc(*page)?;
-                    }
-                }
-                WalRecord::Release { store, page } => {
-                    if let Some(t) = targets.get_mut(*store as usize) {
-                        t.apply_release(*page)?;
-                    }
-                }
-                WalRecord::Meta(bytes) => meta = Some(bytes.clone()),
-                WalRecord::Commit => {}
-            }
-        }
-    }
-    Ok(meta)
 }
 
 enum PendingOp {
@@ -858,6 +760,47 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// One call a [`Recorder`] received.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Applied {
+        Image(PageId, Vec<u8>),
+        Alloc(PageId),
+        Release(PageId),
+    }
+
+    /// A replay target that records every call it receives, in order.
+    #[derive(Default)]
+    struct Recorder(Vec<Applied>);
+
+    impl ReplayTarget for Recorder {
+        fn apply_image(&mut self, page: PageId, data: &[u8; PAGE_SIZE]) -> io::Result<()> {
+            self.0.push(Applied::Image(page, data.to_vec()));
+            Ok(())
+        }
+        fn apply_alloc(&mut self, page: PageId) -> io::Result<()> {
+            self.0.push(Applied::Alloc(page));
+            Ok(())
+        }
+        fn apply_release(&mut self, page: PageId) -> io::Result<()> {
+            self.0.push(Applied::Release(page));
+            Ok(())
+        }
+    }
+
+    /// The last committed meta blob and each store tag's calls.
+    type Recorded = (Option<Vec<u8>>, Vec<Vec<Applied>>);
+
+    /// Recovers `path` onto `n` recorders (store tags `0..n`).
+    fn recover_recorded(path: &Path, n: usize) -> io::Result<Recorded> {
+        let mut recorders: Vec<Recorder> = (0..n).map(|_| Recorder::default()).collect();
+        let mut targets: Vec<&mut dyn ReplayTarget> = recorders
+            .iter_mut()
+            .map(|r| r as &mut dyn ReplayTarget)
+            .collect();
+        let (_, meta) = Wal::recover(path, &mut targets)?;
+        Ok((meta, recorders.into_iter().map(|r| r.0).collect()))
+    }
+
     #[test]
     fn commit_recover_roundtrip() {
         let path = temp_path("roundtrip.wal");
@@ -872,24 +815,17 @@ mod tests {
             wal.append_release(1, 9);
             wal.commit().unwrap();
         }
-        let rec = Wal::recover(&path).unwrap();
-        assert_eq!(rec.batches.len(), 2);
-        assert_eq!(rec.batches[0][0], WalRecord::Alloc { store: 0, page: 3 });
-        match &rec.batches[0][1] {
-            WalRecord::PageImage {
-                store: 0,
-                page: 3,
-                data,
-            } => {
-                assert!(data.iter().all(|&b| b == 7));
-            }
-            other => panic!("unexpected record {other:?}"),
-        }
-        assert_eq!(rec.batches[0][2], WalRecord::Meta(b"meta-1".to_vec()));
+        let (meta, applied) = recover_recorded(&path, 2).unwrap();
         assert_eq!(
-            rec.batches[1],
-            vec![WalRecord::Release { store: 1, page: 9 }]
+            applied[0],
+            vec![Applied::Alloc(3), Applied::Image(3, vec![7; PAGE_SIZE])]
         );
+        assert_eq!(applied[1], vec![Applied::Release(9)]);
+        assert_eq!(meta.as_deref(), Some(&b"meta-1"[..]));
+        // Records for a tag without a target are ignored.
+        let (meta, applied) = recover_recorded(&path, 1).unwrap();
+        assert_eq!(applied[0].len(), 2);
+        assert_eq!(meta.as_deref(), Some(&b"meta-1"[..]));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -897,23 +833,36 @@ mod tests {
     fn torn_tail_is_discarded_at_every_truncation_point() {
         let path = temp_path("torn.wal");
         let full_len;
+        // What batch `b` applies, in append order.
+        let batch_calls = |b: u8| {
+            [
+                Applied::Alloc(b as u64),
+                Applied::Image(b as u64, vec![b + 1; PAGE_SIZE]),
+            ]
+        };
         {
             let mut wal = Wal::create(&path).unwrap();
             for batch in 0..3u8 {
                 let img = [batch + 1; PAGE_SIZE];
                 wal.append_alloc(0, batch as u64);
                 wal.append_image(0, batch as u64, &img);
+                wal.append_meta(&[batch]);
                 wal.commit().unwrap();
             }
             full_len = wal.len_bytes();
         }
         let frames = Wal::scan(&path).unwrap();
-        assert_eq!(frames.len(), 9, "3 batches x (alloc + image + commit)");
+        assert_eq!(
+            frames.len(),
+            12,
+            "3 batches x (alloc + image + meta + commit)"
+        );
         assert_eq!(frames.last().unwrap().end, full_len);
         let original = std::fs::read(&path).unwrap();
 
         // Truncate at every frame boundary and at a byte inside every
-        // frame; recovery must keep exactly the fully committed prefix.
+        // frame; recovery must apply exactly the fully committed prefix,
+        // in order, and nothing of the tail.
         let mut cut_points: Vec<u64> = vec![HEADER];
         for f in &frames {
             cut_points.push(f.end);
@@ -923,19 +872,19 @@ mod tests {
         for cut in cut_points {
             let cut = cut.min(full_len);
             std::fs::write(&path, &original[..cut as usize]).unwrap();
-            let rec = Wal::recover(&path).unwrap();
             let commits_before = frames
                 .iter()
                 .filter(|f| f.kind == KIND_COMMIT && f.end <= cut)
-                .count();
-            assert_eq!(
-                rec.batches.len(),
-                commits_before,
-                "cut at {cut}: wrong committed prefix"
-            );
+                .count() as u8;
+            let want: Vec<Applied> = (0..commits_before).flat_map(batch_calls).collect();
+            let want_meta = commits_before.checked_sub(1).map(|b| vec![b]);
+            let (meta, applied) = recover_recorded(&path, 1).unwrap();
+            assert_eq!(applied[0], want, "cut at {cut}: wrong committed prefix");
+            assert_eq!(meta, want_meta, "cut at {cut}: wrong meta");
             // Recovery truncated the tail: a second recovery agrees.
-            let again = Wal::recover(&path).unwrap();
-            assert_eq!(again.batches.len(), commits_before);
+            let (meta, applied) = recover_recorded(&path, 1).unwrap();
+            assert_eq!(applied[0], want);
+            assert_eq!(meta, want_meta);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -957,24 +906,28 @@ mod tests {
         let target = frames[1].end as usize + FRAME_PREFIX + PAYLOAD_PREFIX;
         bytes[target] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let rec = Wal::recover(&path).unwrap();
-        assert_eq!(rec.batches.len(), 1, "corruption voids that batch onward");
+        let (_, applied) = recover_recorded(&path, 1).unwrap();
+        assert_eq!(
+            applied[0],
+            vec![Applied::Alloc(0)],
+            "corruption voids that batch onward"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn recover_missing_and_embryonic_files() {
         let path = temp_path("fresh.wal");
-        let rec = Wal::recover(&path).unwrap();
-        assert!(rec.batches.is_empty());
-        drop(rec);
+        let (meta, applied) = recover_recorded(&path, 1).unwrap();
+        assert!(applied[0].is_empty() && meta.is_none());
         // Crash between create and header write: a too-short file.
         std::fs::write(&path, b"UW").unwrap();
-        let rec = Wal::recover(&path).unwrap();
-        assert!(rec.batches.is_empty());
+        let (meta, applied) = recover_recorded(&path, 1).unwrap();
+        assert!(applied[0].is_empty() && meta.is_none());
         // A foreign file is refused, not truncated.
         std::fs::write(&path, vec![0xAB; 64]).unwrap();
-        assert!(Wal::recover(&path).is_err());
+        assert!(recover_recorded(&path, 1).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), vec![0xAB; 64]);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -985,7 +938,7 @@ mod tests {
         let path = temp_path("foreign.wal");
         std::fs::write(&path, vec![0xAB; 64]).unwrap();
         let scanned = Wal::scan(&path).expect_err("scan must refuse a foreign file");
-        let recovered = Wal::recover(&path)
+        let recovered = recover_recorded(&path, 1)
             .map(|_| ())
             .expect_err("so does recover");
         assert_eq!(scanned.kind(), io::ErrorKind::InvalidData);
@@ -994,7 +947,8 @@ mod tests {
         // both.
         std::fs::write(&path, b"UW").unwrap();
         assert!(Wal::scan(&path).unwrap().is_empty());
-        assert!(Wal::recover(&path).unwrap().batches.is_empty());
+        let (meta, applied) = recover_recorded(&path, 1).unwrap();
+        assert!(applied[0].is_empty() && meta.is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1010,8 +964,12 @@ mod tests {
         let lsn = wal.commit().unwrap();
         assert!(lsn > lsn_before, "LSNs stay monotonic across truncate");
         drop(wal);
-        let rec = Wal::recover(&path).unwrap();
-        assert_eq!(rec.batches.len(), 1, "only the post-truncate batch");
+        let (_, applied) = recover_recorded(&path, 1).unwrap();
+        assert_eq!(
+            applied[0],
+            vec![Applied::Alloc(2)],
+            "only the post-truncate batch"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1043,8 +1001,6 @@ mod tests {
             store.write(b, b"uncommitted").unwrap();
             store.flush().unwrap();
         }
-        let rec = Wal::recover(&wal_path).unwrap();
-        assert_eq!(rec.batches.len(), 1, "uncommitted tail rolled back");
         // Rebuild the store from the recovered allocation state.
         struct Sink {
             n_pages: u64,
@@ -1072,7 +1028,14 @@ mod tests {
             n_pages: 0,
             free: Vec::new(),
         };
-        replay(&rec.batches, &mut [&mut sink]).unwrap();
+        Wal::recover(&wal_path, &mut [&mut sink]).unwrap();
+        let commits = Wal::scan(&wal_path).unwrap();
+        assert_eq!(
+            commits.iter().filter(|f| f.is_commit()).count(),
+            1,
+            "uncommitted tail rolled back"
+        );
+        assert_eq!(commits.last().map(FrameInfo::is_commit), Some(true));
         assert_eq!(sink.n_pages, expected_a + 1, "only the committed page");
         let _ = std::fs::remove_file(&data_path);
         let _ = std::fs::remove_file(&wal_path);
@@ -1099,7 +1062,6 @@ mod tests {
         commit_group(&wal, &mut [&mut store], None).unwrap();
         drop(store);
 
-        let rec = Wal::recover(&path).unwrap();
         // Replay into a byte-level target and check the final content.
         struct Pages(HashMap<PageId, [u8; PAGE_SIZE]>, Vec<PageId>);
         impl ReplayTarget for Pages {
@@ -1120,7 +1082,7 @@ mod tests {
             }
         }
         let mut pages = Pages(HashMap::new(), Vec::new());
-        replay(&rec.batches, &mut [&mut pages]).unwrap();
+        Wal::recover(&path, &mut [&mut pages]).unwrap();
         assert_eq!(&pages.0[&a][..11], b"second life");
         assert!(pages.1.is_empty(), "the page ends the log allocated");
         let _ = std::fs::remove_file(&path);

@@ -7,7 +7,7 @@
 use std::fmt::Debug;
 use std::path::Path;
 use utree_repro::prelude::{QueryCtx, QueryOutcome, QueryStats, RankOutcome};
-use utree_repro::store::{Wal, WalRecord};
+use utree_repro::store::Wal;
 
 /// What the parallel-equals-sequential check compares of one outcome.
 pub trait Answer: Send {
@@ -104,32 +104,48 @@ pub fn file_fnv(path: &Path) -> u64 {
 /// repeat: a buffer pool writes its dirty frames back in `HashMap` order,
 /// so the frame order inside a batch varies from run to run while the set
 /// of frames does not.
+///
+/// Frames are cut at [`Wal::scan`]'s boundaries and read by the documented
+/// layout `[len: u32][crc: u32][lsn: u64][kind: u8][body]`; image, alloc
+/// and release bodies start `[store: u8][page: u64]`, an image's data
+/// follows. Records after the last commit marker are left out.
 pub fn wal_digest(path: &Path) -> (u64, Vec<(usize, u64)>) {
-    let len = std::fs::metadata(path).unwrap().len();
-    let batches = Wal::recover(path).unwrap().batches;
-    let digests = batches
-        .iter()
-        .map(|batch| {
-            let mut records: Vec<[u64; 4]> = batch
-                .iter()
-                .map(|rec| match rec {
-                    WalRecord::PageImage { store, page, data } => {
-                        [1, *store as u64, *page, fnv1a(&data[..])]
-                    }
-                    WalRecord::Alloc { store, page } => [2, *store as u64, *page, 0],
-                    WalRecord::Release { store, page } => [3, *store as u64, *page, 0],
-                    WalRecord::Meta(bytes) => [4, 0, 0, fnv1a(bytes)],
-                    WalRecord::Commit => [5, 0, 0, 0],
-                })
-                .collect();
-            records.sort_unstable();
-            let flat: Vec<u8> = records
-                .iter()
-                .flatten()
-                .flat_map(|v| v.to_le_bytes())
-                .collect();
-            (records.len(), fnv1a(&flat))
-        })
-        .collect();
-    (len, digests)
+    let bytes = std::fs::read(path).unwrap();
+    let mut digests = Vec::new();
+    let mut batch: Vec<[u64; 4]> = Vec::new();
+    let mut start = 8; // past the `UWALLOG1` header
+    for frame in Wal::scan(path).unwrap() {
+        let end = frame.end as usize;
+        let (kind, body) = (bytes[start + 16], &bytes[start + 17..end]);
+        start = end;
+        let addr = |body: &[u8]| {
+            let page = u64::from_le_bytes(body[1..9].try_into().unwrap());
+            (body[0] as u64, page)
+        };
+        let record = match kind {
+            1 => {
+                let (store, page) = addr(body);
+                [1, store, page, fnv1a(&body[9..])]
+            }
+            2 | 3 => {
+                let (store, page) = addr(body);
+                [kind as u64, store, page, 0]
+            }
+            4 => [4, 0, 0, fnv1a(body)],
+            _ => {
+                assert!(frame.is_commit(), "unknown record kind {kind}");
+                batch.sort_unstable();
+                let flat: Vec<u8> = batch
+                    .iter()
+                    .flatten()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect();
+                digests.push((batch.len(), fnv1a(&flat)));
+                batch.clear();
+                continue;
+            }
+        };
+        batch.push(record);
+    }
+    (bytes.len() as u64, digests)
 }

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 
 use utree_repro::index::{Cfbs, FilterPayload, Pcrs, ProbTree};
 use utree_repro::prelude::*;
-use utree_repro::store::wal::{commit_group, replay};
+use utree_repro::store::wal::commit_group;
 use utree_repro::store::{
     DiskPageFile, FaultMode, FaultStore, PageId, ReplayTarget, Wal, WalStore, PAGE_SIZE,
 };
@@ -332,6 +332,57 @@ fn uncommitted_tail_rolls_back<P: FilterPayload<2>>() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An `open` that is refused leaves the directory as it found it: an
+/// empty directory stays empty (no log is created), and a directory whose
+/// `heap.pg` is gone keeps its log byte-identical, uncommitted tail and
+/// all. Both errors name the missing file.
+#[test]
+fn a_refused_open_leaves_the_log_untouched() {
+    let dir = temp_dir("refused-open");
+    std::fs::create_dir_all(&dir).unwrap();
+    let err = DiskUTree::<2>::open(&dir, 32).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(err.to_string().contains("index.pg"), "unnamed file: {err}");
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a refused open wrote into the directory"
+    );
+
+    let base = base_objects();
+    fresh_tree::<Cfbs>(&base).save(&dir).unwrap();
+    {
+        let mut disk = DiskUTree::<2>::open(&dir, 32).unwrap();
+        let extra = datagen::lb_dataset(10, 107);
+        for (i, o) in extra.iter().take(5).enumerate() {
+            disk.insert(&UncertainObject::new(60_000 + i as u64, o.pdf.clone()));
+        }
+        disk.commit().unwrap();
+        // Dropped without a commit: the pool's flush stages and syncs
+        // these, and no marker seals them.
+        for (i, o) in extra.iter().skip(5).enumerate() {
+            disk.insert(&UncertainObject::new(61_000 + i as u64, o.pdf.clone()));
+        }
+    }
+    let log = dir.join("wal.log");
+    let frames = Wal::scan(&log).unwrap();
+    assert!(
+        frames.last().is_some_and(|f| !f.is_commit()),
+        "the log must end in an uncommitted tail"
+    );
+    let before = std::fs::read(&log).unwrap();
+    std::fs::remove_file(dir.join("heap.pg")).unwrap();
+    let err = DiskUTree::<2>::open(&dir, 32).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(err.to_string().contains("heap.pg"), "unnamed file: {err}");
+    // (Compared as one bool: a failing `assert_eq!` would print both logs.)
+    assert!(
+        std::fs::read(&log).unwrap() == before,
+        "a refused open touched the log"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Checkpoint folds the log into the snapshot (truncating it to its
 /// header), and commits after the checkpoint keep recovering — on either
 /// payload.
@@ -552,11 +603,12 @@ fn committed_batches_survive_backend_write_faults() {
 
             // "Crash": drop everything, then recover from the log alone.
             drop(stores);
-            let recovery = Wal::recover(dir.join("wal.log")).unwrap();
-            assert_eq!(recovery.batches.len(), 2);
+            let log = dir.join("wal.log");
+            let commits = Wal::scan(&log).unwrap();
+            assert_eq!(commits.iter().filter(|f| f.is_commit()).count(), 2);
             let mut targets = [MemTarget::default(), MemTarget::default()];
             let [healthy, sick] = &mut targets;
-            replay(&recovery.batches, &mut [healthy, sick]).unwrap();
+            Wal::recover(&log, &mut [healthy, sick]).unwrap();
             assert_eq!(
                 targets[0].pages.len() + targets[1].pages.len(),
                 expected.len()
