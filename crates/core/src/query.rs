@@ -4,7 +4,6 @@ use crate::object_codec::decode_object;
 use page_store::{ObjectHeap, PageId, PageStore, RecordAddr};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
 use std::io;
 use std::ops::AddAssign;
 use uncertain_geom::Rect;
@@ -169,7 +168,8 @@ pub struct QueryCtx {
     pub stats: QueryStats,
     /// Ids validated for free by the filter step.
     pub(crate) validated: Vec<u64>,
-    /// Entries the filter could not decide; input to refinement.
+    /// Entries the filter could not decide; input to refinement, which
+    /// sorts them by heap page.
     pub(crate) candidates: Vec<(RecordAddr, u64)>,
     /// Refinement qualifiers: id, computed probability, samples behind it.
     pub(crate) refined: Vec<(u64, f64, usize)>,
@@ -185,10 +185,10 @@ pub struct QueryCtx {
     pub(crate) ranked: Vec<crate::api::RankedMatch>,
     /// Distinct heap pages touched by one-at-a-time refinement (sorted).
     pub(crate) heap_pages: Vec<PageId>,
-    /// Reusable SoA buffers for the chunked Monte-Carlo kernels
-    /// ([`uncertain_pdf::kernel`]): warm after the first refinement, so a
-    /// refinement pass allocates nothing. Deliberately *not* cleared by
-    /// [`QueryCtx::begin`] — the buffers are the point of reuse.
+    /// The Monte-Carlo kernel's running sample count
+    /// ([`uncertain_pdf::kernel`] keeps no buffers): refinement charges
+    /// each candidate the delta. Not cleared by [`QueryCtx::begin`] — only
+    /// deltas are read.
     pub(crate) scratch: RefineScratch,
 }
 
@@ -308,9 +308,9 @@ pub(crate) fn refine_one<const D: usize, S: PageStore>(
 }
 
 /// The refinement step of Sec 5.2 over the candidates a context's filter
-/// step collected: candidates are grouped by heap page; each page is
-/// loaded once; every candidate's appearance probability is evaluated as
-/// far as the comparison with `p_q` needs. Qualifiers are appended to the
+/// step collected: candidates are stably sorted by heap page in place;
+/// each page is loaded once; every candidate's appearance probability is
+/// evaluated as far as the comparison with `p_q` needs. Qualifiers are appended to the
 /// context's `refined` buffer with the probability computed for them and
 /// the samples behind it, and its stats charged.
 pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
@@ -327,15 +327,14 @@ pub(crate) fn refine_ctx<const D: usize, S: PageStore>(
         scratch,
         ..
     } = ctx;
-    let mut by_page: BTreeMap<PageId, Vec<(u16, u64)>> = BTreeMap::new();
-    for (addr, id) in candidates.iter() {
-        by_page.entry(addr.page).or_default().push((addr.slot, *id));
-    }
+    // Stable: each page's candidates keep their filter order.
+    candidates.sort_by_key(|(addr, _)| addr.page);
     let qualified0 = refined.len();
-    for (page, slots) in by_page {
+    for run in candidates.chunk_by(|(a, _), (b, _)| a.page == b.page) {
+        let page = run[0].0.page;
         let records = heap.page_records(page)?;
         stats.heap_reads += 1;
-        for (slot, id) in slots {
+        for &(RecordAddr { slot, .. }, id) in run {
             let (_, bytes) = records
                 .iter()
                 .find(|(s, _)| *s == slot)

@@ -100,8 +100,8 @@ impl MonteCarlo {
 /// Deterministic high-accuracy reference for `P_app`.
 ///
 /// * uniform box — exact overlap ratio;
-/// * uniform ball — recursive slice quadrature of the ball/rect
-///   intersection volume;
+/// * uniform ball — the exact disk/rect intersection area in 2-D,
+///   otherwise recursive slice quadrature of the intersection volume;
 /// * Con-Gau — recursive slice quadrature of the Gaussian mass in
 ///   ball ∩ rect, over λ;
 /// * histogram — exact clipped cell sums.
@@ -112,7 +112,11 @@ pub fn appearance_reference<const D: usize>(pdf: &ObjectPdf<D>, rq: &Rect<D>, to
     match pdf {
         ObjectPdf::UniformBox { rect } => rect.overlap(rq) / rect.area(),
         ObjectPdf::UniformBall { center, radius } => {
-            let vol = ball_rect_volume(&center.coords, *radius, &rq.min, &rq.max, tol);
+            let vol = if D == 2 {
+                disk_rect_area(&center.coords, *radius, &rq.min, &rq.max)
+            } else {
+                ball_rect_volume(&center.coords, *radius, &rq.min, &rq.max, tol)
+            };
             (vol / (unit_ball_volume(D) * radius.powi(D as i32))).clamp(0.0, 1.0)
         }
         ObjectPdf::ConGauBall {
@@ -153,6 +157,41 @@ fn ball_rect_volume(center: &[f64], r: f64, lo: &[f64], hi: &[f64], tol: f64) ->
         }
     };
     adaptive_simpson(&f, a, b, tol)
+}
+
+/// Area of `disk(center, r) ∩ rect`, in closed form: the integral over
+/// the clipped x-range of the chord `min(y₁, s) − max(y₀, −s)`, with
+/// `s(t) = √(r² − t²)` in coordinates centred on the disk. The range is
+/// split where `s` meets `|y₀|` or `|y₁|`, so on each piece each end of
+/// the chord is either a rectangle edge or the circle, whose integral is
+/// `½(t·√(r² − t²) + r²·asin(t/r))`.
+fn disk_rect_area(center: &[f64], r: f64, lo: &[f64], hi: &[f64]) -> f64 {
+    let a = (lo[0] - center[0]).max(-r);
+    let b = (hi[0] - center[0]).min(r);
+    let (y0, y1) = (lo[1] - center[1], hi[1] - center[1]);
+    if r <= 0.0 || a >= b || y0 >= y1 {
+        return 0.0;
+    }
+    let s = |t: f64| (r * r - t * t).max(0.0).sqrt();
+    let big_s = |t: f64| 0.5 * (t * s(t) + r * r * (t / r).clamp(-1.0, 1.0).asin());
+    // Clamped into [a, b]; a cut at an end, or at 0 where |y| ≥ r, only
+    // adds an empty or a redundant piece.
+    let (t0, t1) = (s(y0), s(y1));
+    let mut cuts = [a, b, -t0, t0, -t1, t1].map(|t| t.clamp(a, b));
+    cuts.sort_by(f64::total_cmp);
+    cuts.windows(2)
+        .map(|w| {
+            let (p, q) = (w[0], w[1]);
+            let mid = s(0.5 * (p + q));
+            if y1.min(mid) <= y0.max(-mid) {
+                return 0.0;
+            }
+            let arc = big_s(q) - big_s(p);
+            let top = if y1 < mid { y1 * (q - p) } else { arc };
+            let bottom = if y0 > -mid { y0 * (q - p) } else { -arc };
+            top - bottom
+        })
+        .sum()
 }
 
 /// Mass of an isotropic Gaussian `N(center, σ²I)` restricted to
@@ -209,6 +248,58 @@ mod tests {
             center: Point::new([0.0, 0.0]),
             radius: 1.0,
         }
+    }
+
+    /// Rectangles span the disk's centre row, so every slice of the
+    /// clipped x-range meets them: a rectangle holding only a thin cap
+    /// can fall between all five of Simpson's first nodes, and the
+    /// quadrature then reads 0.
+    #[test]
+    fn closed_form_disk_agrees_with_quadrature() {
+        let mut rng = SmallRng::seed_from_u64(16);
+        for _ in 0..2_000 {
+            let c = [rng.gen_range(-2.0..2.0), rng.gen_range(-2.0..2.0)];
+            let r = rng.gen_range(0.1..3.0);
+            let x = rng.gen_range(-4.0..4.0);
+            let lo = [x, c[1] - rng.gen_range(0.0..1.2 * r)];
+            let hi = [
+                x + rng.gen_range(0.0..5.0),
+                c[1] + rng.gen_range(0.0..1.2 * r),
+            ];
+            let exact = disk_rect_area(&c, r, &lo, &hi);
+            let quad = ball_rect_volume(&c, r, &lo, &hi, 1e-10);
+            assert!(
+                (exact - quad).abs() < 1e-9,
+                "c={c:?} r={r} rect={lo:?}..{hi:?}: closed form {exact}, quadrature {quad}"
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_disk_over_a_covered_rect_is_the_box_ratio() {
+        let pdf = ObjectPdf::UniformBall {
+            center: Point::new([3.0, -1.0]),
+            radius: 2.0,
+        };
+        for rq in [
+            Rect::new([2.0, -2.0], [4.0, 0.0]),
+            Rect::new([3.0, -1.0], [4.2, 0.5]),
+            Rect::new([1.6, -1.3], [1.7, -0.2]),
+        ] {
+            let ratio = rq.area() / (std::f64::consts::PI * 4.0);
+            let p = appearance_reference(&pdf, &rq, 1e-9);
+            assert!((p - ratio).abs() <= 1e-15, "{rq:?}: {p} != {ratio}");
+        }
+    }
+
+    #[test]
+    fn closed_form_disk_measures_a_thin_cap_exactly() {
+        // Everything of a radius-2 disk above y = 1.98: the circular
+        // segment r²·acos(d/r) − d·√(r² − d²).
+        let (r, d) = (2.0f64, 1.98f64);
+        let segment = r * r * (d / r).acos() - d * (r * r - d * d).sqrt();
+        let area = disk_rect_area(&[0.0, 0.0], r, &[-3.0, d], &[3.0, 3.0]);
+        assert!((area - segment).abs() < 1e-12, "{area} != {segment}");
     }
 
     #[test]

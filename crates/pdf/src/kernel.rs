@@ -1,37 +1,49 @@
-//! Chunked, auto-vectorizable refinement kernels.
+//! The fused Monte-Carlo refinement kernel.
 //!
 //! The Monte-Carlo estimator of Eq. 3 is the "expensive refinement" the
 //! whole U-tree exists to avoid — and when it *does* run, it runs n₁
 //! times per candidate. The scalar path ([`ObjectPdf::density`] inside
-//! [`crate::MonteCarlo::estimate`]) re-enters the pdf enum `match` and
+//! [`crate::MonteCarlo::estimate`]) re-enters the pdf enum `match`,
 //! recomputes every normalisation constant (λ, `unit_ball_volume·r^D`,
-//! `2σ²`, the histogram cell volume) on every one of those samples.
+//! `2σ²`, the histogram cell volume) and branches on every rejected ball
+//! point, once per sample.
 //!
-//! This module hoists all of that out of the sample loop:
+//! This module takes all of that out of the sample loop:
 //!
-//! * [`PreparedPdf`] — a per-object *prepared evaluator*: one enum
-//!   dispatch, the support [`Region`], and every normalisation constant,
-//!   computed once per candidate;
-//! * [`RefineScratch`] — reusable structure-of-arrays buffers (dim-major
-//!   coordinates, weights, containment masks) sized to [`CHUNK`] samples;
-//!   after warm-up a refinement pass allocates nothing;
-//! * [`crate::MonteCarlo::estimate_with`] — the chunked driver: samples
-//!   are generated in **exactly the scalar order** (same RNG consumption),
-//!   then density and query-rect containment are evaluated over whole
-//!   chunks in plain loops the compiler can vectorize, with branch-free
-//!   mask accumulation;
+//! * [`PreparedPdf`] — a per-object *prepared evaluator*: the support's
+//!   MBR and every normalisation constant, computed once per candidate;
+//! * [`crate::MonteCarlo::estimate_with`] — one loop per pdf variant,
+//!   chosen by a single `match`. Each sample is drawn, weighted, tested
+//!   against `r_q` and reduced in one pass, in sample order, with no
+//!   buffers between the steps. Ball supports (uniform and Con-Gau) draw
+//!   their unit points a [`CHUNK`] at a time in branch-free *rejection
+//!   rounds*: every attempt is written at slot `have` and `have` advances
+//!   by `|u|² ≤ 1`, so the next attempt overwrites a rejected one;
 //! * [`crate::MonteCarlo::decide_with`] — the same loop for a caller that
 //!   needs only the *decision* `P ≥ p_q`: it stops at the first chunk
 //!   boundary where a distribution-free confidence bound clears `p_q`, so
-//!   `n1` is a cap on the samples drawn, not their number.
+//!   `n1` is a cap on the samples drawn, not their number;
+//! * [`RefineScratch`] — the count of samples drawn, for the caller's
+//!   cost accounting.
 //!
 //! # Equivalence contract
 //!
 //! The kernel path is **byte-identical** to the scalar oracle under the
-//! same seed, by construction:
+//! same seed, and leaves the RNG exactly where the oracle leaves it, by
+//! construction:
 //!
-//! * sampling delegates to the same [`Region::sample_uniform`] per point,
-//!   so the RNG stream is consumed identically;
+//! * every attempt draws its coordinates in [`crate::Region::sample_uniform`]'s
+//!   order and with its expressions: `gen_range(-1.0..=1.0)` per ball
+//!   dimension then `center + u·radius`, and per box dimension
+//!   `gen_range(min..=max)`, or nothing when the dimension has no width;
+//! * a rejection round that needs `n` points and holds `have` makes
+//!   exactly `n − have` attempts, so the rounds end on the attempt the
+//!   one-at-a-time loop ends on. A round may not overdraw: the surplus
+//!   points are the ones the oracle would draw next, so carrying them
+//!   into the next chunk keeps every estimate's bits, but the call then
+//!   returns with the RNG ahead of the oracle's. Fig 7's error sweep and
+//!   the ledger's kernel replay draw many estimates from one RNG, and
+//!   every estimate after the first would move;
 //! * every hoisted constant is the value of the *same expression* the
 //!   scalar path evaluates per sample (hoisting a deterministic
 //!   subexpression cannot change its bits), and the per-sample arithmetic
@@ -40,77 +52,45 @@
 //!   multiply;
 //! * squared distances accumulate in dimension order exactly like
 //!   `Point::distance_sq`;
-//! * the reduction `total += w; inside += select(mask, w, 0.0)` runs per
+//! * the reduction `total += w; inside += select(hit, w, 0.0)` runs per
 //!   sample in sample order. The selected-in branch adds exactly `w`, and
 //!   the selected-out branch adds `+0.0` — an identity on the non-negative
 //!   accumulator — so the sums carry the scalar loop's bits (a multiply by
-//!   the mask would not: a degenerate zero-area support makes `w = ∞`);
+//!   a mask would not: a degenerate zero-area support makes `w = ∞`);
 //! * support checks are *recomputed* from the final coordinates (a
 //!   rejection-sampled ball point can round outside `r²` after the
 //!   `center + u·radius` scaling; the scalar density returns 0 there and
 //!   so does the kernel).
 //!
 //! `tests/kernel_equivalence.rs` pins this contract across every pdf
-//! variant, dimensionality and chunk-boundary sample count.
+//! variant, dimensionality and chunk-boundary sample count, and over
+//! sequences of estimates and decisions that share one RNG.
 
 use crate::histogram::HistogramPdf;
 use crate::math::unit_ball_volume;
 use crate::model::ObjectPdf;
-use crate::region::Region;
 use crate::MonteCarlo;
 use rand::Rng;
 use uncertain_geom::{Point, Rect};
 
-/// Samples evaluated per chunk. 64 × f64 = one 512-byte row per buffer —
-/// deep enough to amortise the loop overhead, small enough that all four
-/// SoA rows of a 3-D evaluation sit in L1.
+/// Samples per chunk: the spacing of [`MonteCarlo::decide_with`]'s
+/// stopping checks, and the length of a ball's stack buffer of unit
+/// points (64 × 3 × f64 = 1.5 KB in 3-D, well inside L1).
 pub const CHUNK: usize = 64;
 
-/// Reusable structure-of-arrays scratch for the chunked estimator.
-///
-/// One instance per query context (or per thread) is the intended
-/// pattern: buffers grow to the largest dimensionality seen and are
-/// reused for every subsequent candidate — a refinement pass performs no
-/// allocation after warm-up.
-///
-/// The struct also carries the running count of Monte-Carlo samples
-/// actually drawn through it ([`RefineScratch::samples`]): nothing for an
+/// The count of Monte-Carlo samples drawn through it: nothing for an
 /// estimate that short-circuits, fewer than n₁ for a decision that stops
-/// early.
+/// early. The kernel keeps no buffers, so this is all the state a
+/// refinement pass carries; one per query context (or thread).
 #[derive(Debug, Default)]
 pub struct RefineScratch {
-    /// Dim-major sample coordinates: `coords[d * CHUNK + i]` is
-    /// dimension `d` of sample `i`.
-    coords: Vec<f64>,
-    /// Per-sample pdf weight.
-    weights: Vec<f64>,
-    /// Per-sample query-rect containment mask (1.0 inside, 0.0 outside).
-    masks: Vec<f64>,
-    /// Per-sample squared distance to the ball center (ball pdfs only).
-    dist2: Vec<f64>,
-    /// Monte-Carlo samples drawn through this scratch.
     samples: u64,
 }
 
 impl RefineScratch {
-    /// Fresh scratch with empty buffers (they size themselves on first
-    /// use).
+    /// A counter at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Grows the buffers for `dims`-dimensional evaluation (no-op once
-    /// warm).
-    fn ensure(&mut self, dims: usize) {
-        let need = dims * CHUNK;
-        if self.coords.len() < need {
-            self.coords.resize(need, 0.0);
-        }
-        if self.weights.len() < CHUNK {
-            self.weights.resize(CHUNK, 0.0);
-            self.masks.resize(CHUNK, 0.0);
-            self.dist2.resize(CHUNK, 0.0);
-        }
     }
 
     /// Monte-Carlo samples drawn through this scratch so far (callers
@@ -120,7 +100,7 @@ impl RefineScratch {
     }
 }
 
-/// A per-object prepared evaluator: enum dispatch, support region and all
+/// A per-object prepared evaluator: enum dispatch, support MBR and all
 /// normalisation constants hoisted out of the sample loop.
 ///
 /// Cheap to build (one λ / volume / area evaluation), borrowed from the
@@ -128,7 +108,6 @@ impl RefineScratch {
 #[derive(Debug)]
 pub struct PreparedPdf<'p, const D: usize> {
     mbr: Rect<D>,
-    region: Region<D>,
     kind: PreparedKind<'p, D>,
 }
 
@@ -136,6 +115,7 @@ pub struct PreparedPdf<'p, const D: usize> {
 enum PreparedKind<'p, const D: usize> {
     UniformBall {
         center: Point<D>,
+        radius: f64,
         r2: f64,
         w_in: f64,
     },
@@ -145,6 +125,7 @@ enum PreparedKind<'p, const D: usize> {
     },
     ConGauBall {
         center: Point<D>,
+        radius: f64,
         r2: f64,
         two_s2: f64,
         norm: f64,
@@ -158,15 +139,14 @@ enum PreparedKind<'p, const D: usize> {
 }
 
 impl<'p, const D: usize> PreparedPdf<'p, D> {
-    /// Prepares `pdf` for chunked evaluation. Every constant below is the
-    /// value of the exact expression the scalar [`ObjectPdf::density`]
+    /// Prepares `pdf` for the fused sample loop. Every constant below is
+    /// the value of the exact expression the scalar [`ObjectPdf::density`]
     /// evaluates per sample.
     pub fn new(pdf: &'p ObjectPdf<D>) -> Self {
-        let region = pdf.region();
-        let mbr = region.mbr();
         let kind = match pdf {
-            ObjectPdf::UniformBall { center, radius } => PreparedKind::UniformBall {
-                center: *center,
+            &ObjectPdf::UniformBall { center, radius } => PreparedKind::UniformBall {
+                center,
+                radius,
                 r2: radius * radius,
                 w_in: 1.0 / (unit_ball_volume(D) * radius.powi(D as i32)),
             },
@@ -174,12 +154,13 @@ impl<'p, const D: usize> PreparedPdf<'p, D> {
                 rect: *rect,
                 w_in: 1.0 / rect.area(),
             },
-            ObjectPdf::ConGauBall {
+            &ObjectPdf::ConGauBall {
                 center,
                 radius,
                 sigma,
             } => PreparedKind::ConGauBall {
-                center: *center,
+                center,
+                radius,
                 r2: radius * radius,
                 two_s2: 2.0 * sigma * sigma,
                 norm: (sigma * (2.0 * std::f64::consts::PI).sqrt()).powi(D as i32),
@@ -199,7 +180,8 @@ impl<'p, const D: usize> PreparedPdf<'p, D> {
                 }
             }
         };
-        Self { mbr, region, kind }
+        let mbr = pdf.mbr();
+        Self { mbr, kind }
     }
 
     /// MBR of the support (for the estimator's short-circuits).
@@ -207,8 +189,8 @@ impl<'p, const D: usize> PreparedPdf<'p, D> {
         &self.mbr
     }
 
-    /// The largest weight [`Self::density_chunk`] can produce: what scales
-    /// a sample's contribution into `[0, 1]` for the stopping rule of
+    /// The largest weight the sample loop can produce: what scales a
+    /// sample's contribution into `[0, 1]` for the stopping rule of
     /// [`MonteCarlo::decide_with`]. Infinite for a zero-area box.
     fn w_max(&self) -> f64 {
         match &self.kind {
@@ -221,117 +203,71 @@ impl<'p, const D: usize> PreparedPdf<'p, D> {
             }
         }
     }
+}
 
-    /// Draws `n` support-uniform samples into the dim-major `coords`
-    /// buffer, consuming the RNG exactly like `n` scalar
-    /// [`ObjectPdf::sample_support_uniform`] calls.
-    fn sample_chunk<R: Rng + ?Sized>(&self, rng: &mut R, n: usize, coords: &mut [f64]) {
-        for i in 0..n {
-            let p = self.region.sample_uniform(rng);
-            for (d, &c) in p.coords.iter().enumerate() {
-                coords[d * CHUNK + i] = c;
+/// Fills `unit` with points uniform in the unit ball by rejection from
+/// `[-1, 1]^D`, with no branch on an attempt's outcome and exactly the
+/// RNG draws of `unit.len()` [`crate::Region::sample_uniform`] calls.
+#[inline(always)]
+fn unit_ball_rounds<R: Rng + ?Sized, const D: usize>(rng: &mut R, unit: &mut [[f64; D]]) {
+    let n = unit.len();
+    let mut have = 0;
+    while have < n {
+        // A round of `n − have` attempts accepts at most that many, so
+        // none is drawn past the n-th acceptance.
+        let attempts = n - have;
+        for _ in 0..attempts {
+            let mut norm_sq = 0.0;
+            for c in unit[have].iter_mut() {
+                let x: f64 = rng.gen_range(-1.0..=1.0);
+                *c = x;
+                norm_sq += x * x;
             }
-        }
-    }
-
-    /// Evaluates the pdf density of `n` samples into `weights`.
-    fn density_chunk(&self, n: usize, coords: &[f64], dist2: &mut [f64], weights: &mut [f64]) {
-        match &self.kind {
-            PreparedKind::UniformBall { center, r2, w_in } => {
-                dist2_chunk(center, n, coords, dist2);
-                let (r2, w_in) = (*r2, *w_in);
-                for i in 0..n {
-                    weights[i] = if dist2[i] <= r2 { w_in } else { 0.0 };
-                }
-            }
-            PreparedKind::UniformBox { rect, w_in } => {
-                weights[..n].fill(*w_in);
-                for d in 0..D {
-                    let (lo, hi) = (rect.min[d], rect.max[d]);
-                    let row = &coords[d * CHUNK..d * CHUNK + n];
-                    for i in 0..n {
-                        let x = row[i];
-                        if x < lo || x > hi {
-                            weights[i] = 0.0;
-                        }
-                    }
-                }
-            }
-            PreparedKind::ConGauBall {
-                center,
-                r2,
-                two_s2,
-                norm,
-                lambda,
-            } => {
-                dist2_chunk(center, n, coords, dist2);
-                let (r2, two_s2, norm, lambda) = (*r2, *two_s2, *norm, *lambda);
-                for i in 0..n {
-                    let d2 = dist2[i];
-                    // Same operation order as the scalar density — the two
-                    // divisions stay divisions.
-                    weights[i] = if d2 > r2 {
-                        0.0
-                    } else {
-                        ((-d2 / two_s2).exp() / norm) / lambda
-                    };
-                }
-            }
-            PreparedKind::Histogram {
-                h,
-                widths,
-                cell_vol,
-            } => {
-                let rect = h.rect();
-                let bins = h.bins();
-                let mass = h.mass();
-                for i in 0..n {
-                    let mut flat = 0usize;
-                    let mut inside = true;
-                    for d in 0..D {
-                        let x = coords[d * CHUNK + i];
-                        if x < rect.min[d] || x > rect.max[d] {
-                            inside = false;
-                            break;
-                        }
-                        let mut k = ((x - rect.min[d]) / widths[d]) as usize;
-                        if k >= bins[d] {
-                            k = bins[d] - 1; // right boundary joins the last cell
-                        }
-                        flat = flat * bins[d] + k;
-                    }
-                    weights[i] = if inside { mass[flat] / cell_vol } else { 0.0 };
-                }
-            }
+            have += usize::from(norm_sq <= 1.0);
         }
     }
 }
 
-/// Squared distances of `n` dim-major samples to `center`, accumulated in
-/// dimension order exactly like `Point::distance_sq`.
-fn dist2_chunk<const D: usize>(center: &Point<D>, n: usize, coords: &[f64], dist2: &mut [f64]) {
-    dist2[..n].fill(0.0);
-    for (d, &c) in center.coords.iter().enumerate() {
-        let row = &coords[d * CHUNK..d * CHUNK + n];
-        for i in 0..n {
-            let diff = c - row[i];
-            dist2[i] += diff * diff;
-        }
-    }
-}
-
-/// Query-rect containment masks (1.0 inside, boundary included) for `n`
-/// dim-major samples — the branch-free form of `Rect::contains_point`.
-fn contains_chunk<const D: usize>(rq: &Rect<D>, n: usize, coords: &[f64], masks: &mut [f64]) {
-    masks[..n].fill(1.0);
+/// `center + u·radius` and its squared distance to `center`, accumulated
+/// in dimension order like `Point::distance_sq`.
+#[inline(always)]
+fn ball_point<const D: usize>(center: &Point<D>, radius: f64, u: &[f64; D]) -> ([f64; D], f64) {
+    let mut x = [0.0; D];
+    let mut d2 = 0.0;
     for d in 0..D {
-        let (lo, hi) = (rq.min[d], rq.max[d]);
-        let row = &coords[d * CHUNK..d * CHUNK + n];
-        for i in 0..n {
-            let x = row[i];
-            masks[i] *= u8::from(x >= lo && x <= hi) as f64;
-        }
+        x[d] = center.coords[d] + u[d] * radius;
+        let diff = center.coords[d] - x[d];
+        d2 += diff * diff;
     }
+    (x, d2)
+}
+
+/// A point uniform in `rect`; a dimension of zero width draws nothing.
+#[inline(always)]
+fn box_point<R: Rng + ?Sized, const D: usize>(rng: &mut R, rect: &Rect<D>) -> [f64; D] {
+    let mut x = [0.0; D];
+    for (d, c) in x.iter_mut().enumerate() {
+        *c = if rect.min[d] == rect.max[d] {
+            rect.min[d]
+        } else {
+            rng.gen_range(rect.min[d]..=rect.max[d])
+        };
+    }
+    x
+}
+
+/// Adds one sample of weight `w` at `x` to `[total, inside]`. The hit is
+/// applied as a select, not a multiply: a degenerate support (zero-area
+/// box) makes `w` infinite, and `inf * 0.0` would inject NaN where the
+/// scalar path simply skips the add.
+#[inline(always)]
+fn reduce<const D: usize>(sums: &mut [f64; 2], w: f64, rq: &Rect<D>, x: &[f64; D]) {
+    let mut hit = true;
+    for (d, &xd) in x.iter().enumerate() {
+        hit &= (xd >= rq.min[d]) & (xd <= rq.max[d]);
+    }
+    sums[0] += w;
+    sums[1] += if hit { w } else { 0.0 };
 }
 
 /// Probability that one [`MonteCarlo::decide_with`] call stops early on
@@ -345,13 +281,13 @@ fn kl_bernoulli(x: f64, p: f64) -> f64 {
 }
 
 impl MonteCarlo {
-    /// The chunked-kernel form of [`MonteCarlo::estimate`]: byte-identical
-    /// probabilities under the same seed, evaluated over [`CHUNK`]-sample
-    /// SoA rows with all per-variant constants hoisted into `prepared`.
+    /// The kernel form of [`MonteCarlo::estimate`]: byte-identical
+    /// probabilities under the same seed, with the same RNG draws, from
+    /// one fused per-variant loop with all per-variant constants hoisted
+    /// into `prepared`.
     ///
-    /// `scratch` is reused across candidates and queries; see
-    /// [`RefineScratch`]. The sample counter in `scratch` is charged with
-    /// `n1` unless a short-circuit answers without sampling.
+    /// The sample counter in `scratch` is charged with `n1` unless a
+    /// short-circuit answers without sampling.
     pub fn estimate_with<const D: usize, R: Rng + ?Sized>(
         &self,
         prepared: &PreparedPdf<'_, D>,
@@ -411,14 +347,15 @@ impl MonteCarlo {
 
     /// The one sample loop: `(inside / total, samples drawn)` once `n1`
     /// samples are in or `stop(drawn, inside, total)` says so at a chunk
-    /// boundary before that.
+    /// boundary before that. One `match` picks the variant's loop; each
+    /// draws, weighs, tests and reduces a sample before the next.
     fn sample_until<const D: usize, R: Rng + ?Sized>(
         &self,
         prepared: &PreparedPdf<'_, D>,
         rq: &Rect<D>,
         rng: &mut R,
         scratch: &mut RefineScratch,
-        mut stop: impl FnMut(usize, f64, f64) -> bool,
+        stop: impl FnMut(usize, f64, f64) -> bool,
     ) -> (f64, usize) {
         let mbr = prepared.mbr();
         if !mbr.intersects(rq) {
@@ -427,41 +364,96 @@ impl MonteCarlo {
         if rq.contains_rect(mbr) {
             return (1.0, 0);
         }
-        scratch.ensure(D);
-        let RefineScratch {
-            coords,
-            weights,
-            masks,
-            dist2,
-            samples,
-        } = scratch;
-        let mut total = 0.0;
-        let mut inside = 0.0;
-        let mut remaining = self.n1;
-        while remaining > 0 {
-            let n = remaining.min(CHUNK);
-            prepared.sample_chunk(rng, n, coords);
-            prepared.density_chunk(n, coords, dist2, weights);
-            contains_chunk(rq, n, coords, masks);
-            // Sequential per-sample reduction: same accumulation order as
-            // the scalar loop, hence the same bits. The mask is applied as
-            // a select, not a multiply — a degenerate support (zero-area
-            // box) makes `w` infinite, and `inf * 0.0` would inject NaN
-            // where the scalar path simply skips the add.
-            for i in 0..n {
-                let w = weights[i];
-                total += w;
-                inside += if masks[i] != 0.0 { w } else { 0.0 };
-            }
-            remaining -= n;
-            if remaining > 0 && stop(self.n1 - remaining, inside, total) {
+        let mut unit = [[0.0; D]; CHUNK];
+        let ([total, inside], drawn) = match prepared.kind {
+            PreparedKind::UniformBall {
+                ref center,
+                radius,
+                r2,
+                w_in,
+            } => self.chunks(stop, |n, sums| {
+                unit_ball_rounds(rng, &mut unit[..n]);
+                for u in &unit[..n] {
+                    let (x, d2) = ball_point(center, radius, u);
+                    reduce(sums, if d2 <= r2 { w_in } else { 0.0 }, rq, &x);
+                }
+            }),
+            PreparedKind::ConGauBall {
+                ref center,
+                radius,
+                r2,
+                two_s2,
+                norm,
+                lambda,
+            } => self.chunks(stop, |n, sums| {
+                unit_ball_rounds(rng, &mut unit[..n]);
+                for u in &unit[..n] {
+                    let (x, d2) = ball_point(center, radius, u);
+                    // Same operation order as the scalar density — the two
+                    // divisions stay divisions.
+                    let w = if d2 > r2 {
+                        0.0
+                    } else {
+                        ((-d2 / two_s2).exp() / norm) / lambda
+                    };
+                    reduce(sums, w, rq, &x);
+                }
+            }),
+            PreparedKind::UniformBox { ref rect, w_in } => self.chunks(stop, |n, sums| {
+                for _ in 0..n {
+                    let x = box_point(rng, rect);
+                    let hit = rect.contains_point(&Point::new(x));
+                    reduce(sums, if hit { w_in } else { 0.0 }, rq, &x);
+                }
+            }),
+            PreparedKind::Histogram {
+                h,
+                ref widths,
+                cell_vol,
+            } => self.chunks(stop, |n, sums| {
+                let (rect, bins, mass) = (h.rect(), h.bins(), h.mass());
+                for _ in 0..n {
+                    let x = box_point(rng, rect);
+                    let w = if rect.contains_point(&Point::new(x)) {
+                        let mut flat = 0usize;
+                        for d in 0..D {
+                            // The right boundary joins the last cell.
+                            let k = ((x[d] - rect.min[d]) / widths[d]) as usize;
+                            flat = flat * bins[d] + k.min(bins[d] - 1);
+                        }
+                        mass[flat] / cell_vol
+                    } else {
+                        0.0
+                    };
+                    reduce(sums, w, rq, &x);
+                }
+            }),
+        };
+        scratch.samples += drawn as u64;
+        let p = if total == 0.0 { 0.0 } else { inside / total };
+        (p, drawn)
+    }
+
+    /// Hands `chunk` runs of at most [`CHUNK`] samples to draw and reduce
+    /// into `[total, inside]`, until `n1` are in or `stop(drawn, inside,
+    /// total)` says so between two runs.
+    #[inline(always)]
+    fn chunks(
+        &self,
+        mut stop: impl FnMut(usize, f64, f64) -> bool,
+        mut chunk: impl FnMut(usize, &mut [f64; 2]),
+    ) -> ([f64; 2], usize) {
+        let mut sums = [0.0; 2];
+        let mut drawn = 0;
+        while drawn < self.n1 {
+            let n = (self.n1 - drawn).min(CHUNK);
+            chunk(n, &mut sums);
+            drawn += n;
+            if drawn < self.n1 && stop(drawn, sums[1], sums[0]) {
                 break;
             }
         }
-        let drawn = self.n1 - remaining;
-        *samples += drawn as u64;
-        let p = if total == 0.0 { 0.0 } else { inside / total };
-        (p, drawn)
+        (sums, drawn)
     }
 }
 

@@ -57,11 +57,10 @@ impl<const D: usize> Region<D> {
     /// Balls use rejection sampling from the bounding cube — the acceptance
     /// rate is `v_D/2^D` (≈0.79 in 2D, ≈0.52 in 3D), plenty for the
     /// dimensionalities the paper evaluates.
-    // Runs once per Monte-Carlo sample inside `kernel`'s chunk loop. Left
-    // to the heuristics, how a downstream crate splits its codegen units
-    // decides whether it is inlined there, and an out-of-line call per
-    // sample costs ~10 % of a sampling-bound query.
-    #[inline]
+    ///
+    /// Only the scalar oracle ([`crate::MonteCarlo::estimate`]) calls this
+    /// once per sample; the kernel draws the same points, attempt for
+    /// attempt, in its own loop (`kernel.rs`).
     pub fn sample_uniform<R: Rng + ?Sized>(&self, rng: &mut R) -> Point<D> {
         match self {
             Region::Ball { center, radius } => loop {

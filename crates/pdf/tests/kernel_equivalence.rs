@@ -1,5 +1,5 @@
 //! The kernel-vs-scalar oracle contract: [`MonteCarlo::estimate_with`]
-//! (chunked SoA kernels over a [`PreparedPdf`]) must return **byte-identical**
+//! (the fused per-variant loops over a [`PreparedPdf`]) must return **byte-identical**
 //! probabilities to the scalar [`MonteCarlo::estimate`] under the same seed —
 //! across every pdf variant, dimensionality, seed, and chunk-boundary sample
 //! count. Any drift here means the kernel changed the RNG consumption order
@@ -7,7 +7,7 @@
 //! answers everywhere.
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use uncertain_geom::{Point, Rect};
 use uncertain_pdf::{HistogramPdf, MonteCarlo, ObjectPdf, PreparedPdf, RefineScratch, CHUNK};
 
@@ -49,8 +49,8 @@ fn query_rects<const D: usize>(c: f64, r: f64) -> Vec<Rect<D>> {
         full(c - 2.0 * r, c + 2.0 * r),
         full(c + 0.1 * r, c + 0.1 * r),
     ];
-    // An asymmetric rect (different bounds per dim) to catch any dim-major
-    // indexing mistake in the SoA layout.
+    // An asymmetric rect (different bounds per dim) to catch any
+    // per-dimension indexing mistake.
     let mut min = [0.0; D];
     let mut max = [0.0; D];
     for d in 0..D {
@@ -249,4 +249,94 @@ fn decision_is_a_prefix_of_the_estimate_2d() {
 #[test]
 fn decision_is_a_prefix_of_the_estimate_3d() {
     check_decisions::<3>();
+}
+
+/// One run of the shared-RNG sequence at dimensionality `D`: every variant
+/// (and a box with a degenerate dimension) against every query rect, at
+/// every n₁ in `n1s`, as an estimate and then decisions at three `p_q`,
+/// all drawn from **one** RNG on each path. The kernel path calls
+/// [`MonteCarlo::estimate_with`] / [`MonteCarlo::decide_with`]; the
+/// scalar path calls [`MonteCarlo::estimate`] with the kernel decision's
+/// drawn count as its n₁. Asserts equal bits per result, the drawn count
+/// charged to the scratch, and equal RNG state afterwards; folds the
+/// scalar path's bits and counts into `fnv`.
+fn shared_rng_sequence<const D: usize>(n1s: &[usize], fnv: &mut u64) {
+    let (c, r) = (100.0, 25.0);
+    let mut degenerate = boxed::<D>(c, r);
+    if let ObjectPdf::UniformBox { rect } = &mut degenerate {
+        rect.max[0] = rect.min[0];
+    }
+    let pdfs = [
+        ball::<D>(c, r),
+        congau::<D>(c, r),
+        boxed::<D>(c, r),
+        histogram::<D>(c, r),
+        degenerate,
+    ];
+    let mut fold = |x: u64| {
+        for b in x.to_le_bytes() {
+            *fnv = (*fnv ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    let mut kernel_rng = SmallRng::seed_from_u64(0x5A4E_D000 + D as u64);
+    let mut scalar_rng = SmallRng::seed_from_u64(0x5A4E_D000 + D as u64);
+    let mut scratch = RefineScratch::new();
+    for &n1 in n1s {
+        let mc = MonteCarlo::new(n1);
+        for pdf in &pdfs {
+            let prepared = PreparedPdf::new(pdf);
+            for rq in query_rects::<D>(c, r) {
+                let at = format!("D={D} n1={n1} pdf={pdf:?} rq={rq:?}");
+                let kernel = mc.estimate_with(&prepared, &rq, &mut kernel_rng, &mut scratch);
+                let scalar = mc.estimate(pdf, &rq, &mut scalar_rng);
+                assert_eq!(kernel.to_bits(), scalar.to_bits(), "estimate: {at}");
+                fold(scalar.to_bits());
+                for p_q in [0.05, 0.5, 0.95] {
+                    let before = scratch.samples();
+                    let (p, m) = mc.decide_with(&prepared, &rq, p_q, &mut kernel_rng, &mut scratch);
+                    assert_eq!(
+                        scratch.samples() - before,
+                        m as u64,
+                        "drawn: {at} p_q={p_q}"
+                    );
+                    // A decision that drew nothing short-circuited, and so
+                    // does the scalar estimate at any n₁.
+                    let scalar = MonteCarlo::new(m.max(1)).estimate(pdf, &rq, &mut scalar_rng);
+                    assert_eq!(
+                        p.to_bits(),
+                        scalar.to_bits(),
+                        "decision: {at} p_q={p_q} m={m}"
+                    );
+                    fold(m as u64);
+                    fold(scalar.to_bits());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        kernel_rng.next_u64(),
+        scalar_rng.next_u64(),
+        "D={D}: the kernel left the shared RNG somewhere the scalar path did not"
+    );
+}
+
+/// Estimates and decisions that share one RNG (as Fig 7's error sweep
+/// and a replayed refinement pass do) leave it exactly where the scalar
+/// path leaves it. Per-estimate equality alone would miss a kernel that
+/// draws ahead and carries the surplus into the next call: every bit
+/// would match while the shared stream, and so every later figure,
+/// moved. The digest is the scalar path's, recorded before the
+/// kernel's rejection rounds were introduced, so a change to both paths
+/// at once cannot pass.
+#[test]
+fn shared_rng_sequence_leaves_the_stream_where_the_scalar_path_does() {
+    let n1s = [1, 25, CHUNK - 1, CHUNK + 1, 10_000];
+    let mut fnv = 0xCBF2_9CE4_8422_2325;
+    shared_rng_sequence::<1>(&n1s, &mut fnv);
+    shared_rng_sequence::<2>(&n1s, &mut fnv);
+    shared_rng_sequence::<3>(&n1s, &mut fnv);
+    assert_eq!(
+        fnv, 0x922b_264e_2cf6_e25e,
+        "scalar-path digest moved: {fnv:#018x}"
+    );
 }

@@ -60,10 +60,14 @@ const KIND_RELEASE: u8 = 3;
 const KIND_META: u8 = 4;
 const KIND_COMMIT: u8 = 5;
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. Hand-rolled —
-/// the build environment is offline, and eleven lines beat a dependency.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, the zlib polynomial), slice-by-16: `CRC_TABLES[0]`
+/// is the byte-wise table, and `CRC_TABLES[k][b]` is the CRC register
+/// after byte `b` is followed by `k` zero bytes, so sixteen lookups
+/// advance the register over sixteen bytes at once. Hand-rolled — the
+/// build environment is offline, and safe table code needs no
+/// dependency.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -76,17 +80,39 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 checksum of `bytes` (IEEE polynomial, standard init/final xor).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        let head = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize];
+        for (k, &byte) in b[4..].iter().enumerate() {
+            c ^= t[11 - k][byte as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -751,6 +777,30 @@ mod tests {
         p.push(format!("utree-wal-{}-{name}", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// The byte-wise table CRC, one lookup per byte: the oracle of the
+    /// sliced form.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_form() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(17);
+        let buf: Vec<u8> = (0..4_113 + 16).map(|_| rng.gen_range(0..=255u8)).collect();
+        for len in 0..=4_113 {
+            // Every start offset mod 16, so blocks straddle every alignment.
+            let start = (len * 7) % 16;
+            let bytes = &buf[start..start + len];
+            assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len} at {start}");
+        }
     }
 
     #[test]
