@@ -147,7 +147,7 @@ impl<const D: usize> IndexCatalog<D> {
             .flat_map(|def| seg_paths(&dir, def))
             .flatten()
             .collect();
-        let recovered = persist::recover(&dir, &segments, buffer_pages)?;
+        let (recovered, ()) = persist::recover(&dir, &segments, buffer_pages, || Ok(()))?;
         // The log's catalog record is authoritative for the indexes it
         // names (it belongs to the replayed page state); indexes created
         // after the last commit keep their `catalog.pg` superstructure.

@@ -1,4 +1,8 @@
-//! Leaf entries and node codecs for the U-tree and U-PCR.
+//! Leaf entries and their codecs for the U-tree and U-PCR.
+//!
+//! Each codec encodes one entry; the node page around it (level byte,
+//! count, entry loop, capacity) belongs to [`rstar_base`] (see
+//! [`rstar_base::NodeCodec`]).
 //!
 //! Sec 5.1: "A leaf entry contains the `o.cfb_out` and `o.cfb_in` of an
 //! object `o`, the MBR of its uncertainty region `o.ur`, together with a
@@ -10,7 +14,7 @@ use crate::catalog::UCatalog;
 use crate::cfb::CfbPair;
 use crate::key::{PcrKey, UKey};
 use crate::pcr::PcrSet;
-use page_store::{ByteReader, ByteWriter, PageId, RecordAddr, PAGE_SIZE};
+use page_store::{ByteReader, ByteWriter, PageId, RecordAddr};
 use rstar_base::{InnerEntry, LeafRecord, NodeCodec};
 use std::sync::Arc;
 use uncertain_geom::Rect;
@@ -123,7 +127,7 @@ fn get_addr(r: &mut ByteReader<'_>) -> RecordAddr {
     }
 }
 
-/// On-page codec for U-tree nodes.
+/// Entry codec for U-tree nodes.
 ///
 /// Leaf entry: 8·D f32 (both CFBs) + 2·D f32 (MBR) + 10 B addr + 8 B id.
 /// Inner entry: 4·D f32 (`MBR⊥`, `MBR̄`) + 8 B child pointer.
@@ -136,16 +140,6 @@ impl<const D: usize> UCodec<D> {
     /// Codec bound to a catalog (needed to re-derive leaf keys on decode).
     pub fn new(catalog: Arc<UCatalog>) -> Self {
         Self { catalog }
-    }
-
-    /// Encoded leaf-entry size in bytes.
-    pub const fn leaf_entry_size() -> usize {
-        8 * D * 4 + 2 * D * 4 + 10 + 8
-    }
-
-    /// Encoded inner-entry size in bytes.
-    pub const fn inner_entry_size() -> usize {
-        4 * D * 4 + 8
     }
 
     fn put_cfb(w: &mut ByteWriter, c: &crate::cfb::Cfb<D>) {
@@ -186,66 +180,44 @@ impl<const D: usize> UCodec<D> {
 }
 
 impl<const D: usize> NodeCodec<UKey<D>, ULeafEntry<D>> for UCodec<D> {
-    fn leaf_capacity(&self) -> usize {
-        (PAGE_SIZE - 3) / Self::leaf_entry_size()
+    fn leaf_entry_size(&self) -> usize {
+        8 * D * 4 + 2 * D * 4 + 10 + 8
     }
 
-    fn inner_capacity(&self) -> usize {
-        (PAGE_SIZE - 3) / Self::inner_entry_size()
+    fn inner_entry_size(&self) -> usize {
+        4 * D * 4 + 8
     }
 
-    fn encode_leaf(&self, entries: &[ULeafEntry<D>], out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_capacity(2 + entries.len() * Self::leaf_entry_size());
-        w.put_u16(entries.len() as u16);
-        for e in entries {
-            Self::put_cfb(&mut w, &e.cfbs.outer);
-            Self::put_cfb(&mut w, &e.cfbs.inner);
-            put_rect(&mut w, &e.mbr);
-            put_addr(&mut w, &e.addr);
-            w.put_u64(e.id);
+    fn put_leaf(&self, e: &ULeafEntry<D>, w: &mut ByteWriter) {
+        Self::put_cfb(w, &e.cfbs.outer);
+        Self::put_cfb(w, &e.cfbs.inner);
+        put_rect(w, &e.mbr);
+        put_addr(w, &e.addr);
+        w.put_u64(e.id);
+    }
+
+    fn get_leaf(&self, r: &mut ByteReader<'_>) -> ULeafEntry<D> {
+        let outer = Self::get_cfb(r);
+        let inner = Self::get_cfb(r);
+        let mbr = get_rect(r);
+        let addr = get_addr(r);
+        let id = r.get_u64();
+        ULeafEntry::new(CfbPair { outer, inner }, mbr, addr, id, &self.catalog)
+    }
+
+    fn put_inner(&self, e: &InnerEntry<UKey<D>>, w: &mut ByteWriter) {
+        put_rect_outward(w, &e.key.lo);
+        put_rect_outward(w, &e.key.hi);
+        w.put_u64(e.child);
+    }
+
+    fn get_inner(&self, r: &mut ByteReader<'_>) -> InnerEntry<UKey<D>> {
+        let lo = get_rect(r);
+        let hi = get_rect(r);
+        InnerEntry {
+            key: UKey { lo, hi },
+            child: r.get_u64(),
         }
-        out.extend_from_slice(w.as_slice());
-    }
-
-    fn decode_leaf(&self, bytes: &[u8]) -> Vec<ULeafEntry<D>> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u16() as usize;
-        (0..n)
-            .map(|_| {
-                let outer = Self::get_cfb(&mut r);
-                let inner = Self::get_cfb(&mut r);
-                let mbr = get_rect(&mut r);
-                let addr = get_addr(&mut r);
-                let id = r.get_u64();
-                ULeafEntry::new(CfbPair { outer, inner }, mbr, addr, id, &self.catalog)
-            })
-            .collect()
-    }
-
-    fn encode_inner(&self, entries: &[InnerEntry<UKey<D>>], out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_capacity(2 + entries.len() * Self::inner_entry_size());
-        w.put_u16(entries.len() as u16);
-        for e in entries {
-            put_rect_outward(&mut w, &e.key.lo);
-            put_rect_outward(&mut w, &e.key.hi);
-            w.put_u64(e.child);
-        }
-        out.extend_from_slice(w.as_slice());
-    }
-
-    fn decode_inner(&self, bytes: &[u8]) -> Vec<InnerEntry<UKey<D>>> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u16() as usize;
-        (0..n)
-            .map(|_| {
-                let lo = get_rect(&mut r);
-                let hi = get_rect(&mut r);
-                InnerEntry {
-                    key: UKey { lo, hi },
-                    child: r.get_u64(),
-                }
-            })
-            .collect()
     }
 }
 
@@ -274,7 +246,7 @@ impl<const D: usize> LeafRecord<PcrKey<D>> for UPcrLeafEntry<D> {
     }
 }
 
-/// On-page codec for U-PCR nodes.
+/// Entry codec for U-PCR nodes.
 ///
 /// Leaf entry: 2·D·m f32 (PCRs) + 2·D f32 (MBR) + 10 B addr + 8 B id.
 /// Inner entry: 2·D·m f32 + 8 B child — the fanout penalty of Sec 4.3.
@@ -288,85 +260,51 @@ impl<const D: usize> UPcrCodec<D> {
     pub fn new(catalog: Arc<UCatalog>) -> Self {
         Self { catalog }
     }
-
-    /// Encoded leaf-entry size in bytes.
-    pub fn leaf_entry_size(&self) -> usize {
-        2 * D * 4 * self.catalog.len() + 2 * D * 4 + 10 + 8
-    }
-
-    /// Encoded inner-entry size in bytes.
-    pub fn inner_entry_size(&self) -> usize {
-        2 * D * 4 * self.catalog.len() + 8
-    }
 }
 
 impl<const D: usize> NodeCodec<PcrKey<D>, UPcrLeafEntry<D>> for UPcrCodec<D> {
-    fn leaf_capacity(&self) -> usize {
-        (PAGE_SIZE - 3) / self.leaf_entry_size()
+    fn leaf_entry_size(&self) -> usize {
+        2 * D * 4 * self.catalog.len() + 2 * D * 4 + 10 + 8
     }
 
-    fn inner_capacity(&self) -> usize {
-        (PAGE_SIZE - 3) / self.inner_entry_size()
+    fn inner_entry_size(&self) -> usize {
+        2 * D * 4 * self.catalog.len() + 8
     }
 
-    fn encode_leaf(&self, entries: &[UPcrLeafEntry<D>], out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_capacity(2 + entries.len() * self.leaf_entry_size());
-        w.put_u16(entries.len() as u16);
-        for e in entries {
-            debug_assert_eq!(e.pcrs.len(), self.catalog.len());
-            for r in e.pcrs.rects() {
-                put_rect(&mut w, r);
-            }
-            put_rect(&mut w, &e.mbr);
-            put_addr(&mut w, &e.addr);
-            w.put_u64(e.id);
+    fn put_leaf(&self, e: &UPcrLeafEntry<D>, w: &mut ByteWriter) {
+        debug_assert_eq!(e.pcrs.len(), self.catalog.len());
+        for r in e.pcrs.rects() {
+            put_rect(w, r);
         }
-        out.extend_from_slice(w.as_slice());
+        put_rect(w, &e.mbr);
+        put_addr(w, &e.addr);
+        w.put_u64(e.id);
     }
 
-    fn decode_leaf(&self, bytes: &[u8]) -> Vec<UPcrLeafEntry<D>> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u16() as usize;
-        let m = self.catalog.len();
-        (0..n)
-            .map(|_| {
-                let rects: Vec<Rect<D>> = (0..m).map(|_| get_rect(&mut r)).collect();
-                UPcrLeafEntry {
-                    pcrs: PcrSet::from_rects(rects),
-                    mbr: get_rect(&mut r),
-                    addr: get_addr(&mut r),
-                    id: r.get_u64(),
-                }
-            })
-            .collect()
-    }
-
-    fn encode_inner(&self, entries: &[InnerEntry<PcrKey<D>>], out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_capacity(2 + entries.len() * self.inner_entry_size());
-        w.put_u16(entries.len() as u16);
-        for e in entries {
-            debug_assert_eq!(e.key.rects.len(), self.catalog.len());
-            for r in &e.key.rects {
-                put_rect(&mut w, r);
-            }
-            w.put_u64(e.child);
+    fn get_leaf(&self, r: &mut ByteReader<'_>) -> UPcrLeafEntry<D> {
+        let rects: Vec<Rect<D>> = (0..self.catalog.len()).map(|_| get_rect(r)).collect();
+        UPcrLeafEntry {
+            pcrs: PcrSet::from_rects(rects),
+            mbr: get_rect(r),
+            addr: get_addr(r),
+            id: r.get_u64(),
         }
-        out.extend_from_slice(w.as_slice());
     }
 
-    fn decode_inner(&self, bytes: &[u8]) -> Vec<InnerEntry<PcrKey<D>>> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u16() as usize;
-        let m = self.catalog.len();
-        (0..n)
-            .map(|_| {
-                let rects: Vec<Rect<D>> = (0..m).map(|_| get_rect(&mut r)).collect();
-                InnerEntry {
-                    key: PcrKey { rects },
-                    child: r.get_u64(),
-                }
-            })
-            .collect()
+    fn put_inner(&self, e: &InnerEntry<PcrKey<D>>, w: &mut ByteWriter) {
+        debug_assert_eq!(e.key.rects.len(), self.catalog.len());
+        for r in &e.key.rects {
+            put_rect(w, r);
+        }
+        w.put_u64(e.child);
+    }
+
+    fn get_inner(&self, r: &mut ByteReader<'_>) -> InnerEntry<PcrKey<D>> {
+        let rects: Vec<Rect<D>> = (0..self.catalog.len()).map(|_| get_rect(r)).collect();
+        InnerEntry {
+            key: PcrKey { rects },
+            child: r.get_u64(),
+        }
     }
 }
 
@@ -404,7 +342,7 @@ mod tests {
         let e = sample_entry(&cat);
         let mut bytes = Vec::new();
         codec.encode_leaf(std::slice::from_ref(&e), &mut bytes);
-        let back = codec.decode_leaf(&bytes);
+        let back = codec.decode_leaf(&bytes).unwrap();
         assert_eq!(back.len(), 1);
         // Pre-rounded values survive the f32 narrowing byte-exactly, so the
         // whole entry (including the derived key) must be identical.
@@ -429,7 +367,7 @@ mod tests {
         ];
         let mut bytes = Vec::new();
         codec.encode_inner(&inner, &mut bytes);
-        let back = codec.decode_inner(&bytes);
+        let back = codec.decode_inner(&bytes).unwrap();
         assert_eq!(back.len(), 2);
         // Inner keys round outward: the decoded key must cover the
         // original (bounding invariant) and stay within an f32 ulp of it.
@@ -449,9 +387,9 @@ mod tests {
         // = 98B ⇒ 41 per page; inner = 8 values + 8B = 40B ⇒ 102.
         let cat = Arc::new(UCatalog::paper_utree_default());
         let codec = UCodec::<2>::new(cat.clone());
-        assert_eq!(UCodec::<2>::leaf_entry_size(), 98);
+        assert_eq!(codec.leaf_entry_size(), 98);
         assert_eq!(codec.leaf_capacity(), 41);
-        assert_eq!(UCodec::<2>::inner_entry_size(), 40);
+        assert_eq!(codec.inner_entry_size(), 40);
         assert_eq!(codec.inner_capacity(), 102);
         // 2D U-PCR with the paper's m = 9: leaf entry = 36 PCR values + 4
         // MBR values + 18B = 178B ⇒ 22 per page; inner = 152B ⇒ 26. The
@@ -490,7 +428,7 @@ mod tests {
         };
         let mut bytes = Vec::new();
         codec.encode_leaf(std::slice::from_ref(&e), &mut bytes);
-        let back = codec.decode_leaf(&bytes);
+        let back = codec.decode_leaf(&bytes).unwrap();
         assert_eq!(back[0], e);
     }
 }

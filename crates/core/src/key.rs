@@ -90,6 +90,13 @@ impl<const D: usize> KeyMetrics<D> for UMetrics<D> {
         a.hi = a.hi.union(&b.hi);
     }
 
+    fn empty_key(&self) -> UKey<D> {
+        UKey {
+            lo: Rect::empty(),
+            hi: Rect::empty(),
+        }
+    }
+
     fn area(&self, k: &UKey<D>) -> f64 {
         self.fracs.iter().map(|&f| k.interp(f).area()).sum()
     }
@@ -165,6 +172,12 @@ impl<const D: usize> KeyMetrics<D> for PcrMetrics<D> {
         debug_assert_eq!(a.rects.len(), b.rects.len());
         for (ra, rb) in a.rects.iter_mut().zip(&b.rects) {
             *ra = ra.union(rb);
+        }
+    }
+
+    fn empty_key(&self) -> PcrKey<D> {
+        PcrKey {
+            rects: vec![Rect::empty(); self.catalog.len()],
         }
     }
 

@@ -25,16 +25,18 @@
 //!
 //! * **commit** is [`page_store::wal::commit_group`] (the write-ahead
 //!   rule);
-//! * **recovery on open** is [`recover`]: open the snapshot files first
-//!   (a directory missing one is refused before its log is created or
-//!   truncated), then let [`Wal::recover`] replay every committed batch
-//!   onto them in one pass over the log (store tag = position in the
-//!   segment list) and cut off a torn or uncommitted tail, and hand back
-//!   the journaled, pool-wrapped stores plus the log's last metadata blob
-//!   — which, when present, is authoritative over the metadata file. Full
-//!   page images make the replay idempotent over any partially-applied
-//!   base, so a crash at any point — mid-append, mid-apply, even
-//!   mid-checkpoint — lands on some committed prefix;
+//! * **recovery on open** is [`recover`]: open the snapshot files and
+//!   check the caller's metadata first (a directory missing a file, or
+//!   holding another kind or dimensionality, is refused before its log
+//!   is created or truncated), then let [`Wal::recover`] replay every
+//!   committed batch onto them in one pass over the log (store tag =
+//!   position in the segment list) and cut off a torn or uncommitted
+//!   tail, and hand back the journaled, pool-wrapped stores plus the
+//!   log's last metadata blob — which, when present, is authoritative
+//!   over the metadata file. Full page images make the replay idempotent
+//!   over any partially-applied base, so a crash at any point —
+//!   mid-append, mid-apply, even mid-checkpoint — lands on some committed
+//!   prefix;
 //! * **checkpoint** is [`checkpoint`]: commit (fsynced before it
 //!   returns), snapshot, log truncation, in that order.
 //!
@@ -387,16 +389,20 @@ pub(crate) struct Recovered {
 }
 
 /// Recovery on open, once (see the module docs): every segment is opened
-/// first, so a missing or foreign one is refused before `dir`'s log is
-/// created or truncated; then the log replays every committed batch onto
-/// the segments before any of them is wrapped for use.
-pub(crate) fn recover(
+/// first, then `admit` runs — the caller's last chance to refuse the
+/// directory — so a missing or foreign segment, or a refusal, comes
+/// before `dir`'s log is created or truncated; then the log replays every
+/// committed batch onto the segments before any of them is wrapped for
+/// use. Returns what `admit` returned beside the recovered parts.
+pub(crate) fn recover<T>(
     dir: &Path,
     segments: &[PathBuf],
     buffer_pages: usize,
-) -> io::Result<Recovered> {
+    admit: impl FnOnce() -> io::Result<T>,
+) -> io::Result<(Recovered, T)> {
     validate_pool_params(buffer_pages)?;
     let mut files = open_segments(segments)?;
+    let admitted = admit()?;
     let mut targets: Vec<&mut dyn ReplayTarget> = files
         .iter_mut()
         .map(|rf| rf as &mut dyn ReplayTarget)
@@ -404,7 +410,7 @@ pub(crate) fn recover(
     let (wal, meta) = Wal::recover(dir.join(WAL_FILE), &mut targets)?;
     let wal = Arc::new(Mutex::new(wal));
     let stores = wrap_segments(files, &wal, 0, buffer_pages)?;
-    Ok(Recovered { stores, wal, meta })
+    Ok((Recovered { stores, wal, meta }, admitted))
 }
 
 /// The checkpoint sequence, once: `commit` (the owner's commit, fsynced
@@ -424,24 +430,28 @@ pub(crate) fn checkpoint<T>(
     w.truncate()
 }
 
-/// Opens a saved-index directory through [`recover`] and checks that it
-/// holds the structure kind and dimensionality the caller is about to
-/// construct, returning the (possibly log-recovered) metadata with the
-/// index and heap stores. Shared by every tree's `open`.
+/// Opens a saved-index directory through [`recover`], returning the
+/// (possibly log-recovered) metadata with the index and heap stores.
+/// Shared by every tree's `open`. `meta.bin` must hold the structure kind
+/// and dimensionality the caller is about to construct, checked before the
+/// log is touched; the log's last committed metadata, if any, then wins.
 pub(crate) fn open_parts(
     dir: &Path,
     kind: u8,
     dims: usize,
     buffer_pages: usize,
 ) -> io::Result<(SavedMeta, DiskStore, DiskStore)> {
-    let segments = [dir.join(INDEX_FILE), dir.join(HEAP_FILE)];
-    let recovered = recover(dir, &segments, buffer_pages)?;
     let meta_path = dir.join(META_FILE);
+    let segments = [dir.join(INDEX_FILE), dir.join(HEAP_FILE)];
+    let (recovered, saved) = recover(dir, &segments, buffer_pages, || {
+        let saved = read_meta(&meta_path)?;
+        expect(&saved, kind, dims, &meta_path)?;
+        Ok(saved)
+    })?;
     let meta = match recovered.meta {
         Some(bytes) => decode_meta(&bytes, &format!("{} (wal)", dir.display()))?,
-        None => read_meta(&meta_path)?,
+        None => saved,
     };
-    expect(&meta, kind, dims, &meta_path)?;
     let [index, heap]: [DiskStore; 2] = recovered
         .stores
         .try_into()

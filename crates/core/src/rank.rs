@@ -38,8 +38,8 @@ use uncertain_geom::Rect;
 /// What a frontier entry points at.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RankTarget {
-    /// An unexpanded tree node.
-    Node(PageId),
+    /// An unexpanded tree node: its page and its level (0 = leaf).
+    Node(PageId, usize),
     /// An undecided object (heap address, id, lower probability bound).
     Object {
         /// Heap address of the object's pdf record.
@@ -69,7 +69,7 @@ impl RankItem {
     fn order_key(&self) -> (u64, u8, u64) {
         let (kind, tag) = match self.target {
             RankTarget::Object { id, .. } => (1u8, id),
-            RankTarget::Node(page) => (0u8, page),
+            RankTarget::Node(page, _) => (0u8, page),
         };
         (self.upper.to_bits(), kind, tag)
     }
@@ -229,7 +229,7 @@ where
 
     ctx.frontier.push(RankItem {
         upper: 1.0,
-        target: RankTarget::Node(tree.root_page()),
+        target: RankTarget::Node(tree.root_page(), tree.height() - 1),
     });
     // Staging buffers for one node expansion (the two `read_node`
     // callbacks each own one, the frontier absorbs both afterwards).
@@ -250,7 +250,7 @@ where
             break;
         }
         match item.target {
-            RankTarget::Node(page) => {
+            RankTarget::Node(page, level) => {
                 let QueryCtx {
                     stats,
                     frontier,
@@ -261,6 +261,7 @@ where
                 stats.node_reads += 1;
                 tree.read_node(
                     page,
+                    level,
                     |key, child| {
                         let b = node_upper(key).min(item.upper);
                         // Strict pruning only: a subtree tying `tau` may
@@ -268,7 +269,7 @@ where
                         if b > 0.0 && b >= tau {
                             staged_nodes.push(RankItem {
                                 upper: b,
-                                target: RankTarget::Node(child),
+                                target: RankTarget::Node(child, level - 1),
                             });
                         }
                     },
@@ -387,7 +388,7 @@ mod tests {
     fn rank_items_order_by_upper_bound_then_kind() {
         let node = |upper: f64, page: u64| RankItem {
             upper,
-            target: RankTarget::Node(page),
+            target: RankTarget::Node(page, 0),
         };
         let obj = |upper: f64, id: u64| RankItem {
             upper,
@@ -408,8 +409,8 @@ mod tests {
             heap.pop().unwrap().target,
             RankTarget::Object { id: 10, .. }
         ));
-        assert!(matches!(heap.pop().unwrap().target, RankTarget::Node(2)));
-        assert!(matches!(heap.pop().unwrap().target, RankTarget::Node(1)));
+        assert!(matches!(heap.pop().unwrap().target, RankTarget::Node(2, _)));
+        assert!(matches!(heap.pop().unwrap().target, RankTarget::Node(1, _)));
         assert!(matches!(
             heap.pop().unwrap().target,
             RankTarget::Object { id: 11, .. }

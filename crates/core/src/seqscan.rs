@@ -20,6 +20,7 @@ use crate::query::{refine_ctx, QueryCtx, QueryStats};
 use crate::tree::{storable_mbr, Cfbs, FilterPayload, InsertStats};
 use page_store::{ObjectHeap, PageFile, PageId, PageStore};
 use rstar_base::NodeCodec;
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 use uncertain_pdf::UncertainObject;
@@ -97,15 +98,17 @@ impl<const D: usize> SeqScan<D> {
     /// no update locality to preserve). Returns the same cost breakdown as
     /// the tree inserts (no `lp` shortcut: the scan stores CFBs too).
     pub fn insert(&mut self, obj: &UncertainObject<D>) -> InsertStats {
+        self.try_insert(obj)
+            // xlint: allow(panic-freedom) -- invariant: in-memory file and heap cannot fail
+            .expect("in-memory file and heap cannot fail")
+    }
+
+    fn try_insert(&mut self, obj: &UncertainObject<D>) -> io::Result<InsertStats> {
         // A U-tree leaf entry's payload and stored MBR, from the U-tree's
         // own code, so the two cannot drift on what an entry holds.
         let (cfbs, pcr_nanos, lp_nanos) =
             <Cfbs as FilterPayload<D>>::compute(&obj.pdf, &self.catalog);
-        let addr = self
-            .heap
-            .insert(&encode_object(obj))
-            // xlint: allow(panic-freedom) -- invariant: in-memory heap cannot fail
-            .expect("in-memory heap cannot fail");
+        let addr = self.heap.insert(&encode_object(obj))?;
         let mbr = storable_mbr(&obj.pdf);
         let entry = ULeafEntry::new(cfbs, mbr, addr, obj.id, &self.catalog);
         let reads0 = self.file.stats().reads();
@@ -114,41 +117,44 @@ impl<const D: usize> SeqScan<D> {
         self.len += 1;
         if self.open.len() == self.codec.leaf_capacity() {
             let full = std::mem::take(&mut self.open);
-            self.write_page(&full);
+            self.write_page(&full)?;
         }
-        InsertStats {
+        Ok(InsertStats {
             pcr_nanos,
             lp_nanos,
             io_reads: self.file.stats().reads() - reads0,
             io_writes: self.file.stats().writes() - writes0,
-        }
+        })
     }
 
     /// Deletes an object by id. A packed file has no search structure, so
     /// the whole file is scanned and repacked — the honest sequential-file
     /// deletion cost the trees are meant to beat.
     pub fn delete(&mut self, obj: &UncertainObject<D>) -> bool {
+        self.try_delete(obj)
+            // xlint: allow(panic-freedom) -- invariant: in-memory file and heap cannot fail
+            .expect("in-memory file and heap cannot fail")
+    }
+
+    fn try_delete(&mut self, obj: &UncertainObject<D>) -> io::Result<bool> {
         let mut all: Vec<ULeafEntry<D>> = Vec::with_capacity(self.len);
         for &page in &self.pages {
-            all.extend(self.codec.decode_leaf(self.file.read(page)));
+            all.extend(self.codec.decode_leaf(self.file.read(page))?);
         }
         all.extend(self.open.iter().cloned());
         // A miss stays read-only: the scan above is the whole deletion
         // search cost; nothing is repacked.
         let Some(pos) = all.iter().position(|e| e.id == obj.id) else {
-            return false;
+            return Ok(false);
         };
         let removed = all.remove(pos);
-        self.heap
-            .remove(removed.addr)
-            // xlint: allow(panic-freedom) -- invariant: in-memory heap cannot fail
-            .expect("in-memory heap cannot fail");
-        self.rebuild_from(all);
-        true
+        self.heap.remove(removed.addr)?;
+        self.rebuild_from(all)?;
+        Ok(true)
     }
 
     /// Repacks `entries` into full pages + open tail.
-    fn rebuild_from(&mut self, entries: Vec<ULeafEntry<D>>) {
+    fn rebuild_from(&mut self, entries: Vec<ULeafEntry<D>>) -> io::Result<()> {
         for page in self.pages.drain(..) {
             self.file.release(page);
         }
@@ -157,24 +163,22 @@ impl<const D: usize> SeqScan<D> {
         self.open = Vec::new();
         for chunk in entries.chunks(cap) {
             if chunk.len() == cap {
-                self.write_page(chunk);
+                self.write_page(chunk)?;
             } else {
                 self.open = chunk.to_vec();
             }
         }
+        Ok(())
     }
 
     /// Appends one full page holding `entries`.
-    fn write_page(&mut self, entries: &[ULeafEntry<D>]) {
-        // xlint: allow(io-fallibility, panic-freedom) -- invariant: in-memory file cannot fail
-        let page = self.file.allocate().expect("in-memory file cannot fail");
+    fn write_page(&mut self, entries: &[ULeafEntry<D>]) -> io::Result<()> {
+        let page = self.file.allocate()?;
         let mut bytes = Vec::with_capacity(page_store::PAGE_SIZE);
         self.codec.encode_leaf(entries, &mut bytes);
-        self.file
-            .write(page, &bytes)
-            // xlint: allow(io-fallibility, panic-freedom) -- invariant: in-memory file cannot fail
-            .expect("in-memory file cannot fail");
+        self.file.write(page, &bytes)?;
         self.pages.push(page);
+        Ok(())
     }
 
     /// The scan itself: hands `f` every stored entry — each full page
@@ -185,10 +189,10 @@ impl<const D: usize> SeqScan<D> {
         &self,
         stats: &mut QueryStats,
         mut f: impl FnMut(&mut QueryStats, &ULeafEntry<D>),
-    ) {
+    ) -> io::Result<()> {
         for &page in &self.pages {
             stats.node_reads += 1;
-            for rec in self.codec.decode_leaf(self.file.read(page)) {
+            for rec in self.codec.decode_leaf(self.file.read(page))? {
                 f(stats, &rec);
             }
         }
@@ -196,6 +200,7 @@ impl<const D: usize> SeqScan<D> {
             f(stats, rec);
         }
         stats.node_reads += u64::from(!self.open.is_empty());
+        Ok(())
     }
 
     /// [`ProbIndex::rank_topk`], callable without importing the trait.
@@ -270,7 +275,7 @@ impl<const D: usize> ProbIndex<D> for SeqScan<D> {
                     }
                     FilterOutcome::Candidate => candidates.push((rec.addr, rec.id)),
                 }
-            });
+            })?;
         }
         ctx.stats.filter_nanos = t0.elapsed().as_nanos();
         ctx.stats.candidates = ctx.candidates.len() as u64;
@@ -316,7 +321,7 @@ impl<const D: usize> ProbIndex<D> for SeqScan<D> {
                 } else {
                     stats.pruned += 1;
                 }
-            });
+            })?;
         }
         let cands = std::mem::take(&mut ctx.candidates);
         for &(addr, id) in &cands {

@@ -479,8 +479,8 @@ impl<const D: usize, P: FilterPayload<D>, S: PageStore> ProbTree<D, P, S> {
         self.tree.stats()
     }
 
-    /// R-tree invariant check (tests).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// R-tree invariant check (tests); a violation is `InvalidData`.
+    pub fn check_invariants(&self) -> io::Result<()> {
         self.tree.check_invariants()
     }
 
@@ -1185,6 +1185,9 @@ mod tests {
         }
         fn union_with(&self, a: &mut UKey<2>, b: &UKey<2>) {
             self.inner.union_with(a, b)
+        }
+        fn empty_key(&self) -> UKey<2> {
+            self.inner.empty_key()
         }
         fn area(&self, k: &UKey<2>) -> f64 {
             self.inner.area(k)

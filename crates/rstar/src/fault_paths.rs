@@ -1,10 +1,11 @@
-//! Regression tests for the fallible-store paths: every I/O
-//! call site converted away from `unwrap()` must surface an injected
-//! [`FaultStore`] error as `Err` instead of panicking.
+//! Regression tests for the fallible paths: every I/O call site
+//! converted away from `unwrap()` must surface an injected [`FaultStore`]
+//! error as `Err` instead of panicking, and every reader of a corrupt node
+//! page must return `InvalidData` naming it.
 
 use crate::rect_tree::{RectCodec, RectLeaf, RectMetrics};
 use crate::{str_order_by, NodeCodec, RStarTreeBase, TreeConfig};
-use page_store::{FaultMode, FaultStore, PageFile};
+use page_store::{FaultMode, FaultStore, PageFile, PageId, PageStore, PAGE_SIZE};
 use std::io;
 use uncertain_geom::Rect;
 
@@ -140,4 +141,89 @@ fn read_fault_surfaces_from_try_range() {
         range(&tree, &Rect::new([0.0, 0.0], [990.0, 200.0])).is_err(),
         "the range visit must surface the injected read fault"
     );
+}
+
+/// A two-level tree of 1 000 STR-packed grid rectangles (six leaves under
+/// the root), the page ids of its root and first leaf, and that leaf's
+/// records.
+fn two_level_tree() -> io::Result<(FaultTree, PageId, PageId, Vec<RectLeaf<2>>)> {
+    let store = FaultStore::new(PageFile::new(), 0, FaultMode::Fail);
+    let tree = bulk_tree(store, (0..1_000).map(leaf).collect())?;
+    assert_eq!(tree.height(), 2);
+    let root = tree.root_page();
+    let mut leaves = Vec::new();
+    tree.read_node(root, 1, |_, child| leaves.push(child), |_| {})?;
+    let mut records = Vec::new();
+    tree.read_node(leaves[0], 0, |_, _| {}, |r| records.push(*r))?;
+    Ok((tree, root, leaves[0], records))
+}
+
+/// Rewrites node `page` of `tree` with `edit` applied to its bytes.
+fn corrupt(
+    tree: &mut FaultTree,
+    page: PageId,
+    edit: impl FnOnce(&mut [u8; PAGE_SIZE]),
+) -> io::Result<()> {
+    let mut bytes = [0u8; PAGE_SIZE];
+    tree.store().peek_into(page, &mut bytes)?;
+    edit(&mut bytes);
+    tree.store_mut().write(page, &bytes)
+}
+
+/// `result` must be `InvalidData` naming `page`.
+fn assert_refused<T: std::fmt::Debug>(op: &str, page: PageId, result: io::Result<T>) {
+    let err = result.expect_err(op);
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{op}: {err}");
+    assert!(
+        err.to_string().contains(&format!("page {page}")),
+        "{op}: error does not name page {page}: {err}"
+    );
+}
+
+/// Every reader of a corrupt node page — the walk, a single-node read,
+/// insert, delete, the stats walk and the invariant check — returns
+/// `InvalidData` naming the page, whichever kind of node was corrupted and
+/// however: a leaf claiming level 1, an inner node claiming level 0, and a
+/// count of 0xFFFF on either.
+#[test]
+fn corrupt_node_pages_are_typed_errors() {
+    type Edit = fn(&mut [u8; PAGE_SIZE]);
+    let level_1: Edit = |b| b[0] = 1;
+    let level_0: Edit = |b| b[0] = 0;
+    let count_max: Edit = |b| b[1..3].copy_from_slice(&[0xFF, 0xFF]);
+    for (case, corrupt_leaf, edit) in [
+        ("leaf at level 1", true, level_1),
+        ("inner at level 0", false, level_0),
+        ("leaf count 0xFFFF", true, count_max),
+        ("inner count 0xFFFF", false, count_max),
+    ] {
+        let (mut tree, root, leaf_page, records) = two_level_tree().unwrap();
+        let (page, level) = if corrupt_leaf {
+            (leaf_page, 0)
+        } else {
+            (root, 1)
+        };
+        corrupt(&mut tree, page, edit).unwrap();
+        let everything = Rect::new([-1.0, -1.0], [2_000.0, 2_000.0]);
+        let op = |name: &str| format!("{case}: {name}");
+        assert_refused(&op("visit_with"), page, range(&tree, &everything));
+        assert_refused(
+            &op("read_node"),
+            page,
+            tree.read_node(page, level, |_, _| {}, |_| {}),
+        );
+        assert_refused(&op("stats"), page, tree.stats());
+        assert_refused(&op("check_invariants"), page, tree.check_invariants());
+        // A record of the corrupted leaf routes both updates through it.
+        let r = records[0];
+        assert_refused(&op("delete"), page, tree.delete(&r.rect, r.id));
+        assert_refused(
+            &op("insert"),
+            page,
+            tree.insert(RectLeaf {
+                rect: r.rect,
+                id: 1_000_000,
+            }),
+        );
+    }
 }

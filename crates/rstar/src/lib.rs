@@ -16,6 +16,12 @@
 //! in-memory [`page_store::PageFile`] by default, or a disk file / buffer
 //! pool); every counted node access lands in the store's
 //! [`page_store::IoStats`], which is the paper's I/O metric.
+//!
+//! The tree owns the page format, `[level u8][count u16][entries]`: it
+//! writes the level byte and checks it against the level it expects on
+//! every load (a page that disagrees is `InvalidData` naming the page), and
+//! [`NodeCodec`]'s provided methods own the count, the fixed-stride entry
+//! loop and the capacity formula. A codec encodes only one entry.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]

@@ -35,20 +35,10 @@ pub trait KeyMetrics<const D: usize> {
         out
     }
 
-    /// Union over a non-empty sequence of keys.
-    fn union_all<'a, I: IntoIterator<Item = &'a Self::Key>>(&self, keys: I) -> Self::Key
-    where
-        Self::Key: 'a,
-    {
-        let mut it = keys.into_iter();
-        // xlint: allow(panic-freedom) -- invariant: union_all of empty sequence
-        let first = it.next().expect("union_all of empty sequence");
-        let mut acc = first.clone();
-        for k in it {
-            self.union_with(&mut acc, k);
-        }
-        acc
-    }
+    /// The bound of no keys, and so of an empty node: the identity of
+    /// [`KeyMetrics::union_with`], which must return the other key bit
+    /// for bit (an inverted rectangle under min/max unions).
+    fn empty_key(&self) -> Self::Key;
 
     /// (Summed) area — the U-tree's `Σ_j AREA(e.MBR(p_j))`.
     fn area(&self, k: &Self::Key) -> f64;

@@ -4,7 +4,7 @@
 
 use crate::codec::{InnerEntry, NodeCodec};
 use crate::metrics::{rect_covers_eps, KeyMetrics, LeafRecord};
-use page_store::{ByteReader, ByteWriter, PAGE_SIZE};
+use page_store::{ByteReader, ByteWriter};
 use uncertain_geom::Rect;
 
 /// Plain-rectangle metrics: the R*-tree penalty metrics verbatim.
@@ -25,6 +25,10 @@ impl<const D: usize> KeyMetrics<D> for RectMetrics<D> {
 
     fn union_with(&self, a: &mut Rect<D>, b: &Rect<D>) {
         *a = a.union(b);
+    }
+
+    fn empty_key(&self) -> Rect<D> {
+        Rect::empty()
     }
 
     fn area(&self, k: &Rect<D>) -> f64 {
@@ -71,17 +75,13 @@ impl<const D: usize> LeafRecord<Rect<D>> for RectLeaf<D> {
     }
 }
 
-/// On-page layout: `count: u16` then fixed-size entries
-/// (leaf: 2·D f32 + u64 id; inner: 2·D f32 + u64 child).
+/// Entry layout: 2·D f32 then a u64 (the record id in a leaf, the child
+/// page in an inner node).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RectCodec<const D: usize>;
 
 impl<const D: usize> RectCodec<D> {
     const ENTRY: usize = 2 * D * 4 + 8;
-
-    fn capacity() -> usize {
-        (PAGE_SIZE - 1 - 2) / Self::ENTRY
-    }
 
     fn put_rect(w: &mut ByteWriter, r: &Rect<D>) {
         for i in 0..D {
@@ -112,54 +112,36 @@ impl<const D: usize> RectCodec<D> {
 }
 
 impl<const D: usize> NodeCodec<Rect<D>, RectLeaf<D>> for RectCodec<D> {
-    fn leaf_capacity(&self) -> usize {
-        Self::capacity()
+    fn leaf_entry_size(&self) -> usize {
+        Self::ENTRY
     }
 
-    fn inner_capacity(&self) -> usize {
-        Self::capacity()
+    fn inner_entry_size(&self) -> usize {
+        Self::ENTRY
     }
 
-    fn encode_leaf(&self, entries: &[RectLeaf<D>], out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_capacity(2 + entries.len() * Self::ENTRY);
-        w.put_u16(entries.len() as u16);
-        for e in entries {
-            Self::put_rect(&mut w, &e.rect);
-            w.put_u64(e.id);
+    fn put_leaf(&self, e: &RectLeaf<D>, w: &mut ByteWriter) {
+        Self::put_rect(w, &e.rect);
+        w.put_u64(e.id);
+    }
+
+    fn get_leaf(&self, r: &mut ByteReader<'_>) -> RectLeaf<D> {
+        RectLeaf {
+            rect: Self::get_rect(r),
+            id: r.get_u64(),
         }
-        out.extend_from_slice(w.as_slice());
     }
 
-    fn decode_leaf(&self, bytes: &[u8]) -> Vec<RectLeaf<D>> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u16() as usize;
-        (0..n)
-            .map(|_| RectLeaf {
-                rect: Self::get_rect(&mut r),
-                id: r.get_u64(),
-            })
-            .collect()
+    fn put_inner(&self, e: &InnerEntry<Rect<D>>, w: &mut ByteWriter) {
+        Self::put_rect(w, &e.key);
+        w.put_u64(e.child);
     }
 
-    fn encode_inner(&self, entries: &[InnerEntry<Rect<D>>], out: &mut Vec<u8>) {
-        let mut w = ByteWriter::with_capacity(2 + entries.len() * Self::ENTRY);
-        w.put_u16(entries.len() as u16);
-        for e in entries {
-            Self::put_rect(&mut w, &e.key);
-            w.put_u64(e.child);
+    fn get_inner(&self, r: &mut ByteReader<'_>) -> InnerEntry<Rect<D>> {
+        InnerEntry {
+            key: Self::get_rect(r),
+            child: r.get_u64(),
         }
-        out.extend_from_slice(w.as_slice());
-    }
-
-    fn decode_inner(&self, bytes: &[u8]) -> Vec<InnerEntry<Rect<D>>> {
-        let mut r = ByteReader::new(bytes);
-        let n = r.get_u16() as usize;
-        (0..n)
-            .map(|_| InnerEntry {
-                key: Self::get_rect(&mut r),
-                child: r.get_u64(),
-            })
-            .collect()
     }
 }
 
@@ -169,6 +151,7 @@ mod tests {
     use crate::tree::{RStarTreeBase, TreeConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::io;
 
     type RectTree<const D: usize> = RStarTreeBase<D, RectMetrics<D>, RectLeaf<D>, RectCodec<D>>;
 
@@ -179,7 +162,7 @@ mod tests {
     /// STR-packs `data` ([`crate::str_order_by`] + bottom-up levels)
     /// instead of inserting record by record.
     fn bulk_tree(mut data: Vec<RectLeaf<2>>) -> RectTree<2> {
-        let cap = RectCodec::<2>::capacity();
+        let cap = RectCodec::<2>.leaf_capacity();
         crate::str_order_by(&mut data, cap, &|e: &RectLeaf<2>| e.rect.center().coords);
         let mut tree = new_tree::<2>();
         tree.bulk_rebuild_ordered(data).unwrap();
@@ -221,9 +204,10 @@ mod tests {
     #[test]
     fn capacities_are_sane() {
         // 2D: entry = 16 + 8 = 24 bytes; (4096-3)/24 = 170
-        assert_eq!(RectCodec::<2>::capacity(), 170);
+        assert_eq!(RectCodec::<2>.leaf_capacity(), 170);
+        assert_eq!(RectCodec::<2>.inner_capacity(), 170);
         // 3D: entry = 24 + 8 = 32 bytes
-        assert_eq!(RectCodec::<3>::capacity(), 127);
+        assert_eq!(RectCodec::<3>.leaf_capacity(), 127);
     }
 
     #[test]
@@ -409,7 +393,7 @@ mod tests {
 
         // Zero-waste packing: the bulk tree uses no more nodes than the
         // theoretical minimum plus the per-level remainder node.
-        let cap = RectCodec::<2>::capacity();
+        let cap = RectCodec::<2>.leaf_capacity();
         let min_leaves = 5000usize.div_ceil(cap);
         let stats = bulk.stats().unwrap();
         assert!(
@@ -461,5 +445,55 @@ mod tests {
             assert!(tree.delete(&r, id).unwrap().is_some());
         }
         assert!(tree.is_empty());
+    }
+
+    /// `page` mutated 500 seeded ways — bytes flipped, the count replaced,
+    /// the tail cut — each of which `decode` reads or refuses as
+    /// `InvalidData`, never panicking.
+    fn sweep_mutations<T>(page: &[u8], seed: u64, decode: impl Fn(&[u8]) -> io::Result<Vec<T>>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for round in 0..500 {
+            let mut m = page.to_vec();
+            let how = rng.gen_range(0..4u32);
+            if how & 1 == 0 {
+                for _ in 0..rng.gen_range(1..8) {
+                    let at = rng.gen_range(0..m.len());
+                    m[at] ^= rng.gen_range(1..=255u8);
+                }
+            }
+            if how == 1 || how == 3 {
+                m[..2].copy_from_slice(&rng.gen_range(0..=u16::MAX).to_le_bytes());
+            }
+            if how >= 2 {
+                m.truncate(rng.gen_range(0..=m.len()));
+            }
+            if let Err(e) = decode(&m) {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "round {round}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn rect_codec_decodes_or_refuses_mutated_pages() {
+        let codec = RectCodec::<2>;
+        let records: Vec<RectLeaf<2>> = (0..100u64)
+            .map(|id| RectLeaf {
+                rect: f32_round(&random_rect(&mut SmallRng::seed_from_u64(id), 50.0)),
+                id,
+            })
+            .collect();
+        let inner: Vec<InnerEntry<Rect<2>>> = records
+            .iter()
+            .map(|r| InnerEntry {
+                key: r.rect,
+                child: r.id,
+            })
+            .collect();
+        let (mut leaf_page, mut inner_page) = (Vec::new(), Vec::new());
+        codec.encode_leaf(&records, &mut leaf_page);
+        codec.encode_inner(&inner, &mut inner_page);
+        assert_eq!(codec.decode_leaf(&leaf_page).unwrap(), records);
+        sweep_mutations(&leaf_page, 1, |b| codec.decode_leaf(b));
+        sweep_mutations(&inner_page, 2, |b| codec.decode_inner(b));
     }
 }

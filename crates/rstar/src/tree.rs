@@ -60,14 +60,86 @@ impl TreeStats {
     }
 }
 
-enum Node<K, L> {
-    Leaf(Vec<L>),
-    Inner(Vec<InnerEntry<K>>),
-}
-
+/// An entry waiting to be (re)inserted. A leaf record belongs at level 0;
+/// an inner entry carries the level of the node it belongs in.
 enum Entry<K, L> {
     Leaf(L),
-    Inner(InnerEntry<K>),
+    Inner(usize, InnerEntry<K>),
+}
+
+impl<K: Clone, L: LeafRecord<K>> Entry<K, L> {
+    fn level(&self) -> usize {
+        match self {
+            Entry::Leaf(_) => 0,
+            Entry::Inner(level, _) => *level,
+        }
+    }
+
+    fn key(&self) -> K {
+        match self {
+            Entry::Leaf(r) => r.key(),
+            Entry::Inner(_, e) => e.key.clone(),
+        }
+    }
+}
+
+/// The two kinds of node a page holds. The tree does the same things to
+/// both — load, store, bound, reinsert, split, pack — so each is written
+/// once over this, and the level a caller expects picks the kind: level 0
+/// is [`LeafNode`], every level above it [`InnerNode`].
+trait Kind<K, L, C> {
+    /// What a node of this kind holds.
+    type Entry;
+    fn key(e: &Self::Entry) -> K;
+    fn capacity(codec: &C) -> usize;
+    fn encode(codec: &C, es: &[Self::Entry], out: &mut Vec<u8>);
+    fn decode(codec: &C, bytes: &[u8]) -> io::Result<Vec<Self::Entry>>;
+    /// `e` as pending (re)insertion into a node at `level`.
+    fn pending(e: Self::Entry, level: usize) -> Entry<K, L>;
+}
+
+/// Level-0 nodes: leaf records.
+enum LeafNode {}
+
+/// Nodes above level 0: bounding keys and child pages.
+enum InnerNode {}
+
+impl<K, L: LeafRecord<K>, C: NodeCodec<K, L>> Kind<K, L, C> for LeafNode {
+    type Entry = L;
+    fn key(e: &L) -> K {
+        e.key()
+    }
+    fn capacity(codec: &C) -> usize {
+        codec.leaf_capacity()
+    }
+    fn encode(codec: &C, es: &[L], out: &mut Vec<u8>) {
+        codec.encode_leaf(es, out);
+    }
+    fn decode(codec: &C, bytes: &[u8]) -> io::Result<Vec<L>> {
+        codec.decode_leaf(bytes)
+    }
+    fn pending(e: L, _level: usize) -> Entry<K, L> {
+        Entry::Leaf(e)
+    }
+}
+
+impl<K: Clone, L, C: NodeCodec<K, L>> Kind<K, L, C> for InnerNode {
+    type Entry = InnerEntry<K>;
+    fn key(e: &InnerEntry<K>) -> K {
+        e.key.clone()
+    }
+    fn capacity(codec: &C) -> usize {
+        codec.inner_capacity()
+    }
+    fn encode(codec: &C, es: &[InnerEntry<K>], out: &mut Vec<u8>) {
+        codec.encode_inner(es, out);
+    }
+    fn decode(codec: &C, bytes: &[u8]) -> io::Result<Vec<InnerEntry<K>>> {
+        codec.decode_inner(bytes)
+    }
+    fn pending(e: InnerEntry<K>, level: usize) -> Entry<K, L> {
+        Entry::Inner(level, e)
+    }
 }
 
 struct InsertResult<K> {
@@ -77,7 +149,8 @@ struct InsertResult<K> {
 
 enum DeleteOutcome<K> {
     NotFound,
-    Kept(Option<K>),
+    /// The child stays, bounded by this key.
+    Kept(K),
     Dropped,
 }
 
@@ -143,7 +216,7 @@ where
             cfg,
             _leaf: std::marker::PhantomData,
         };
-        tree.store_node(root, 0, &Node::Leaf(Vec::new()))?;
+        tree.write_node::<LeafNode>(root, 0, &[])?;
         Ok(tree)
     }
 
@@ -174,52 +247,49 @@ where
         }
         self.file.release(self.root);
         self.len = records.len();
-        // Leaves, in record order.
-        let sizes = pack_sizes(self.len, self.codec.leaf_capacity(), self.min_fill_count(0));
-        let mut level_entries: Vec<InnerEntry<M::Key>> = Vec::with_capacity(sizes.len());
-        let mut it = records.into_iter();
+        let mut level = 0;
+        let mut entries = self.pack::<LeafNode>(level, records)?;
+        // Internal levels, bottom-up, until one node bounds everything.
+        while entries.len() > 1 {
+            level += 1;
+            entries = self.pack::<InnerNode>(level, entries)?;
+        }
+        self.root = entries[0].child;
+        self.height = level + 1;
+        Ok(())
+    }
+
+    /// Packs `entries`, in order, into new nodes at `level`, returning an
+    /// entry for each node for the level above.
+    fn pack<N: Kind<M::Key, L, C>>(
+        &mut self,
+        level: usize,
+        entries: Vec<N::Entry>,
+    ) -> io::Result<Vec<InnerEntry<M::Key>>> {
+        let sizes = pack_sizes(
+            entries.len(),
+            N::capacity(&self.codec),
+            self.min_fill::<N>(),
+        );
+        let mut packed = Vec::with_capacity(sizes.len());
+        let mut it = entries.into_iter();
         for sz in sizes {
-            let node = Node::Leaf(it.by_ref().take(sz).collect());
+            let node: Vec<N::Entry> = it.by_ref().take(sz).collect();
             let page = self.file.allocate()?;
-            self.store_node(page, 0, &node)?;
-            level_entries.push(InnerEntry {
-                // xlint: allow(panic-freedom) -- invariant: packed chunk is non-empty
-                key: self.node_key(&node).expect("packed chunk is non-empty"),
+            self.write_node::<N>(page, level, &node)?;
+            packed.push(InnerEntry {
+                key: self.node_key::<N>(&node),
                 child: page,
             });
         }
-        // Internal levels, bottom-up, until one node bounds everything.
-        let mut level = 0;
-        while level_entries.len() > 1 {
-            level += 1;
-            let sizes = pack_sizes(
-                level_entries.len(),
-                self.codec.inner_capacity(),
-                self.min_fill_count(level),
-            );
-            let mut next = Vec::with_capacity(sizes.len());
-            let mut it = level_entries.into_iter();
-            for sz in sizes {
-                let node = Node::Inner(it.by_ref().take(sz).collect());
-                let page = self.file.allocate()?;
-                self.store_node(page, level, &node)?;
-                next.push(InnerEntry {
-                    // xlint: allow(panic-freedom) -- invariant: packed chunk is non-empty
-                    key: self.node_key(&node).expect("packed chunk is non-empty"),
-                    child: page,
-                });
-            }
-            level_entries = next;
-        }
-        self.root = level_entries[0].child;
-        self.height = level + 1;
-        Ok(())
+        Ok(packed)
     }
 
     /// Reattaches a tree whose pages already live in `file` (persistence):
     /// `root`/`height`/`len` are the superstructure saved alongside the
     /// page data. No validation is performed here; callers verify the
-    /// store's provenance (magic numbers, catalogs) first.
+    /// store's provenance (magic numbers, catalogs) first, and every page
+    /// is level-checked as it is loaded.
     pub fn from_raw_parts(
         file: S,
         root: PageId,
@@ -299,76 +369,67 @@ where
 
     // ---- node I/O -------------------------------------------------------
 
-    fn load(&self, page: PageId) -> io::Result<(usize, Node<M::Key, L>)> {
+    /// Reads node `page` (a counted access) as the node at `level`.
+    fn load<N: Kind<M::Key, L, C>>(&self, page: PageId, level: usize) -> io::Result<Vec<N::Entry>> {
         let mut bytes = [0u8; PAGE_SIZE];
         self.file.read_into(page, &mut bytes)?;
-        let level = bytes[0] as usize;
-        let node = if level == 0 {
-            Node::Leaf(self.codec.decode_leaf(&bytes[1..]))
-        } else {
-            Node::Inner(self.codec.decode_inner(&bytes[1..]))
-        };
-        Ok((level, node))
+        self.decode::<N>(page, level, &bytes)
     }
 
-    fn store_node(&mut self, page: PageId, level: usize, node: &Node<M::Key, L>) -> io::Result<()> {
-        let mut out = Vec::with_capacity(page_store::PAGE_SIZE);
-        out.push(level as u8);
-        match node {
-            Node::Leaf(es) => {
-                debug_assert_eq!(level, 0);
-                debug_assert!(es.len() <= self.codec.leaf_capacity());
-                self.codec.encode_leaf(es, &mut out);
-            }
-            Node::Inner(es) => {
-                debug_assert!(level > 0);
-                debug_assert!(es.len() <= self.codec.inner_capacity());
-                self.codec.encode_inner(es, &mut out);
-            }
+    /// [`Self::load`] without touching the I/O counters (diagnostics).
+    fn peek<N: Kind<M::Key, L, C>>(&self, page: PageId, level: usize) -> io::Result<Vec<N::Entry>> {
+        let mut bytes = [0u8; PAGE_SIZE];
+        self.file.peek_into(page, &mut bytes)?;
+        self.decode::<N>(page, level, &bytes)
+    }
+
+    /// The one check of a page's level byte: a page that is not the node
+    /// at the level its parent (or the root) puts it is `InvalidData`
+    /// naming the page, as is a body its codec refuses.
+    fn decode<N: Kind<M::Key, L, C>>(
+        &self,
+        page: PageId,
+        level: usize,
+        bytes: &[u8; PAGE_SIZE],
+    ) -> io::Result<Vec<N::Entry>> {
+        let corrupt = |msg: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("node page {page}: {msg}"),
+            )
+        };
+        if usize::from(bytes[0]) != level {
+            return Err(corrupt(format!(
+                "level byte {}, expected {level}",
+                bytes[0]
+            )));
         }
+        N::decode(&self.codec, &bytes[1..]).map_err(|e| corrupt(e.to_string()))
+    }
+
+    fn write_node<N: Kind<M::Key, L, C>>(
+        &mut self,
+        page: PageId,
+        level: usize,
+        es: &[N::Entry],
+    ) -> io::Result<()> {
+        let mut out = Vec::with_capacity(PAGE_SIZE);
+        out.push(level as u8);
+        N::encode(&self.codec, es, &mut out);
         self.file.write(page, &out)
     }
 
-    fn node_len(node: &Node<M::Key, L>) -> usize {
-        match node {
-            Node::Leaf(es) => es.len(),
-            Node::Inner(es) => es.len(),
-        }
+    fn min_fill<N: Kind<M::Key, L, C>>(&self) -> usize {
+        ((N::capacity(&self.codec) as f64 * self.cfg.min_fill) as usize).max(1)
     }
 
-    fn node_capacity(&self, level: usize) -> usize {
-        if level == 0 {
-            self.codec.leaf_capacity()
-        } else {
-            self.codec.inner_capacity()
+    /// The union of the entries' keys ([`KeyMetrics::empty_key`] for none).
+    fn node_key<N: Kind<M::Key, L, C>>(&self, es: &[N::Entry]) -> M::Key {
+        let mut acc = self.metrics.empty_key();
+        for e in es {
+            self.metrics.union_with(&mut acc, &N::key(e));
         }
-    }
-
-    fn min_fill_count(&self, level: usize) -> usize {
-        ((self.node_capacity(level) as f64 * self.cfg.min_fill) as usize).max(1)
-    }
-
-    fn node_key(&self, node: &Node<M::Key, L>) -> Option<M::Key> {
-        match node {
-            Node::Leaf(es) => {
-                let mut it = es.iter();
-                let first = it.next()?;
-                let mut acc = first.key();
-                for e in it {
-                    self.metrics.union_with(&mut acc, &e.key());
-                }
-                Some(acc)
-            }
-            Node::Inner(es) => {
-                let mut it = es.iter();
-                let first = it.next()?;
-                let mut acc = first.key.clone();
-                for e in it {
-                    self.metrics.union_with(&mut acc, &e.key);
-                }
-                Some(acc)
-            }
-        }
+        acc
     }
 
     // ---- insertion ------------------------------------------------------
@@ -377,28 +438,22 @@ where
     pub fn insert(&mut self, record: L) -> io::Result<()> {
         self.len += 1;
         let mut reinserted = vec![false; self.height];
-        self.run_inserts(vec![(0usize, Entry::Leaf(record))], &mut reinserted)
+        self.run_inserts(vec![Entry::Leaf(record)], &mut reinserted)
     }
 
     fn run_inserts(
         &mut self,
-        mut pending: Vec<(usize, Entry<M::Key, L>)>,
+        mut pending: Vec<Entry<M::Key, L>>,
         reinserted: &mut Vec<bool>,
     ) -> io::Result<()> {
-        while let Some((level, entry)) = pending.pop() {
-            debug_assert!(level < self.height);
-            let res = self.insert_rec(
-                self.root,
-                self.height - 1,
-                entry,
-                level,
-                reinserted,
-                &mut pending,
-            )?;
+        while let Some(entry) = pending.pop() {
+            debug_assert!(entry.level() < self.height);
+            let res =
+                self.insert_rec(self.root, self.height - 1, entry, reinserted, &mut pending)?;
             if let Some(sibling) = res.split {
                 // Root split: grow the tree by one level.
                 let new_root = self.file.allocate()?;
-                let entries = vec![
+                let entries = [
                     InnerEntry {
                         key: res.key,
                         child: self.root,
@@ -406,7 +461,7 @@ where
                     sibling,
                 ];
                 let new_level = self.height;
-                self.store_node(new_root, new_level, &Node::Inner(entries))?;
+                self.write_node::<InnerNode>(new_root, new_level, &entries)?;
                 self.root = new_root;
                 self.height += 1;
                 reinserted.push(true); // no forced reinsert at a brand-new root level
@@ -415,70 +470,64 @@ where
         Ok(())
     }
 
-    fn entry_key(&self, e: &Entry<M::Key, L>) -> M::Key {
-        match e {
-            Entry::Leaf(r) => r.key(),
-            Entry::Inner(ie) => ie.key.clone(),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn insert_rec(
         &mut self,
         page: PageId,
         level: usize,
         entry: Entry<M::Key, L>,
-        target_level: usize,
         reinserted: &mut [bool],
-        pending: &mut Vec<(usize, Entry<M::Key, L>)>,
+        pending: &mut Vec<Entry<M::Key, L>>,
     ) -> io::Result<InsertResult<M::Key>> {
-        let (lvl, mut node) = self.load(page)?;
-        debug_assert_eq!(lvl, level, "page level mismatch");
-
-        if level > target_level {
-            let ekey = self.entry_key(&entry);
-            let Node::Inner(ref mut entries) = node else {
-                // xlint: allow(panic-freedom) -- invariant: non-leaf level must hold an inner node
-                unreachable!("non-leaf level must hold an inner node")
+        if level <= entry.level() {
+            return match entry {
+                Entry::Leaf(r) => self.land::<LeafNode>(page, level, r, reinserted, pending),
+                Entry::Inner(_, e) => self.land::<InnerNode>(page, level, e, reinserted, pending),
             };
-            let idx = self.choose_subtree(entries, &ekey, level == 1);
-            let child = entries[idx].child;
-            // Recurse with `node` set aside; reload cost avoided by keeping
-            // the decoded entries and patching them afterwards.
-            let child_res =
-                self.insert_rec(child, level - 1, entry, target_level, reinserted, pending)?;
-            entries[idx].key = child_res.key;
-            if let Some(sib) = child_res.split {
-                entries.push(sib);
-            }
-            return self.finish_overflow(page, level, node, reinserted, pending);
         }
-
-        // level == target_level: the entry lands here.
-        match (&mut node, entry) {
-            (Node::Leaf(es), Entry::Leaf(r)) => es.push(r),
-            (Node::Inner(es), Entry::Inner(ie)) => es.push(ie),
-            // xlint: allow(panic-freedom) -- invariant: entry kind must match node kind at its level
-            _ => unreachable!("entry kind must match node kind at its level"),
+        // Above the entry's level, so `level ≥ 1`.
+        let ekey = entry.key();
+        let mut entries = self.load::<InnerNode>(page, level)?;
+        let idx = self.choose_subtree(&entries, &ekey, level == 1);
+        let child = entries[idx].child;
+        // Recurse with the decoded entries kept, patching them afterwards
+        // instead of reloading the node.
+        let child_res = self.insert_rec(child, level - 1, entry, reinserted, pending)?;
+        entries[idx].key = child_res.key;
+        if let Some(sib) = child_res.split {
+            entries.push(sib);
         }
-        self.finish_overflow(page, level, node, reinserted, pending)
+        self.finish_overflow::<InnerNode>(page, level, entries, reinserted, pending)
     }
 
-    /// Stores `node`, handling overflow by forced reinsertion or split.
-    fn finish_overflow(
+    /// Adds `e` to node `page`, the node at its level.
+    fn land<N: Kind<M::Key, L, C>>(
         &mut self,
         page: PageId,
         level: usize,
-        mut node: Node<M::Key, L>,
+        e: N::Entry,
         reinserted: &mut [bool],
-        pending: &mut Vec<(usize, Entry<M::Key, L>)>,
+        pending: &mut Vec<Entry<M::Key, L>>,
     ) -> io::Result<InsertResult<M::Key>> {
-        let cap = self.node_capacity(level);
-        if Self::node_len(&node) <= cap {
-            self.store_node(page, level, &node)?;
+        let mut es = self.load::<N>(page, level)?;
+        es.push(e);
+        self.finish_overflow::<N>(page, level, es, reinserted, pending)
+    }
+
+    /// Stores a node that just gained an entry, handling overflow by
+    /// forced reinsertion or split.
+    fn finish_overflow<N: Kind<M::Key, L, C>>(
+        &mut self,
+        page: PageId,
+        level: usize,
+        mut es: Vec<N::Entry>,
+        reinserted: &mut [bool],
+        pending: &mut Vec<Entry<M::Key, L>>,
+    ) -> io::Result<InsertResult<M::Key>> {
+        let cap = N::capacity(&self.codec);
+        if es.len() <= cap {
+            self.write_node::<N>(page, level, &es)?;
             return Ok(InsertResult {
-                // xlint: allow(panic-freedom) -- invariant: non-empty after insert
-                key: self.node_key(&node).expect("non-empty after insert"),
+                key: self.node_key::<N>(&es),
                 split: None,
             });
         }
@@ -487,33 +536,32 @@ where
         // insertion (root excluded) triggers forced reinsertion.
         if page != self.root && !reinserted[level] {
             reinserted[level] = true;
-            let victims = self.pick_reinsert_victims(&mut node, cap);
-            self.store_node(page, level, &node)?;
-            // Push in far-to-near order so the LIFO pending stack performs
-            // "close reinsert" (nearest first), the variant R* recommends.
-            for v in victims {
-                pending.push((level, v));
-            }
+            let victims = self.pick_reinsert_victims::<N>(&mut es, cap);
+            self.write_node::<N>(page, level, &es)?;
+            // Pushed in far-to-near order so the LIFO pending stack
+            // performs "close reinsert" (nearest first), the variant R*
+            // recommends.
+            pending.extend(victims.into_iter().map(|v| N::pending(v, level)));
             return Ok(InsertResult {
-                key: self
-                    .node_key(&node)
-                    // xlint: allow(panic-freedom) -- invariant: reinsertion leaves entries behind
-                    .expect("reinsertion leaves entries behind"),
+                key: self.node_key::<N>(&es),
                 split: None,
             });
         }
 
         // Split (paper Sec 5.3: R*-split over the split rectangles).
-        let (a, b) = self.split_node(node);
-        self.store_node(page, level, &a)?;
+        let rects: Vec<_> = es
+            .iter()
+            .map(|e| self.metrics.split_rect(&N::key(e)))
+            .collect();
+        let (g1, g2) = rstar_split(&rects, self.min_fill::<N>());
+        let (a, b) = partition(es, &g1, &g2);
+        self.write_node::<N>(page, level, &a)?;
         let sib_page = self.file.allocate()?;
-        self.store_node(sib_page, level, &b)?;
+        self.write_node::<N>(sib_page, level, &b)?;
         Ok(InsertResult {
-            // xlint: allow(panic-freedom) -- invariant: split group A non-empty
-            key: self.node_key(&a).expect("split group A non-empty"),
+            key: self.node_key::<N>(&a),
             split: Some(InnerEntry {
-                // xlint: allow(panic-freedom) -- invariant: split group B non-empty
-                key: self.node_key(&b).expect("split group B non-empty"),
+                key: self.node_key::<N>(&b),
                 child: sib_page,
             }),
         })
@@ -521,61 +569,20 @@ where
 
     /// Removes the `reinsert_frac` entries whose keys are farthest (summed
     /// centroid distance) from the node's bounding key.
-    fn pick_reinsert_victims(
+    fn pick_reinsert_victims<N: Kind<M::Key, L, C>>(
         &self,
-        node: &mut Node<M::Key, L>,
+        es: &mut Vec<N::Entry>,
         cap: usize,
-    ) -> Vec<Entry<M::Key, L>> {
+    ) -> Vec<N::Entry> {
         let p = ((cap as f64 * self.cfg.reinsert_frac) as usize).max(1);
-        // xlint: allow(panic-freedom) -- invariant: overflowing node is non-empty
-        let bound = self.node_key(node).expect("overflowing node is non-empty");
-        match node {
-            Node::Leaf(es) => {
-                let mut order: Vec<usize> = (0..es.len()).collect();
-                order.sort_by(|&i, &j| {
-                    let di = self.metrics.centroid_distance(&es[i].key(), &bound);
-                    let dj = self.metrics.centroid_distance(&es[j].key(), &bound);
-                    dj.total_cmp(&di)
-                });
-                let victims: Vec<usize> = order[..p].to_vec();
-                extract(es, &victims).into_iter().map(Entry::Leaf).collect()
-            }
-            Node::Inner(es) => {
-                let mut order: Vec<usize> = (0..es.len()).collect();
-                order.sort_by(|&i, &j| {
-                    let di = self.metrics.centroid_distance(&es[i].key, &bound);
-                    let dj = self.metrics.centroid_distance(&es[j].key, &bound);
-                    dj.total_cmp(&di)
-                });
-                let victims: Vec<usize> = order[..p].to_vec();
-                extract(es, &victims)
-                    .into_iter()
-                    .map(Entry::Inner)
-                    .collect()
-            }
-        }
-    }
-
-    fn split_node(&self, node: Node<M::Key, L>) -> (Node<M::Key, L>, Node<M::Key, L>) {
-        match node {
-            Node::Leaf(es) => {
-                let rects: Vec<_> = es
-                    .iter()
-                    .map(|e| self.metrics.split_rect(&e.key()))
-                    .collect();
-                let min_fill = self.min_fill_count(0);
-                let (g1, g2) = rstar_split(&rects, min_fill);
-                let (a, b) = partition(es, &g1, &g2);
-                (Node::Leaf(a), Node::Leaf(b))
-            }
-            Node::Inner(es) => {
-                let rects: Vec<_> = es.iter().map(|e| self.metrics.split_rect(&e.key)).collect();
-                let min_fill = self.min_fill_count(1);
-                let (g1, g2) = rstar_split(&rects, min_fill);
-                let (a, b) = partition(es, &g1, &g2);
-                (Node::Inner(a), Node::Inner(b))
-            }
-        }
+        let bound = self.node_key::<N>(es);
+        let dist: Vec<f64> = es
+            .iter()
+            .map(|e| self.metrics.centroid_distance(&N::key(e), &bound))
+            .collect();
+        let mut order: Vec<usize> = (0..es.len()).collect();
+        order.sort_by(|&i, &j| dist[j].total_cmp(&dist[i]));
+        extract(es, &order[..p])
     }
 
     /// R* ChooseSubtree: overlap-enlargement for leaf parents, area
@@ -656,7 +663,7 @@ where
         if self.len == 0 {
             return Ok(None);
         }
-        let mut orphans: Vec<(usize, Entry<M::Key, L>)> = Vec::new();
+        let mut orphans: Vec<Entry<M::Key, L>> = Vec::new();
         let mut removed: Option<L> = None;
         let outcome = self.delete_rec(
             self.root,
@@ -676,112 +683,92 @@ where
         self.len -= 1;
         // Reinsert orphans (highest level first so inner subtrees are
         // re-attached before the leaf entries that might land under them).
-        orphans.sort_by_key(|(lvl, _)| std::cmp::Reverse(*lvl));
-        for (lvl, entry) in orphans {
+        orphans.sort_by_key(|e| std::cmp::Reverse(e.level()));
+        for entry in orphans {
             let mut flags = vec![false; self.height];
-            self.run_inserts(vec![(lvl, entry)], &mut flags)?;
+            self.run_inserts(vec![entry], &mut flags)?;
         }
         self.shrink_root()?;
         Ok(removed)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn delete_rec(
         &mut self,
         page: PageId,
         level: usize,
         probe: &M::Key,
         id: u64,
-        orphans: &mut Vec<(usize, Entry<M::Key, L>)>,
+        orphans: &mut Vec<Entry<M::Key, L>>,
         removed: &mut Option<L>,
     ) -> io::Result<DeleteOutcome<M::Key>> {
-        let (_, mut node) = self.load(page)?;
-        match node {
-            Node::Leaf(ref mut es) => {
-                let Some(pos) = es.iter().position(|e| e.id() == id) else {
-                    return Ok(DeleteOutcome::NotFound);
-                };
-                *removed = Some(es.remove(pos));
-                if page != self.root && es.len() < self.min_fill_count(0) {
-                    for e in es.drain(..) {
-                        orphans.push((0, Entry::Leaf(e)));
-                    }
-                    self.file.release(page);
-                    return Ok(DeleteOutcome::Dropped);
-                }
-                let key = self.node_key(&node);
-                self.store_node(page, 0, &node)?;
-                Ok(DeleteOutcome::Kept(key))
-            }
-            Node::Inner(ref mut es) => {
-                let mut hit: Option<usize> = None;
-                let mut dropped = false;
-                for i in 0..es.len() {
-                    if !self
-                        .metrics
-                        .covers(&es[i].key, probe, self.cfg.covers_tolerance)
-                    {
-                        continue;
-                    }
-                    match self.delete_rec(es[i].child, level - 1, probe, id, orphans, removed)? {
-                        DeleteOutcome::NotFound => continue,
-                        DeleteOutcome::Kept(Some(k)) => {
-                            es[i].key = k;
-                            hit = Some(i);
-                            break;
-                        }
-                        DeleteOutcome::Kept(None) => {
-                            // Only an empty root leaf reports no key, and the
-                            // root has no parent — unreachable here.
-                            // xlint: allow(panic-freedom) -- invariant: non-root child kept with empty key
-                            unreachable!("non-root child kept with empty key")
-                        }
-                        DeleteOutcome::Dropped => {
-                            es.remove(i);
-                            dropped = true;
-                            hit = Some(i);
-                            break;
-                        }
-                    }
-                }
-                if hit.is_none() {
-                    return Ok(DeleteOutcome::NotFound);
-                }
-                if dropped && page != self.root && es.len() < self.min_fill_count(level) {
-                    for e in es.drain(..) {
-                        orphans.push((level, Entry::Inner(e)));
-                    }
-                    self.file.release(page);
-                    return Ok(DeleteOutcome::Dropped);
-                }
-                let key = self.node_key(&node);
-                self.store_node(page, level, &node)?;
-                Ok(DeleteOutcome::Kept(key))
-            }
+        if level == 0 {
+            let mut es = self.load::<LeafNode>(page, 0)?;
+            let Some(pos) = es.iter().position(|e| e.id() == id) else {
+                return Ok(DeleteOutcome::NotFound);
+            };
+            *removed = Some(es.remove(pos));
+            return self.settle::<LeafNode>(page, 0, es, orphans);
         }
+        let mut es = self.load::<InnerNode>(page, level)?;
+        for i in 0..es.len() {
+            if !self
+                .metrics
+                .covers(&es[i].key, probe, self.cfg.covers_tolerance)
+            {
+                continue;
+            }
+            match self.delete_rec(es[i].child, level - 1, probe, id, orphans, removed)? {
+                DeleteOutcome::NotFound => continue,
+                DeleteOutcome::Kept(k) => es[i].key = k,
+                DeleteOutcome::Dropped => {
+                    es.remove(i);
+                }
+            }
+            return self.settle::<InnerNode>(page, level, es, orphans);
+        }
+        Ok(DeleteOutcome::NotFound)
+    }
+
+    /// Stores node `page` after a deletion below it, or — when it is not
+    /// the root and fell under the minimum fill — releases it and hands
+    /// its entries to `orphans` for reinsertion.
+    fn settle<N: Kind<M::Key, L, C>>(
+        &mut self,
+        page: PageId,
+        level: usize,
+        es: Vec<N::Entry>,
+        orphans: &mut Vec<Entry<M::Key, L>>,
+    ) -> io::Result<DeleteOutcome<M::Key>> {
+        if page != self.root && es.len() < self.min_fill::<N>() {
+            orphans.extend(es.into_iter().map(|e| N::pending(e, level)));
+            self.file.release(page);
+            return Ok(DeleteOutcome::Dropped);
+        }
+        self.write_node::<N>(page, level, &es)?;
+        Ok(DeleteOutcome::Kept(self.node_key::<N>(&es)))
     }
 
     /// Collapses trivial roots after deletions.
     fn shrink_root(&mut self) -> io::Result<()> {
-        loop {
-            let (level, node) = self.load(self.root)?;
-            match node {
-                Node::Inner(es) if es.len() == 1 => {
-                    let child = es[0].child;
+        while self.height > 1 {
+            let level = self.height - 1;
+            match self.load::<InnerNode>(self.root, level)?.as_slice() {
+                [only] => {
+                    let child = only.child;
                     self.file.release(self.root);
                     self.root = child;
-                    self.height = level; // child level = level - 1 ⇒ height = level
+                    self.height = level;
                 }
-                Node::Inner(es) if es.is_empty() => {
-                    // Everything deleted through condensation: reset to an
-                    // empty leaf root.
+                // Everything deleted through condensation: reset to an
+                // empty leaf root.
+                [] => {
                     self.height = 1;
-                    self.store_node(self.root, 0, &Node::Leaf(Vec::new()))?;
-                    return Ok(());
+                    return self.write_node::<LeafNode>(self.root, 0, &[]);
                 }
-                _ => return Ok(()),
+                _ => break,
             }
         }
+        Ok(())
     }
 
     // ---- traversal ------------------------------------------------------
@@ -813,22 +800,17 @@ where
         stack.push((self.root, self.height - 1));
         let mut nodes_read = 0u64;
         while let Some((page, level)) = stack.pop() {
-            let (_, node) = self.load(page)?;
+            self.read_node(
+                page,
+                level,
+                |key, child| {
+                    if descend(key, level - 1) {
+                        stack.push((child, level - 1));
+                    }
+                },
+                &mut on_record,
+            )?;
             nodes_read += 1;
-            match node {
-                Node::Leaf(es) => {
-                    for r in &es {
-                        on_record(r);
-                    }
-                }
-                Node::Inner(es) => {
-                    for e in &es {
-                        if descend(&e.key, level - 1) {
-                            stack.push((e.child, level - 1));
-                        }
-                    }
-                }
-            }
         }
         Ok(nodes_read)
     }
@@ -839,126 +821,117 @@ where
             .map(|_| ())
     }
 
-    /// Loads **one** node page and streams its contents to the caller:
-    /// inner entries as `(key, child_page)` pairs, leaf records by
-    /// reference. Returns the node's level (0 = leaf).
+    /// Loads **one** node page, the node at `level` (0 = leaf), and
+    /// streams its contents to the caller: inner entries as
+    /// `(key, child_page)` pairs (each child is the node at `level - 1`),
+    /// leaf records by reference. A page that is not the node at `level`
+    /// is `InvalidData` naming the page.
     ///
     /// This is the primitive behind best-first traversals: unlike
     /// [`Self::visit_with`] (depth-first, tree-owned stack), the frontier
     /// — priority queue, bounds, stopping rule — lives with the caller,
     /// who decides *when* each child is expanded, not only whether. One
     /// call costs exactly one counted node read; callers charge their own
-    /// per-query counters. Entry point for the descent is
-    /// [`Self::root_page`].
+    /// per-query counters. The descent starts at [`Self::root_page`], the
+    /// node at level [`Self::height`]` - 1`.
     pub fn read_node<FI, FL>(
         &self,
         page: PageId,
+        level: usize,
         mut on_child: FI,
         mut on_record: FL,
-    ) -> io::Result<usize>
+    ) -> io::Result<()>
     where
         FI: FnMut(&M::Key, PageId),
         FL: FnMut(&L),
     {
-        let (level, node) = self.load(page)?;
-        match node {
-            Node::Leaf(es) => {
-                for r in &es {
-                    on_record(r);
-                }
+        if level == 0 {
+            for r in &self.load::<LeafNode>(page, 0)? {
+                on_record(r);
             }
-            Node::Inner(es) => {
-                for e in &es {
-                    on_child(&e.key, e.child);
-                }
+        } else {
+            for e in &self.load::<InnerNode>(page, level)? {
+                on_child(&e.key, e.child);
             }
         }
-        Ok(level)
+        Ok(())
     }
 
     /// Structure statistics without touching the I/O counters.
     ///
     /// Fallible: the walk peeks every node page through the store, so a
-    /// failing backend surfaces as the underlying `io::Error` instead of
-    /// a panic (PR-6 fallible-store contract).
+    /// failing backend or a corrupt page surfaces as an `io::Error`
+    /// instead of a panic.
     pub fn stats(&self) -> io::Result<TreeStats> {
         let mut stats = TreeStats {
             nodes_per_level: vec![0; self.height],
             entries_per_level: vec![0; self.height],
         };
         let mut stack = vec![(self.root, self.height - 1)];
-        let mut bytes = [0u8; PAGE_SIZE];
         while let Some((page, level)) = stack.pop() {
-            self.file.peek_into(page, &mut bytes)?;
-            let lvl = bytes[0] as usize;
-            debug_assert_eq!(lvl, level);
             stats.nodes_per_level[level] += 1;
-            if level == 0 {
-                stats.entries_per_level[0] += self.codec.decode_leaf(&bytes[1..]).len();
+            stats.entries_per_level[level] += if level == 0 {
+                self.peek::<LeafNode>(page, 0)?.len()
             } else {
-                let es = self.codec.decode_inner(&bytes[1..]);
-                stats.entries_per_level[level] += es.len();
-                for e in &es {
-                    stack.push((e.child, level - 1));
-                }
-            }
+                let es = self.peek::<InnerNode>(page, level)?;
+                stack.extend(es.iter().map(|e| (e.child, level - 1)));
+                es.len()
+            };
         }
         Ok(stats)
     }
 
     /// Checks the R-tree bounding invariant everywhere (test helper):
-    /// every inner entry's key must cover the key of its child node.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// every inner entry's key must cover the key of its child node, every
+    /// non-root node must meet the minimum fill, and the leaves must hold
+    /// [`Self::len`] records. A violation is `InvalidData`.
+    pub fn check_invariants(&self) -> io::Result<()> {
+        let broken = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let mut stack = vec![(self.root, self.height - 1)];
         let mut seen = 0usize;
-        let mut bytes = [0u8; PAGE_SIZE];
-        let mut child_bytes = [0u8; PAGE_SIZE];
         while let Some((page, level)) = stack.pop() {
-            self.file
-                .peek_into(page, &mut bytes)
-                .map_err(|e| format!("page {page} unreadable: {e}"))?;
-            let lvl = bytes[0] as usize;
-            if lvl != level {
-                return Err(format!("page {page} level {lvl}, expected {level}"));
-            }
             if level == 0 {
-                let es = self.codec.decode_leaf(&bytes[1..]);
-                if page != self.root && es.len() < self.min_fill_count(0) {
-                    return Err(format!("leaf {page} underfull: {}", es.len()));
+                let n = self.peek::<LeafNode>(page, 0)?.len();
+                if page != self.root && n < self.min_fill::<LeafNode>() {
+                    return Err(broken(format!("leaf {page} underfull: {n}")));
                 }
-                seen += es.len();
-            } else {
-                let es = self.codec.decode_inner(&bytes[1..]);
-                if es.is_empty() || (page != self.root && es.len() < self.min_fill_count(level)) {
-                    return Err(format!("inner {page} underfull: {}", es.len()));
+                seen += n;
+                continue;
+            }
+            let es = self.peek::<InnerNode>(page, level)?;
+            if es.is_empty() || (page != self.root && es.len() < self.min_fill::<InnerNode>()) {
+                return Err(broken(format!("inner {page} underfull: {}", es.len())));
+            }
+            for e in &es {
+                let child_key = if level == 1 {
+                    self.peek_key::<LeafNode>(e.child, 0)?
+                } else {
+                    self.peek_key::<InnerNode>(e.child, level - 1)?
+                };
+                if !self
+                    .metrics
+                    .covers(&e.key, &child_key, self.cfg.covers_tolerance)
+                {
+                    return Err(broken(format!(
+                        "entry in {page} does not cover child {}: {:?} !⊇ {child_key:?}",
+                        e.child, e.key
+                    )));
                 }
-                for e in &es {
-                    self.file
-                        .peek_into(e.child, &mut child_bytes)
-                        .map_err(|err| format!("page {} unreadable: {err}", e.child))?;
-                    let child_key = if child_bytes[0] == 0 {
-                        let ces = self.codec.decode_leaf(&child_bytes[1..]);
-                        self.node_key(&Node::Leaf(ces))
-                    } else {
-                        let ces = self.codec.decode_inner(&child_bytes[1..]);
-                        self.node_key(&Node::Inner(ces))
-                    };
-                    if let Some(ck) = child_key {
-                        if !self.metrics.covers(&e.key, &ck, self.cfg.covers_tolerance) {
-                            return Err(format!(
-                                "entry in {page} does not cover child {}: {:?} !⊇ {:?}",
-                                e.child, e.key, ck
-                            ));
-                        }
-                    }
-                    stack.push((e.child, level - 1));
-                }
+                stack.push((e.child, level - 1));
             }
         }
         if seen != self.len {
-            return Err(format!("len {} but traversal found {seen}", self.len));
+            return Err(broken(format!(
+                "len {} but traversal found {seen}",
+                self.len
+            )));
         }
         Ok(())
+    }
+
+    /// The bounding key of node `page`, the node at `level` (uncounted).
+    fn peek_key<N: Kind<M::Key, L, C>>(&self, page: PageId, level: usize) -> io::Result<M::Key> {
+        Ok(self.node_key::<N>(&self.peek::<N>(page, level)?))
     }
 }
 
@@ -969,22 +942,17 @@ where
 /// `min ≤ 0.4·cap` guarantee the even split clears `min` on both sides).
 fn pack_sizes(n: usize, cap: usize, min: usize) -> Vec<usize> {
     debug_assert!(n > 0 && cap >= MIN_FANOUT && min <= cap);
-    let full = n / cap;
+    let mut sizes = vec![cap; n / cap];
     let rem = n % cap;
     if rem == 0 {
-        return vec![cap; full];
+        return sizes;
     }
-    if full == 0 {
-        return vec![rem]; // a single (root) node; min fill does not apply
-    }
-    let mut sizes = vec![cap; full];
-    if rem >= min {
-        sizes.push(rem);
-    } else {
-        let total = cap + rem;
-        // xlint: allow(panic-freedom) -- invariant: full > 0
-        *sizes.last_mut().expect("full > 0") = total / 2;
-        sizes.push(total - total / 2);
+    match sizes.pop() {
+        // A short remainder is rebalanced with the full node before it.
+        Some(last) if rem < min => sizes.extend([(last + rem) / 2, (last + rem).div_ceil(2)]),
+        // Otherwise it is a node of its own (a single root needs no
+        // minimum fill).
+        last => sizes.extend(last.into_iter().chain([rem])),
     }
     sizes
 }
@@ -1001,18 +969,16 @@ fn extract<T>(v: &mut Vec<T>, victims: &[usize]) -> Vec<T> {
     out
 }
 
-/// Consumes `v`, distributing elements into the two index groups.
+/// Consumes `v`, distributing elements into the two index groups (a
+/// partition of `0..v.len()`), each in its group's order.
 fn partition<T>(v: Vec<T>, g1: &[usize], g2: &[usize]) -> (Vec<T>, Vec<T>) {
     debug_assert_eq!(g1.len() + g2.len(), v.len());
     let mut slots: Vec<Option<T>> = v.into_iter().map(Some).collect();
-    let take = |slots: &mut Vec<Option<T>>, idxs: &[usize]| {
-        idxs.iter()
-            // xlint: allow(panic-freedom) -- invariant: index used twice in split
-            .map(|&i| slots[i].take().expect("index used twice in split"))
-            .collect::<Vec<T>>()
-    };
-    let a = take(&mut slots, g1);
-    let b = take(&mut slots, g2);
+    let mut take =
+        |idxs: &[usize]| -> Vec<T> { idxs.iter().filter_map(|&i| slots[i].take()).collect() };
+    let a = take(g1);
+    let b = take(g2);
+    debug_assert_eq!(a.len() + b.len(), slots.len(), "split groups overlap");
     (a, b)
 }
 

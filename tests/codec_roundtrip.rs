@@ -144,7 +144,7 @@ fn utree_node_codec_roundtrips_random_pages() {
         let mut bytes = Vec::new();
         codec.encode_leaf(&entries, &mut bytes);
         assert!(bytes.len() < utree_repro::store::PAGE_SIZE);
-        let back = codec.decode_leaf(&bytes);
+        let back = codec.decode_leaf(&bytes).unwrap();
         assert_eq!(back, entries, "leaf page round trip failed (round {round})");
 
         // Inner entries: keys round outward, so the decoded key must cover
@@ -161,7 +161,7 @@ fn utree_node_codec_roundtrips_random_pages() {
             .collect();
         let mut ibytes = Vec::new();
         codec.encode_inner(&inner, &mut ibytes);
-        let iback = codec.decode_inner(&ibytes);
+        let iback = codec.decode_inner(&ibytes).unwrap();
         assert_eq!(iback.len(), inner.len());
         for (got, want) in iback.iter().zip(&inner) {
             assert_eq!(got.child, want.child);
@@ -225,7 +225,7 @@ fn upcr_node_codec_roundtrips_random_pages() {
             .collect();
         let mut bytes = Vec::new();
         codec.encode_leaf(&entries, &mut bytes);
-        let back = codec.decode_leaf(&bytes);
+        let back = codec.decode_leaf(&bytes).unwrap();
         assert_eq!(
             back, entries,
             "U-PCR leaf round trip failed (round {round})"
@@ -246,4 +246,83 @@ fn decoded_objects_preserve_appearance_probabilities() {
         let p1 = utree_repro::pdf::appearance_reference(&back.pdf, &rq, 1e-9);
         assert_eq!(p0, p1, "object {id} changed behaviour through the codec");
     }
+}
+
+/// `page` mutated 500 seeded ways — bytes flipped, the count replaced,
+/// the tail cut — each of which `decode` reads or refuses as
+/// `InvalidData`, never panicking.
+fn sweep_mutations<T>(page: &[u8], seed: u64, decode: impl Fn(&[u8]) -> std::io::Result<Vec<T>>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    for round in 0..500 {
+        let mut m = page.to_vec();
+        let how = rng.gen_range(0..4u32);
+        if how & 1 == 0 {
+            for _ in 0..rng.gen_range(1..8) {
+                let at = rng.gen_range(0..m.len());
+                m[at] ^= rng.gen_range(1..=255u8);
+            }
+        }
+        if how == 1 || how == 3 {
+            m[..2].copy_from_slice(&rng.gen_range(0..=u16::MAX).to_le_bytes());
+        }
+        if how >= 2 {
+            m.truncate(rng.gen_range(0..=m.len()));
+        }
+        if let Err(e) = decode(&m) {
+            assert_eq!(
+                e.kind(),
+                std::io::ErrorKind::InvalidData,
+                "round {round}: {e}"
+            );
+        }
+    }
+}
+
+/// Encoded U-tree and U-PCR pages, leaf and inner, mutated: every decode
+/// is `Ok` or `InvalidData` (a count over the page's capacity or past its
+/// bytes is refused before any entry is read).
+#[test]
+fn node_codecs_decode_or_refuse_mutated_pages() {
+    use utree_repro::rstar::LeafRecord;
+    let mut rng = SmallRng::seed_from_u64(43);
+    let catalog = Arc::new(UCatalog::paper_utree_default());
+    let ucodec = UCodec::<2>::new(catalog.clone());
+    let leaves: Vec<ULeafEntry<2>> = (0..30)
+        .map(|id| random_uleaf_entry(id, &catalog, &mut rng))
+        .collect();
+    let inner: Vec<_> = leaves
+        .iter()
+        .map(|e| InnerEntry {
+            key: e.key(),
+            child: e.id,
+        })
+        .collect();
+    let (mut leaf_page, mut inner_page) = (Vec::new(), Vec::new());
+    ucodec.encode_leaf(&leaves, &mut leaf_page);
+    ucodec.encode_inner(&inner, &mut inner_page);
+    sweep_mutations(&leaf_page, 1, |b| ucodec.decode_leaf(b));
+    sweep_mutations(&inner_page, 2, |b| ucodec.decode_inner(b));
+
+    let catalog = Arc::new(UCatalog::uniform(9));
+    let pcodec = UPcrCodec::<2>::new(catalog.clone());
+    let leaves: Vec<UPcrLeafEntry<2>> = (0..10u64)
+        .map(|id| UPcrLeafEntry {
+            pcrs: PcrSet::from_rects((0..9).map(|_| random_rect(&mut rng)).collect()),
+            mbr: random_rect(&mut rng),
+            addr: RecordAddr { page: id, slot: 0 },
+            id,
+        })
+        .collect();
+    let inner: Vec<_> = leaves
+        .iter()
+        .map(|e| InnerEntry {
+            key: e.key(),
+            child: e.id,
+        })
+        .collect();
+    let (mut leaf_page, mut inner_page) = (Vec::new(), Vec::new());
+    pcodec.encode_leaf(&leaves, &mut leaf_page);
+    pcodec.encode_inner(&inner, &mut inner_page);
+    sweep_mutations(&leaf_page, 3, |b| pcodec.decode_leaf(b));
+    sweep_mutations(&inner_page, 4, |b| pcodec.decode_inner(b));
 }

@@ -5,7 +5,9 @@
 
 mod common;
 
+use utree_repro::index::{Cfbs, DiskStore, FilterPayload, Pcrs, ProbTree};
 use utree_repro::prelude::*;
+use utree_repro::store::{DiskPageFile, PageId, PageStore, PAGE_SIZE};
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
@@ -252,5 +254,82 @@ fn saved_files_are_byte_stable() {
         ],
         "u-pcr snapshot bytes moved"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites page `page` of the page file at `path` with `edit` applied,
+/// returning the page as it was.
+fn edit_page(
+    path: &std::path::Path,
+    page: PageId,
+    edit: impl FnOnce(&mut [u8; PAGE_SIZE]),
+) -> [u8; PAGE_SIZE] {
+    let mut file = DiskPageFile::open(path).unwrap();
+    let mut bytes = [0u8; PAGE_SIZE];
+    file.peek_into(page, &mut bytes).unwrap();
+    let was = bytes;
+    edit(&mut bytes);
+    file.write(page, &bytes).unwrap();
+    file.flush().unwrap();
+    was
+}
+
+/// The root of a saved node file (the one page at the highest level) and
+/// its first leaf (the first live page at level 0).
+fn root_and_leaf(path: &std::path::Path) -> (PageId, PageId) {
+    let file = DiskPageFile::open(path).unwrap();
+    let free = file.free_list();
+    let mut bytes = [0u8; PAGE_SIZE];
+    let levels: Vec<(PageId, u8)> = (0..file.capacity_pages() as PageId)
+        .filter(|p| !free.contains(p))
+        .map(|p| {
+            file.peek_into(p, &mut bytes).unwrap();
+            (p, bytes[0])
+        })
+        .collect();
+    let root = levels.iter().max_by_key(|&&(_, l)| l).unwrap();
+    let leaf = levels.iter().find(|&&(_, l)| l == 0).unwrap();
+    assert!(root.1 > 0, "the saved tree must have an inner root");
+    (root.0, leaf.0)
+}
+
+/// A saved index whose node pages lie — the root claiming to be a leaf,
+/// then a leaf whose count runs past its page — still opens (open decodes
+/// no node), and a range query and a top-k query that reach the page
+/// return `Err` naming it instead of panicking.
+#[test]
+fn corrupt_node_pages_fail_queries_not_the_process() {
+    corrupt_node_pages_fail_queries::<Cfbs>();
+    corrupt_node_pages_fail_queries::<Pcrs>();
+}
+
+fn corrupt_node_pages_fail_queries<P: FilterPayload<2>>() {
+    let objs = datagen::lb_dataset(300, 17);
+    let mut tree = ProbTree::<2, P>::builder()
+        .uniform_catalog(6)
+        .build()
+        .unwrap();
+    tree.bulk_load(&objs);
+    let dir = temp_dir(&format!("corrupt-{}", P::NAME));
+    tree.save(&dir).unwrap();
+    let index = dir.join("index.pg");
+    let (root, leaf) = root_and_leaf(&index);
+    let everything = Rect::new([0.0, 0.0], [10_000.0, 10_000.0]);
+    let range = Query::range(everything).threshold(0.5).build().unwrap();
+    let top = Query::range(everything).top(objs.len()).build().unwrap();
+    let root_at_level_0: fn(&mut [u8; PAGE_SIZE]) = |b| b[0] = 0;
+    let count_past_page: fn(&mut [u8; PAGE_SIZE]) = |b| b[1..3].copy_from_slice(&[0xFF, 0xFF]);
+    for (page, edit) in [(root, root_at_level_0), (leaf, count_past_page)] {
+        let was = edit_page(&index, page, edit);
+        let disk = ProbTree::<2, P, DiskStore>::open(&dir, 8).expect("open decodes no node");
+        let mut ctx = QueryCtx::new();
+        let named = format!("node page {page}");
+        let err = disk.try_execute_with(&range, &mut ctx).unwrap_err();
+        assert!(err.to_string().contains(&named), "{}: {err}", P::NAME);
+        let err = disk.try_rank_topk_with(&top, &mut ctx).unwrap_err();
+        assert!(err.to_string().contains(&named), "{}: {err}", P::NAME);
+        drop(disk);
+        edit_page(&index, page, |b| *b = was);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -333,9 +333,10 @@ fn uncommitted_tail_rolls_back<P: FilterPayload<2>>() {
 }
 
 /// An `open` that is refused leaves the directory as it found it: an
-/// empty directory stays empty (no log is created), and a directory whose
-/// `heap.pg` is gone keeps its log byte-identical, uncommitted tail and
-/// all. Both errors name the missing file.
+/// empty directory stays empty (no log is created), and a directory opened
+/// as the other payload or at another dimensionality, or whose `meta.bin`
+/// or `heap.pg` is gone, keeps its log byte-identical, uncommitted tail
+/// and all. An error for a missing file names it.
 #[test]
 fn a_refused_open_leaves_the_log_untouched() {
     let dir = temp_dir("refused-open");
@@ -371,6 +372,28 @@ fn a_refused_open_leaves_the_log_untouched() {
         "the log must end in an uncommitted tail"
     );
     let before = std::fs::read(&log).unwrap();
+    let untouched = || std::fs::read(&log).unwrap() == before;
+
+    // Another payload, another dimensionality, no metadata file: each is
+    // refused before the log is replayed or its tail cut.
+    let err = DiskTree::<Pcrs>::open(&dir, 32).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(untouched(), "an open as the other payload touched the log");
+    let err = DiskUTree::<3>::open(&dir, 32).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(
+        untouched(),
+        "an open at another dimensionality touched the log"
+    );
+    let meta = dir.join("meta.bin");
+    let aside = dir.join("meta.bin.aside");
+    std::fs::rename(&meta, &aside).unwrap();
+    let err = DiskUTree::<2>::open(&dir, 32).map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    assert!(err.to_string().contains("meta.bin"), "unnamed file: {err}");
+    assert!(untouched(), "an open without meta.bin touched the log");
+    std::fs::rename(&aside, &meta).unwrap();
+
     std::fs::remove_file(dir.join("heap.pg")).unwrap();
     let err = DiskUTree::<2>::open(&dir, 32).map(|_| ()).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
